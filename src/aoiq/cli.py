@@ -141,6 +141,7 @@ def _dump_deliveries(path: str, deliveries) -> None:
 
 def _cmd_table(args) -> int:
     spec = _spec_from_args(args)
+    reports = []
     if args.command == "simulate" and getattr(args, "dump_samples", None):
         if spec.axis != "none":
             print("--dump-samples needs a single-point spec (axis = none)", file=sys.stderr)
@@ -153,7 +154,9 @@ def _cmd_table(args) -> int:
             collect_deliveries=True,
         )
         _dump_deliveries(args.dump_samples, report.deliveries)
-    n = write_rows(spec.output_path, iter_sweep_rows(spec, workers=args.workers))
+        # collecting deliveries leaves the statistics unchanged: the table reuses them
+        reports.append(report)
+    n = write_rows(spec.output_path, iter_sweep_rows(spec, workers=args.workers, reports=reports))
     print(f"wrote {n} rows to {spec.output_path}")
     return 0
 
@@ -176,8 +179,11 @@ def _cmd_validate(args) -> int:
         if c.detail:
             line += f"  ({c.detail})"
         print(line)
-    failed = [c for c in report.checks if not c.passed]
-    print(f"{len(report.checks) - len(failed)}/{len(report.checks)} checks passed")
+    count = {s: sum(c.status == s for c in report.checks) for s in ("pass", "skip", "fail")}
+    print(
+        f"{count['pass']}/{len(report.checks)} checks passed, "
+        f"{count['skip']} skipped, {count['fail']} failed"
+    )
     return 0 if report.all_passed else 2
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import stats as sps
@@ -629,20 +629,9 @@ class SimReport:
         if len(self.per_source) != len(other.per_source):
             return False
         for a, b in zip(self.per_source, other.per_source):
-            for name in (
-                "arrivals", "delivered", "preempted", "discarded", "in_flight",
-                "entered_service", "race_entries", "busy_time", "aoi_area",
-                "measured_time", "time_avg_aoi", "time_avg_aoi_sq", "aoi_ci_halfwidth",
-                "system_time_mean", "system_time_moments", "system_time_count",
-                "system_time_ci_halfwidth", "interdeparture_mean",
-                "interdeparture_moments", "interdeparture_count",
-                "interdeparture_ci_halfwidth", "paoi_mean", "paoi_moments",
-                "paoi_count", "paoi_ci_halfwidth",
-            ):
-                if getattr(a, name) != getattr(b, name):
-                    return False
-            for name in ("system_times", "delivery_records", "preempt_gaps", "rep_windows"):
-                if not np.array_equal(getattr(a, name), getattr(b, name)):
+            for field in fields(SourceStats):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
                     return False
         return (
             self.sum_time_avg_aoi == other.sum_time_avg_aoi

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .analytic import SystemConfig, moments
 from .config import ExperimentSpec
-from .sim import Policy, PolicyKind, run
+from .sim import Policy, PolicyKind, SimReport, run
 
 __all__ = ["CSV_COLUMNS", "grid_values", "iter_sweep_rows", "run_sweep", "write_rows", "format_number"]
 
@@ -74,10 +74,25 @@ def _config_at(spec: ExperimentSpec, value: float | None) -> SystemConfig:
     return SystemConfig((value, total - value), base.theta, base.service)
 
 
-def _policy_object(kind: PolicyKind, theta: float) -> Policy:
-    if kind is PolicyKind.PROBABILISTIC:
-        return Policy.probabilistic(theta)
-    return Policy(kind)
+def _effective_policy(kind: PolicyKind, theta: float) -> Policy:
+    """The policy as the simulator sees it at preemption probability theta.
+
+    Only the probabilistic policy reads theta, and at theta 0 or 1 it is
+    bit-identical to the non-preemptive or self-preemptive policy (see
+    ``aoiq.sim``), so those two values map onto the baselines.
+    """
+    if kind is not PolicyKind.PROBABILISTIC:
+        return Policy(kind)
+    if theta == 0.0:
+        return Policy.non_preemptive()
+    if theta == 1.0:
+        return Policy.self_preemptive()
+    return Policy.probabilistic(theta)
+
+
+def _system_key(cfg: SystemConfig, policy: Policy) -> tuple:
+    """Equal keys mean equal closed forms and bit-identical simulations."""
+    return cfg.arrival_rates, cfg.service, policy
 
 
 def _analytic_block(cfg: SystemConfig, policies) -> dict[PolicyKind, list | None]:
@@ -97,89 +112,111 @@ def _analytic_block(cfg: SystemConfig, policies) -> dict[PolicyKind, list | None
     return out
 
 
-def iter_sweep_rows(spec: ExperimentSpec, workers: int = 1) -> Iterator[dict]:
-    """Yield CSV rows in deterministic grid/mode/policy/source order."""
+_METRICS = ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "ci_halfwidth")
+
+
+class _Block(NamedTuple):
+    """The numbers one policy's rows print at one grid point: per source,
+    the values of ``_METRICS``; and the sum of the mean AoIs, None where
+    there is no closed form."""
+
+    per_source: tuple[tuple, ...]
+    sum_mean_aoi: float | None
+
+
+def _closed_form_block(metrics: list | None, num_sources: int) -> _Block:
+    if metrics is None:
+        return _Block(((None,) * len(_METRICS),) * num_sources, None)
+    return _Block(
+        tuple(
+            (m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1], m.paoi_moments[1], None)
+            for m in metrics
+        ),
+        sum(m.mean_aoi for m in metrics),
+    )
+
+
+def _simulated_block(report: SimReport) -> _Block:
+    return _Block(
+        tuple(
+            (s.time_avg_aoi, s.paoi_mean, s.time_avg_aoi_sq, s.paoi_moments[1], s.aoi_ci_halfwidth)
+            for s in report.per_source
+        ),
+        report.sum_time_avg_aoi,
+    )
+
+
+def _unseen(keys: dict, memo: dict) -> list[PolicyKind]:
+    """Policies whose key is not in ``memo`` yet, the first one per key."""
+    first: dict = {}
+    for kind, key in keys.items():
+        if key not in memo:
+            first.setdefault(key, kind)
+    return list(first.values())
+
+
+def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[dict]:
+    """The rows of one grid point and mode, in policy/source order."""
+    baseline = blocks.get(PolicyKind.PROBABILISTIC)
+    prob_sum = None if baseline is None else baseline.sum_mean_aoi
+    for kind, (per_source, total) in blocks.items():
+        ratio = None
+        if total is not None and prob_sum is not None:
+            ratio = (total - prob_sum) / prob_sum * 100.0
+        for c, values in enumerate(per_source):
+            yield {
+                "axis_value": axis_value,
+                "policy": kind.value,
+                "source": c + 1,
+                **dict(zip(_METRICS, values)),
+                "sum_mean_aoi": total,
+                "diff_ratio_pct": ratio,
+                "mode": mode,
+                "remark": "" if total is not None else _NO_CLOSED_FORM,
+            }
+
+
+def iter_sweep_rows(
+    spec: ExperimentSpec, workers: int = 1, *, reports: Iterable[SimReport] = ()
+) -> Iterator[dict]:
+    """Yield CSV rows in deterministic grid/mode/policy/source order.
+
+    Each distinct system is solved and simulated once per call: a policy
+    whose ``_system_key`` matches that of a policy already computed, at
+    this grid point or an earlier one, reuses its numbers. In a theta sweep
+    that covers the theta-independent policies and the probabilistic
+    policy at theta 0 and 1. ``reports`` are runs already made with the
+    spec's simulation settings (say, with deliveries collected); their
+    systems are not simulated again.
+    """
     do_analytic = spec.mode in ("analytic", "both")
     do_simulate = spec.mode in ("simulate", "both")
-    has_baseline = PolicyKind.PROBABILISTIC in spec.policies
+    solved: dict[tuple, _Block] = {}
+    simulated: dict[tuple, _Block] = {
+        _system_key(r.system, _effective_policy(r.policy.kind, r.policy.theta)): _simulated_block(r)
+        for r in reports
+        if r.sim == spec.sim
+    }
 
     for value in grid_values(spec):
         cfg = _config_at(spec, value)
         axis_value = "" if value is None else value
+        policies = {kind: _effective_policy(kind, cfg.theta) for kind in spec.policies}
+        keys = {kind: _system_key(cfg, policy) for kind, policy in policies.items()}
 
         if do_analytic:
-            block = _analytic_block(cfg, spec.policies)
-            prob_sum = None
-            if has_baseline and block[PolicyKind.PROBABILISTIC] is not None:
-                prob_sum = sum(m.mean_aoi for m in block[PolicyKind.PROBABILISTIC])
-            for kind in spec.policies:
-                metrics = block[kind]
-                if metrics is None:
-                    for c in range(cfg.num_sources):
-                        yield {
-                            "axis_value": axis_value,
-                            "policy": kind.value,
-                            "source": c + 1,
-                            "mean_aoi": None,
-                            "mean_paoi": None,
-                            "aoi_m2": None,
-                            "paoi_m2": None,
-                            "ci_halfwidth": None,
-                            "sum_mean_aoi": None,
-                            "diff_ratio_pct": None,
-                            "mode": "analytic",
-                            "remark": _NO_CLOSED_FORM,
-                        }
-                    continue
-                total = sum(m.mean_aoi for m in metrics)
-                ratio = None
-                if prob_sum is not None:
-                    ratio = (total - prob_sum) / prob_sum * 100.0
-                for c, m in enumerate(metrics):
-                    yield {
-                        "axis_value": axis_value,
-                        "policy": kind.value,
-                        "source": c + 1,
-                        "mean_aoi": m.aoi_moments[0],
-                        "mean_paoi": m.paoi_moments[0],
-                        "aoi_m2": m.aoi_moments[1],
-                        "paoi_m2": m.paoi_moments[1],
-                        "ci_halfwidth": None,
-                        "sum_mean_aoi": total,
-                        "diff_ratio_pct": ratio,
-                        "mode": "analytic",
-                        "remark": "",
-                    }
+            for kind, metrics in _analytic_block(cfg, _unseen(keys, solved)).items():
+                solved[keys[kind]] = _closed_form_block(metrics, cfg.num_sources)
+            blocks = {kind: solved[key] for kind, key in keys.items()}
+            yield from _rows(axis_value, "analytic", blocks)
 
         if do_simulate:
-            reports = {
-                kind: run(cfg, _policy_object(kind, cfg.theta), spec.sim, workers=workers)
-                for kind in spec.policies
-            }
-            prob_sum = None
-            if has_baseline:
-                prob_sum = reports[PolicyKind.PROBABILISTIC].sum_time_avg_aoi
-            for kind in spec.policies:
-                report = reports[kind]
-                total = report.sum_time_avg_aoi
-                ratio = None
-                if prob_sum is not None:
-                    ratio = (total - prob_sum) / prob_sum * 100.0
-                for c, s in enumerate(report.per_source):
-                    yield {
-                        "axis_value": axis_value,
-                        "policy": kind.value,
-                        "source": c + 1,
-                        "mean_aoi": s.time_avg_aoi,
-                        "mean_paoi": s.paoi_mean,
-                        "aoi_m2": s.time_avg_aoi_sq,
-                        "paoi_m2": s.paoi_moments[1],
-                        "ci_halfwidth": s.aoi_ci_halfwidth,
-                        "sum_mean_aoi": total,
-                        "diff_ratio_pct": ratio,
-                        "mode": "simulate",
-                        "remark": "",
-                    }
+            for kind in _unseen(keys, simulated):
+                simulated[keys[kind]] = _simulated_block(
+                    run(cfg, policies[kind], spec.sim, workers=workers)
+                )
+            blocks = {kind: simulated[key] for kind, key in keys.items()}
+            yield from _rows(axis_value, "simulate", blocks)
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:

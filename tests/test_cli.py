@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from aoiq.cli import main
 
 POINT_SPEC = """
@@ -77,12 +79,40 @@ class TestSubcommands:
         assert len(rows) > 100
         assert {r[0] for r in rows[1:]} <= {"1", "2"}
 
+    @pytest.mark.parametrize(
+        "policies, runs",
+        [("probabilistic", 1), ("probabilistic, non_preemptive", 2)],
+    )
+    def test_dump_reuses_its_run_for_the_table(self, tmp_path, monkeypatch, policies, runs):
+        import aoiq.cli as cli_mod
+        import aoiq.sweep as sweep_mod
+
+        spec, out = write_spec(tmp_path, POINT_SPEC)
+        plain = tmp_path / "plain.csv"
+        assert main(["simulate", "-c", spec, "--policies", policies, "-o", str(plain)]) == 0
+        calls = []
+        for mod in (cli_mod, sweep_mod):
+            def counting(*args, _original=mod.run, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "run", counting)
+        dump = tmp_path / "samples.csv"
+        argv = ["simulate", "-c", spec, "--policies", policies, "--dump-samples", str(dump)]
+        assert main(argv) == 0
+        assert len(calls) == runs
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_validate_passes(self, tmp_path, capsys):
         spec, _ = write_spec(tmp_path, POINT_SPEC)
         code = main(["validate", "-c", spec, "--horizon", "20000", "--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "checks passed" in out
+        passed = sum(line.startswith("PASS ") for line in out.splitlines())
+        skipped = sum(line.startswith("SKIP ") for line in out.splitlines())
+        total = passed + skipped
+        assert f"{passed}/{total} checks passed, {skipped} skipped, 0 failed" in out
 
 
 class TestExitCodes:
@@ -108,6 +138,21 @@ class TestExitCodes:
         )
         monkeypatch.setattr(cli_mod, "validation_suite", lambda s, workers=1: fake)
         assert main(["validate", "-c", spec]) == 2
+
+    def test_summary_counts_skips_apart(self, tmp_path, monkeypatch, capsys):
+        import aoiq.cli as cli_mod
+        from aoiq.validate import ValidationCheck, ValidationReport
+
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+        fake = ValidationReport(
+            (
+                ValidationCheck("good", "pass", 0.0, 1.0, ""),
+                ValidationCheck("too_few_samples", "skip", float("nan"), float("nan"), ""),
+            )
+        )
+        monkeypatch.setattr(cli_mod, "validation_suite", lambda s, workers=1: fake)
+        assert main(["validate", "-c", spec]) == 0
+        assert "1/2 checks passed, 1 skipped, 0 failed" in capsys.readouterr().out
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         import aoiq.sweep as sweep_mod

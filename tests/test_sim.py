@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from aoiq import (
     PolicyKind,
     PositiveExponentRejected,
     SimConfig,
+    SourceStats,
     SystemConfig,
     Transform,
     empirical_aoi_mgf,
@@ -133,6 +135,26 @@ class TestReproducibility:
         a = run(TWO_EXP, Policy.probabilistic(1.0), sim)
         b = run(TWO_EXP, Policy.self_preemptive(), sim)
         assert a.stats_identical(b)
+
+
+def _perturbed(value):
+    if isinstance(value, tuple):
+        return (value[0] + 1,) + value[1:]
+    if isinstance(value, float) and math.isnan(value):
+        return 0.0
+    return value + 1  # numbers, and arrays element by element
+
+
+class TestStatsIdentical:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SourceStats)])
+    def test_every_source_field_counts(self, field):
+        report = run(TWO_EXP, Policy.probabilistic(0.5), small_sim(horizon=1000.0))
+        assert report.stats_identical(dataclasses.replace(report))
+        first = report.per_source[0]
+        assert all(np.size(getattr(first, f.name)) for f in dataclasses.fields(SourceStats))
+        changed = dataclasses.replace(first, **{field: _perturbed(getattr(first, field))})
+        other = dataclasses.replace(report, per_source=(changed,) + report.per_source[1:])
+        assert not report.stats_identical(other)
 
 
 class TestSampleIdentities:

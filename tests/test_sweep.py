@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from aoiq import parse_spec, run_sweep
+import aoiq.sweep as sweep_mod
+from aoiq import Policy, PolicyKind, SystemConfig, moments, parse_spec, run, run_sweep
 from aoiq.sweep import CSV_COLUMNS, format_number, grid_values, write_rows
 
 ANALYTIC_SWEEP = """
@@ -198,3 +199,161 @@ class TestCsv:
             got = list(csv.reader(fh))
         assert got[0] == CSV_COLUMNS
         assert len(got) == 11  # header plus the ten rows written before the abort
+
+
+THETA_BOTH = """
+[system]
+arrival_rates = 1, 2
+theta = 0.5
+service = exponential(rate=1.5)
+
+[sweep]
+axis = theta
+start = 0.0
+stop = 1.0
+points = 4
+policies = probabilistic, non_preemptive, self_preemptive, globally_preemptive
+mode = both
+
+[simulation]
+horizon = 400
+seed = 11
+replications = 2
+"""
+
+LAMBDA_BOTH = """
+[system]
+arrival_rates = 2, 6
+theta = 0.3
+service = exponential(rate=1.2)
+
+[sweep]
+axis = lambda1
+start = 1.0
+stop = 7.0
+points = 4
+policies = probabilistic, non_preemptive
+mode = both
+
+[simulation]
+horizon = 400
+seed = 11
+replications = 2
+"""
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Arguments of every run / moments call the sweep makes."""
+    seen = {"run": [], "moments": []}
+    for name in seen:
+        original = getattr(sweep_mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            seen[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, name, counting)
+    return seen
+
+
+def _as_simulated(policy):
+    """What the simulator sees: theta 0 and 1 are the two baselines."""
+    if policy.kind is PolicyKind.PROBABILISTIC and policy.theta in (0.0, 1.0):
+        return Policy(
+            PolicyKind.NON_PREEMPTIVE if policy.theta == 0.0 else PolicyKind.SELF_PREEMPTIVE
+        )
+    return policy
+
+
+def _direct_rows(spec):
+    """Reference rows from one run / moments call per grid point and policy."""
+    theta_of = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}
+    rows = []
+    for value in grid_values(spec):
+        if spec.axis == "theta":
+            cfg = SystemConfig(spec.system.arrival_rates, value, spec.system.service)
+        else:
+            total = spec.system.total_rate
+            cfg = SystemConfig((value, total - value), spec.system.theta, spec.system.service)
+        for mode in ("analytic", "simulate"):
+            per_policy = {}
+            for kind in spec.policies:
+                if mode == "simulate":
+                    policy = (
+                        Policy.probabilistic(cfg.theta)
+                        if kind is PolicyKind.PROBABILISTIC
+                        else Policy(kind)
+                    )
+                    report = run(cfg, policy, spec.sim)
+                    per_policy[kind] = (
+                        [
+                            (s.time_avg_aoi, s.paoi_mean, s.time_avg_aoi_sq,
+                             s.paoi_moments[1], s.aoi_ci_halfwidth)
+                            for s in report.per_source
+                        ],
+                        report.sum_time_avg_aoi,
+                    )
+                elif kind is not PolicyKind.GLOBALLY_PREEMPTIVE:
+                    eff = SystemConfig(
+                        cfg.arrival_rates, theta_of.get(kind, cfg.theta), cfg.service
+                    )
+                    ms = [moments(eff, c, 2) for c in range(cfg.num_sources)]
+                    per_policy[kind] = (
+                        [(m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1],
+                          m.paoi_moments[1], None) for m in ms],
+                        sum(m.mean_aoi for m in ms),
+                    )
+            prob_sum = per_policy[PolicyKind.PROBABILISTIC][1]
+            for kind in spec.policies:
+                values, total = per_policy.get(kind, ([(None,) * 5] * cfg.num_sources, None))
+                ratio = None if total is None else (total - prob_sum) / prob_sum * 100.0
+                for c, v in enumerate(values):
+                    rows.append({
+                        "axis_value": value,
+                        "policy": kind.value,
+                        "source": c + 1,
+                        "mean_aoi": v[0],
+                        "mean_paoi": v[1],
+                        "aoi_m2": v[2],
+                        "paoi_m2": v[3],
+                        "ci_halfwidth": v[4],
+                        "sum_mean_aoi": total,
+                        "diff_ratio_pct": ratio,
+                        "mode": mode,
+                        "remark": "" if total is not None else sweep_mod._NO_CLOSED_FORM,
+                    })
+    return rows
+
+
+class TestEachSystemOnce:
+    def test_one_run_per_simulation_key(self, calls):
+        spec = parse_spec(THETA_BOTH)
+        assert grid_values(spec)[0] == 0.0 and grid_values(spec)[-1] == 1.0
+        run_sweep(spec)
+        keys = [
+            (cfg.arrival_rates, cfg.service, _as_simulated(policy))
+            for cfg, policy, _ in calls["run"]
+        ]
+        # theta 1/3 and 2/3 for the probabilistic policy, each baseline once
+        assert len(keys) == len(set(keys)) == 5
+
+    def test_one_closed_form_per_system(self, calls):
+        spec = parse_spec(THETA_BOTH)
+        run_sweep(spec)
+        # 4 distinct effective theta values (0 and 1 shared with the
+        # baselines) times 2 sources
+        assert len(calls["moments"]) == len(set(calls["moments"])) == 8
+
+    @pytest.mark.parametrize("text", [THETA_BOTH, LAMBDA_BOTH], ids=["theta", "lambda1"])
+    def test_rows_match_direct_calls(self, text):
+        spec = parse_spec(text)
+        assert run_sweep(spec) == _direct_rows(spec)
+
+    def test_rate_sweep_points_not_aliased(self, calls):
+        spec = parse_spec(LAMBDA_BOTH)
+        run_sweep(spec)
+        points = len(grid_values(spec))
+        assert len(calls["run"]) == points * 2
+        assert len(calls["moments"]) == points * 2 * 2
+        assert {cfg.arrival_rates[0] for cfg, _, _ in calls["run"]} == set(grid_values(spec))
