@@ -79,6 +79,29 @@ def _hermite_nodes(n: int):
     return x, log_w
 
 
+def _until_stable(coeffs_at, what: str, t0: float, order: int) -> list[float]:
+    """Log-normal ``what`` coefficients, doubling the node count until stable.
+
+    ``coeffs_at(n)`` evaluates the coefficients by Gauss-Hermite quadrature
+    with ``n`` nodes; the loop stops once no coefficient moves by more than
+    the relative tolerance between successive node counts.
+    """
+    prev = None
+    n = _GH_START_NODES
+    while n <= _GH_MAX_NODES:
+        coeffs = coeffs_at(n)
+        if prev is not None and all(
+            abs(c - p) <= _GH_RTOL * abs(c) for c, p in zip(coeffs, prev)
+        ):
+            return coeffs
+        prev = coeffs
+        n *= 2
+    raise ConvergenceError(
+        f"log-normal {what} quadrature did not stabilize within {_GH_MAX_NODES} nodes "
+        f"(t0={t0}, order={order})"
+    )
+
+
 class ServiceDistribution:
     """Common interface; concrete laws are the frozen dataclasses below."""
 
@@ -341,19 +364,8 @@ class LogNormal(ServiceDistribution):
         weight underflows or U^k overflows individually while the product
         stays negligible.
         """
-        prev = None
-        n = _GH_START_NODES
-        while n <= _GH_MAX_NODES:
-            coeffs = self._quadrature_coeffs(t0, order, n)
-            if prev is not None and all(
-                abs(c - p) <= _GH_RTOL * abs(c) for c, p in zip(coeffs, prev)
-            ):
-                return coeffs
-            prev = coeffs
-            n *= 2
-        raise ConvergenceError(
-            f"log-normal MGF quadrature did not stabilize within {_GH_MAX_NODES} nodes "
-            f"(t0={t0}, order={order})"
+        return _until_stable(
+            lambda n: self._quadrature_coeffs(t0, order, n), "MGF", t0, order
         )
 
     def _check_domain(self, t):
@@ -382,20 +394,10 @@ class LogNormal(ServiceDistribution):
         return coeffs
 
     def _survival_jet_neg(self, t0, order):
-        prev = None
-        n = _GH_START_NODES
-        while n <= _GH_MAX_NODES:
-            coeffs = self._tail_prob_coeffs(t0, order, n)
-            if prev is not None and all(
-                abs(c - p) <= _GH_RTOL * abs(c) for c, p in zip(coeffs, prev)
-            ):
-                return Jet(t0, tuple(coeffs))
-            prev = coeffs
-            n *= 2
-        raise ConvergenceError(
-            f"log-normal survival-transform quadrature did not stabilize within "
-            f"{_GH_MAX_NODES} nodes (t0={t0}, order={order})"
+        coeffs = _until_stable(
+            lambda n: self._tail_prob_coeffs(t0, order, n), "survival-transform", t0, order
         )
+        return Jet(t0, tuple(coeffs))
 
     def label(self):
         return f"lognormal(loc={self.loc:g}, scale={self.scale:g})"

@@ -169,15 +169,14 @@ class _RepStats:
     first_delivery: list
     last_delivery: list
     last_system_time: list
-    t_sums: list  # per source: [n, s1, s2, s3, s4]
-    y_sums: list
-    a_sums: list
+    t_sums: list  # per source: [n, sum]
+    y_sums: list  # per source: [n, sum]
+    a_sums: list  # per source: [n, sum, sum of squares]
     system_times: list  # per source: list of floats
     records: list  # per source: list of (prev_T, Y, A)
-    preempt_gaps: list
     batch_aoi_area: list | None  # per source: list of B floats
     batch_aoi_dur: list | None
-    batch_sums: list | None  # per source/quantity: (sum[B], cnt[B]) for T, Y, A
+    batch_sums: list | None  # per source: T, Y and A sums and the count, each [B]
     deliveries: list | None  # (source, gen, delivery, T, Y, A) when collected
 
 
@@ -247,10 +246,9 @@ def _simulate_once(
         b_area = [[0.0] * batches for _ in range(n_src)]
         b_dur = [[0.0] * batches for _ in range(n_src)]
         b_sums = [
-            [[0.0] * batches, [0] * batches, [0.0] * batches, [0] * batches,
-             [0.0] * batches, [0] * batches]
+            [[0.0] * batches, [0.0] * batches, [0.0] * batches, [0] * batches]
             for _ in range(n_src)
-        ]  # t_sum, t_cnt, y_sum, y_cnt, a_sum, a_cnt
+        ]  # t_sum, y_sum, a_sum, count
 
     arrivals = [0] * n_src
     delivered = [0] * n_src
@@ -265,16 +263,14 @@ def _simulate_once(
     first_del = [_INF] * n_src
     last_del = [_INF] * n_src
     prev_t_sys = [0.0] * n_src
-    t_sums = [[0, 0.0, 0.0, 0.0, 0.0] for _ in range(n_src)]
-    y_sums = [[0, 0.0, 0.0, 0.0, 0.0] for _ in range(n_src)]
-    a_sums = [[0, 0.0, 0.0, 0.0, 0.0] for _ in range(n_src)]
+    t_sums = [[0, 0.0] for _ in range(n_src)]
+    y_sums = [[0, 0.0] for _ in range(n_src)]
+    a_sums = [[0, 0.0, 0.0] for _ in range(n_src)]
     cap = RESERVOIR_CAPACITY
     sys_items = [[] for _ in range(n_src)]
     sys_seen = [0] * n_src
     rec_items = [[] for _ in range(n_src)]
     rec_seen = [0] * n_src
-    gap_items = [[] for _ in range(n_src)]
-    gap_seen = [0] * n_src
     deliveries = [] if collect_deliveries else None
 
     next_arr = [arr_buf[c][0] for c in range(n_src)]
@@ -324,12 +320,8 @@ def _simulate_once(
                 counted = idx > warm_count
             if counted:
                 s = t_sums[c]
-                v2 = t_sys * t_sys
                 s[0] += 1
                 s[1] += t_sys
-                s[2] += v2
-                s[3] += v2 * t_sys
-                s[4] += v2 * v2
                 seen = sys_seen[c]
                 if seen < cap:
                     sys_items[c].append(t_sys)
@@ -348,22 +340,28 @@ def _simulate_once(
             if prev != _INF:
                 y = t - prev
                 pt = prev_t_sys[c]
+                a = pt + y
+                if track_batches:
+                    if horizon is not None:
+                        k = int((t - warmup_time) / batch_width)
+                    else:
+                        k = ((idx - warm_count - 1) * batches) // counted_target
+                    if k >= batches:
+                        k = batches - 1
                 if counted:
-                    a = pt + y
                     s = y_sums[c]
-                    v2 = y * y
                     s[0] += 1
                     s[1] += y
-                    s[2] += v2
-                    s[3] += v2 * y
-                    s[4] += v2 * v2
                     s = a_sums[c]
-                    v2 = a * a
                     s[0] += 1
                     s[1] += a
-                    s[2] += v2
-                    s[3] += v2 * a
-                    s[4] += v2 * v2
+                    s[2] += a * a
+                    if track_batches and k >= 0:
+                        bs = b_sums[c]
+                        bs[0][k] += t_sys
+                        bs[1][k] += y
+                        bs[2][k] += a
+                        bs[3][k] += 1
                     seen = rec_seen[c]
                     if seen < cap:
                         rec_items[c].append((pt, y, a))
@@ -389,33 +387,11 @@ def _simulate_once(
                     aoi_area[c] += seg
                     top = base + dt
                     aoi_area_sq[c] += (top * top * top - base * base * base) / 3.0
-                    if track_batches:
-                        if horizon is not None:
-                            k = int((t - warmup_time) / batch_width)
-                        else:
-                            k = ((idx - warm_count - 1) * batches) // counted_target
-                        if k >= batches:
-                            k = batches - 1
-                        if k >= 0:
-                            b_area[c][k] += seg
-                            b_dur[c][k] += dt
-                if track_batches and counted:
-                    if horizon is not None:
-                        k = int((t - warmup_time) / batch_width)
-                    else:
-                        k = ((idx - warm_count - 1) * batches) // counted_target
-                    if k >= batches:
-                        k = batches - 1
-                    if k >= 0:
-                        bs = b_sums[c]
-                        bs[0][k] += t_sys
-                        bs[1][k] += 1
-                        bs[2][k] += y
-                        bs[3][k] += 1
-                        bs[4][k] += pt + y
-                        bs[5][k] += 1
+                    if track_batches and k >= 0:
+                        b_area[c][k] += seg
+                        b_dur[c][k] += dt
                 if collect_deliveries:
-                    deliveries.append((c, gen_time, t, t_sys, y, pt + y))
+                    deliveries.append((c, gen_time, t, t_sys, y, a))
             else:
                 first_del[c] = t
                 if collect_deliveries:
@@ -484,25 +460,8 @@ def _simulate_once(
                     preempt = False
                 if preempt:
                     # the in-service packet vanishes
-                    old = serving
-                    gap = t - service_start
-                    busy_time[old] += gap
-                    preempted[old] += 1
-                    seen = gap_seen[old]
-                    if seen < cap:
-                        gap_items[old].append(gap)
-                    else:
-                        i = rcoin_i[old]
-                        buf = rcoin_buf[old]
-                        if i == _CHUNK:
-                            buf = rcoin_fill[old](_CHUNK).tolist()
-                            rcoin_buf[old] = buf
-                            i = 0
-                        j = int(buf[i] * (seen + 1))
-                        rcoin_i[old] = i + 1
-                        if j < cap:
-                            gap_items[old][j] = gap
-                    gap_seen[old] = seen + 1
+                    busy_time[serving] += t - service_start
+                    preempted[serving] += 1
                     serving = c
                     gen_time = t
                     service_start = t
@@ -568,7 +527,6 @@ def _simulate_once(
         a_sums=a_sums,
         system_times=sys_items,
         records=rec_items,
-        preempt_gaps=gap_items,
         batch_aoi_area=b_area if track_batches else None,
         batch_aoi_dur=b_dur if track_batches else None,
         batch_sums=b_sums if track_batches else None,
@@ -588,26 +546,18 @@ class SourceStats:
     entered_service: int
     race_entries: int
     busy_time: float
-    aoi_area: float
-    measured_time: float
     time_avg_aoi: float
     time_avg_aoi_sq: float
     aoi_ci_halfwidth: float
     system_time_mean: float
-    system_time_moments: tuple[float, ...]  # raw moments m1..m4
-    system_time_count: int
     system_time_ci_halfwidth: float
     interdeparture_mean: float
-    interdeparture_moments: tuple[float, ...]
-    interdeparture_count: int
     interdeparture_ci_halfwidth: float
     paoi_mean: float
-    paoi_moments: tuple[float, ...]
-    paoi_count: int
+    paoi_moments: tuple[float, float]  # raw moments m1, m2
     paoi_ci_halfwidth: float
     system_times: np.ndarray
     delivery_records: np.ndarray  # columns: prev system time, interdep, peak age
-    preempt_gaps: np.ndarray
     rep_windows: np.ndarray  # per rep: end, measure_from, area, first/last delivery, last T
 
 
@@ -673,19 +623,12 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepSta
                 rep_aoi[i, c] = r.aoi_area[c] / (r.end_time - r.measure_from[c])
 
         def pooled(sums_name):
-            tot = [0, 0.0, 0.0, 0.0, 0.0]
-            for r in reps:
-                s = getattr(r, sums_name)[c]
-                for k in range(5):
-                    tot[k] += s[k]
+            # raw moments m1.. of the counted samples of all replications
+            tot = [sum(col) for col in zip(*(getattr(r, sums_name)[c] for r in reps))]
             n = tot[0]
-            if n == 0:
-                return 0, (math.nan,) * 4
-            return n, tuple(tot[k] / n for k in range(1, 5))
+            return tuple(v / n if n else math.nan for v in tot[1:])
 
-        t_n, t_moms = pooled("t_sums")
-        y_n, y_moms = pooled("y_sums")
-        a_n, a_moms = pooled("a_sums")
+        paoi_moments = pooled("a_sums")
 
         if single:
             r = reps[0]
@@ -694,10 +637,10 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepSta
                 for ar, dur in zip(r.batch_aoi_area[c], r.batch_aoi_dur[c])
                 if dur > 0
             ]
-            bs = r.batch_sums[c]
-            t_vals = [s / n for s, n in zip(bs[0], bs[1]) if n > 0]
-            y_vals = [s / n for s, n in zip(bs[2], bs[3]) if n > 0]
-            a_vals = [s / n for s, n in zip(bs[4], bs[5]) if n > 0]
+            t_sum, y_sum, a_sum, cnt = r.batch_sums[c]
+            t_vals = [s / n for s, n in zip(t_sum, cnt) if n > 0]
+            y_vals = [s / n for s, n in zip(y_sum, cnt) if n > 0]
+            a_vals = [s / n for s, n in zip(a_sum, cnt) if n > 0]
         else:
             aoi_vals = [rep_aoi[i, c] for i in range(n_rep)]
             t_vals = [_ratio(r.t_sums[c][1], r.t_sums[c][0]) for r in reps]
@@ -727,22 +670,15 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepSta
                 entered_service=sum(r.entered_service[c] for r in reps),
                 race_entries=sum(r.race_entries[c] for r in reps),
                 busy_time=sum(r.busy_time[c] for r in reps),
-                aoi_area=area,
-                measured_time=measured,
                 time_avg_aoi=_ratio(area, measured),
                 time_avg_aoi_sq=_ratio(area_sq, measured),
                 aoi_ci_halfwidth=_halfwidth(aoi_vals),
-                system_time_mean=t_moms[0],
-                system_time_moments=t_moms,
-                system_time_count=t_n,
+                system_time_mean=pooled("t_sums")[0],
                 system_time_ci_halfwidth=_halfwidth(t_vals),
-                interdeparture_mean=y_moms[0],
-                interdeparture_moments=y_moms,
-                interdeparture_count=y_n,
+                interdeparture_mean=pooled("y_sums")[0],
                 interdeparture_ci_halfwidth=_halfwidth(y_vals),
-                paoi_mean=a_moms[0],
-                paoi_moments=a_moms,
-                paoi_count=a_n,
+                paoi_mean=paoi_moments[0],
+                paoi_moments=paoi_moments,
                 paoi_ci_halfwidth=_halfwidth(a_vals),
                 system_times=np.concatenate(
                     [np.asarray(r.system_times[c], dtype=float) for r in reps]
@@ -752,10 +688,6 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepSta
                     np.array(
                         [rec for r in reps for rec in r.records[c]], dtype=float
                     ).reshape(-1, 3)
-                ),
-                preempt_gaps=np.concatenate(
-                    [np.asarray(r.preempt_gaps[c], dtype=float) for r in reps]
-                    or [np.empty(0)]
                 ),
                 rep_windows=rep_windows,
             )

@@ -155,9 +155,9 @@ def _check_policy_limits(cfg: SystemConfig, seed: int) -> list[ValidationCheck]:
 def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[ValidationCheck]:
     cfg = spec.system
     report = run(cfg, Policy.probabilistic(cfg.theta), spec.sim, workers=workers)
+    per_source = [analytic.moments(cfg, c, 2) for c in range(cfg.num_sources)]
     out = []
-    for c in range(cfg.num_sources):
-        m = analytic.moments(cfg, c, 2)
+    for c, m in enumerate(per_source):
         s = report.per_source[c]
         for label, sim_val, ana_val, hw in (
             ("aoi", s.time_avg_aoi, m.mean_aoi, s.aoi_ci_halfwidth),
@@ -174,8 +174,7 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[Valida
                     f"simulated {sim_val:.6g} vs analytic {ana_val:.6g}",
                 )
             )
-    for c in range(cfg.num_sources):
-        m = analytic.moments(cfg, c, 2)
+    for c, m in enumerate(per_source):
         y = analytic.interdeparture_mgf_jet(cfg, c, 4)
         ey, ey2 = y.derivative_value(1), y.derivative_value(2)
         want = (2.0 * ey * ey - ey2) / (2.0 * ey)
