@@ -11,7 +11,6 @@ from .jets import (
     DivisionBySingularJet,
     Jet,
     JetMismatchError,
-    NonVanishingConstantTerm,
 )
 from .service import (
     ConvergenceError,
@@ -74,7 +73,6 @@ __all__ = [
     "Jet",
     "JetMismatchError",
     "DivisionBySingularJet",
-    "NonVanishingConstantTerm",
     "ServiceDistribution",
     "Exponential",
     "Gamma",

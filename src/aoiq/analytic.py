@@ -1,21 +1,26 @@
 """Closed-form AoI/PAoI transforms and moments.
 
-For each source of a multi-source M/G/1/1 status-update queue under the
-probabilistically preemptive policy, the stationary system time T, the
-interdeparture time Y, the peak age A and the age process delta have
-moment generating functions that reduce to algebra over the service-time
-MGF evaluated at shifted arguments:
+For each source c of a multi-source M/G/1/1 status-update queue under the
+probabilistically preemptive policy, the MGFs of the system time T, the
+interdeparture time Y, the peak age A and the age delta reduce to algebra
+over M_c(s) = M_U(s - r_c) and the survival transform
+H_c(s) = (1 - M_c(s)) / (r_c - s), where r_c = theta * lambda_c:
 
-    M_T(s)  = M_U(s - p*r_c) / M_U(-p*r_c)          (p = preemption prob,
-                                                     r_c = source-c rate)
-    M_Y(s)  = g_c / ((1 - h_c) * (1 - sum_{c' != c} g_c' / (1 - h_c')))
+    1 - h_c = M_c - s * H_c                  (h_c: self-loop gain)
+    K_c     = 1 + sum_{c' != c} lambda_c' * H_c' / (1 - h_c')
+    M_T(s)  = M_c(s) / M_c(0)
+    M_Y(s)  = lambda_c * M_c / ((1 - h_c) * (lambda_c - s * K_c))
+    (M_Y(s) - 1) / s = (lambda_c * H_c + K_c * (1 - h_c))
+                       / ((1 - h_c) * (lambda_c - s * K_c))
     M_A(s)  = M_T(s) * M_Y(s)
-    M_d(s)  = (M_A(s) - M_T(s)) / (s * mean(Y))
+    M_d(s)  = M_T(s) * ((M_Y(s) - 1) / s) / mean(Y)
 
-with through-gain g_c = r_c * M_U(s - p*r_c) / (r - s) and self-loop gain
-h_c = p*r_c * (1 - M_U(s - p*r_c)) / (p*r_c - s) (r = total rate). All
-four are assembled here in jet arithmetic, so every derivative at s = 0
-comes out exact rather than via finite differences.
+The last is the sawtooth relation (Inoue, Masuyama, Takine and Tanaka,
+IEEE T-IT 65(12), 2019). Near s = 0 no constant term is formed by a
+subtraction, so a small delivery probability M_c(0) or rate share costs
+no digits, and theta = 0 needs no special case. One term builder
+assembles them in jet arithmetic at an expansion point: at 0 it gives
+exact derivatives, at s the pointwise values.
 
 Moments are additionally computed a second, independent way from binomial
 combinations of the T and Y moments; the two routes share nothing past
@@ -49,11 +54,6 @@ __all__ = [
 # The two moment routes are algebraically identical, so any disagreement
 # beyond rounding means a formula transcription bug.
 _ROUTE_RTOL = 1e-8
-
-# Pointwise evaluation refuses arguments this close to the removable
-# singularity of the self-loop gain.
-_REMOVABLE_GUARD = 1e-9
-
 
 class ConsistencyError(RuntimeError):
     """The binomial-moment route and the jet route disagree."""
@@ -119,10 +119,51 @@ class AoiMetrics:
         return self.paoi_moments[0]
 
 
-def _service_shift_jet(cfg: SystemConfig, source: int, order: int) -> Jet:
-    """Jet at s = 0 of s -> M_U(s - theta * rate_c)."""
-    shift = -cfg.theta * cfg.arrival_rates[source]
-    return cfg.service.mgf_jet(shift, order).recenter(0.0)
+def _service_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
+    """Jet at s0 of M_c(s) = M_U(s - r_c), with r_c = theta * rate_c."""
+    shift = s0 - cfg.theta * cfg.arrival_rates[c]
+    return cfg.service.mgf_jet(shift, order).recenter(s0)
+
+
+def _survival_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
+    """Jet at s0 of H_c(s) = H(s - r_c) = (1 - M_c(s)) / (r_c - s)."""
+    shift = s0 - cfg.theta * cfg.arrival_rates[c]
+    return cfg.service.survival_mgf_jet(shift, order).recenter(s0)
+
+
+def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet, Jet]:
+    """Jets at s0 of M_c, M_Y and (M_Y - 1)/s: the term builder that every
+    transform of ``source`` reads.
+
+    Raises OutsideConvergenceRegion where a denominator is not positive
+    at s0: s0 at or beyond the total rate, a factor 1 - h_c, or the
+    detour factor rate_source - s * K.
+    """
+    if s0 >= cfg.total_rate:
+        raise OutsideConvergenceRegion(
+            f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
+        )
+    s = Jet.variable(order, s0)
+    service = [_service_jet(cfg, c, s0, order) for c in range(cfg.num_sources)]
+    survival = [_survival_jet(cfg, c, s0, order) for c in range(cfg.num_sources)]
+    loop_free = [m - s * h for m, h in zip(service, survival)]  # 1 - h_c
+    for c, factor in enumerate(loop_free):
+        if factor.coeffs[0] <= 0.0:
+            raise OutsideConvergenceRegion(f"self-loop gain of source {c} reaches 1 at s={s0}")
+    k = Jet.constant(1.0, order, s0)
+    for c, rate in enumerate(cfg.arrival_rates):
+        if c != source:
+            k = k + survival[c] * rate / loop_free[c]
+    rate = cfg.arrival_rates[source]
+    detour = rate - s * k
+    if detour.coeffs[0] <= 0.0:
+        raise OutsideConvergenceRegion(f"detour denominator nonpositive at s={s0}")
+    denominator = loop_free[source] * detour
+    return (
+        service[source],
+        service[source] * rate / denominator,
+        (survival[source] * rate + k * loop_free[source]) / denominator,
+    )
 
 
 def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
@@ -133,47 +174,14 @@ def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORD
     the service law by the thinned preemption rate.
     """
     cfg._check_source(source)
-    shifted = _service_shift_jet(cfg, source, order)
-    return shifted * (1.0 / shifted.coeffs[0])
-
-
-def _gain_jets(cfg: SystemConfig, source: int, order: int) -> tuple[Jet, Jet]:
-    """Through-gain and self-loop gain for one source, as jets at 0.
-
-    The self-loop gain r*(1 - M_U(s - r))/(r - s) (r the thinned
-    preemption rate) is assembled from the service survival transform
-    rather than by dividing out (r - s) in jet arithmetic: the division
-    amplifies rounding like r^-k and turns to garbage for small r, while
-    the survival route is stable uniformly in r, including the
-    vanishing-rate reduction.
-    """
-    rate = cfg.arrival_rates[source]
-    preempt_rate = cfg.theta * rate
-    shifted = _service_shift_jet(cfg, source, order)
-    lam_minus_s = Jet.from_coeffs(
-        (cfg.total_rate, -1.0) + (0.0,) * (order - 1)
-    )
-    through = shifted * rate / lam_minus_s
-    if preempt_rate == 0.0:
-        # the preemption factor vanishes identically; the algebraic limit
-        # of the gain is 0, matching the non-preemptive reduction
-        loop = Jet.constant(0.0, order)
-    else:
-        survival = cfg.service.survival_mgf_jet(-preempt_rate, order).recenter(0.0)
-        loop = survival * preempt_rate
-    return through, loop
+    service = _service_jet(cfg, source, 0.0, order)
+    return service * (1.0 / service.coeffs[0])
 
 
 def interdeparture_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the interdeparture-time MGF for one source."""
     cfg._check_source(source)
-    gains = [_gain_jets(cfg, c, order) for c in range(cfg.num_sources)]
-    through_c, loop_c = gains[source]
-    detour = Jet.constant(1.0, order)
-    for c, (through, loop) in enumerate(gains):
-        if c != source:
-            detour = detour - through / (1.0 - loop)
-    return through_c / ((1.0 - loop_c) * detour)
+    return _terms(cfg, source, 0.0, order)[1]
 
 
 def paoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
@@ -183,18 +191,10 @@ def paoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> 
 
 
 def aoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet at 0 of the stationary AoI MGF, of order ``order - 1``.
-
-    The sawtooth decomposition gives (M_A(s) - M_T(s)) / (s * mean(Y));
-    the numerator vanishes at 0 and is deflated by one order.
-    """
-    if order < 2:
-        raise ValueError("AoI jet needs order >= 2 (deflation costs one order)")
-    t_jet = system_time_mgf_jet(cfg, source, order)
-    y_jet = interdeparture_mgf_jet(cfg, source, order)
-    mean_y = y_jet.derivative_value(1)
-    numerator = t_jet * y_jet - t_jet
-    return numerator.deflate() * (1.0 / mean_y)
+    """Jet at 0 of the stationary AoI MGF, M_T(s) * ((M_Y(s) - 1)/s) / mean(Y)."""
+    cfg._check_source(source)
+    _, y_jet, excess = _terms(cfg, source, 0.0, order)
+    return system_time_mgf_jet(cfg, source, order) * excess * (1.0 / y_jet.derivative_value(1))
 
 
 def _moments_from_jet(jet: Jet, max_order: int) -> tuple[float, ...]:
@@ -214,8 +214,8 @@ def moments_both_routes(
         raise ValueError("moment order must be >= 1")
     cfg._check_source(source)
     order = max_order + 3
-    t_jet = system_time_mgf_jet(cfg, source, order)
-    y_jet = interdeparture_mgf_jet(cfg, source, order)
+    service, y_jet, excess = _terms(cfg, source, 0.0, order)
+    t_jet = service * (1.0 / service.coeffs[0])
     t_moms = [t_jet.derivative_value(i) for i in range(order + 1)]
     y_moms = [y_jet.derivative_value(i) for i in range(order + 1)]
     mean_y = y_moms[1]
@@ -231,7 +231,7 @@ def moments_both_routes(
     binom = AoiMetrics(source, aoi_binom, paoi_binom, t_moms[1], mean_y)
 
     paoi = t_jet * y_jet
-    aoi = (paoi - t_jet).deflate() * (1.0 / mean_y)
+    aoi = t_jet * excess * (1.0 / mean_y)
     direct = AoiMetrics(
         source,
         _moments_from_jet(aoi, max_order),
@@ -264,60 +264,6 @@ def moments(cfg: SystemConfig, source: int, max_order: int = 2) -> AoiMetrics:
     return direct
 
 
-def _scalar_gains(cfg: SystemConfig, source: int, s: float) -> tuple[float, float]:
-    rate = cfg.arrival_rates[source]
-    preempt_rate = cfg.theta * rate
-    if preempt_rate > 0.0 and abs(s - preempt_rate) < _REMOVABLE_GUARD:
-        raise OutsideConvergenceRegion(
-            f"s={s} within {_REMOVABLE_GUARD} of the removable point {preempt_rate} "
-            f"for source {source}"
-        )
-    try:
-        mu = cfg.service.mgf_point(s - preempt_rate)
-    except MgfDomainError as exc:
-        raise OutsideConvergenceRegion(
-            f"service MGF undefined at s - theta*rate = {s - preempt_rate}: {exc}"
-        ) from exc
-    through = rate * mu / (cfg.total_rate - s)
-    loop = 0.0 if preempt_rate == 0.0 else preempt_rate * (1.0 - mu) / (preempt_rate - s)
-    return through, loop
-
-
-def _system_time_point(cfg: SystemConfig, source: int, s: float) -> float:
-    preempt_rate = cfg.theta * cfg.arrival_rates[source]
-    try:
-        return cfg.service.mgf_point(s - preempt_rate) / cfg.service.mgf_point(-preempt_rate)
-    except MgfDomainError as exc:
-        raise OutsideConvergenceRegion(
-            f"service MGF undefined at s - theta*rate = {s - preempt_rate}: {exc}"
-        ) from exc
-
-
-def _interdeparture_point(cfg: SystemConfig, source: int, s: float) -> float:
-    if s >= cfg.total_rate:
-        raise OutsideConvergenceRegion(
-            f"s={s} at or beyond the total arrival rate {cfg.total_rate}"
-        )
-    detour = 1.0
-    for c in range(cfg.num_sources):
-        if c == source:
-            continue
-        through, loop = _scalar_gains(cfg, c, s)
-        if 1.0 - loop <= 0.0:
-            raise OutsideConvergenceRegion(
-                f"self-loop gain of source {c} reaches 1 at s={s}"
-            )
-        detour -= through / (1.0 - loop)
-    if detour <= 0.0:
-        raise OutsideConvergenceRegion(f"detour denominator nonpositive at s={s}")
-    through_c, loop_c = _scalar_gains(cfg, source, s)
-    if 1.0 - loop_c <= 0.0:
-        raise OutsideConvergenceRegion(
-            f"self-loop gain of source {source} reaches 1 at s={s}"
-        )
-    return through_c / ((1.0 - loop_c) * detour)
-
-
 def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -> float:
     """Scalar MGF value at s for one of the four transforms.
 
@@ -329,13 +275,18 @@ def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -
     which = Transform(which)
     if s == 0.0:
         return 1.0
-    if which is Transform.SYSTEM_TIME:
-        return _system_time_point(cfg, source, s)
+    try:
+        t_val = (
+            _service_jet(cfg, source, s, 1).coeffs[0]
+            / _service_jet(cfg, source, 0.0, 1).coeffs[0]
+        )
+        if which is Transform.SYSTEM_TIME:
+            return t_val
+        _, y_jet, excess = _terms(cfg, source, s, 1)
+    except MgfDomainError as exc:
+        raise OutsideConvergenceRegion(f"service transform undefined at s={s}: {exc}") from exc
     if which is Transform.INTERDEPARTURE:
-        return _interdeparture_point(cfg, source, s)
+        return y_jet.coeffs[0]
     if which is Transform.PAOI:
-        return _system_time_point(cfg, source, s) * _interdeparture_point(cfg, source, s)
-    mean_y = interdeparture_mgf_jet(cfg, source, 2).derivative_value(1)
-    t_val = _system_time_point(cfg, source, s)
-    y_val = _interdeparture_point(cfg, source, s)
-    return t_val * (y_val - 1.0) / (s * mean_y)
+        return t_val * y_jet.coeffs[0]
+    return t_val * excess.coeffs[0] / _terms(cfg, source, 0.0, 1)[2].coeffs[0]

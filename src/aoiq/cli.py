@@ -20,7 +20,7 @@ import sys
 
 from .analytic import ConsistencyError, OutsideConvergenceRegion
 from .config import ParseError, ValidationError, build_spec, load_raw
-from .jets import DivisionBySingularJet, NonVanishingConstantTerm
+from .jets import DivisionBySingularJet
 from .semimarkov import SingularSystem
 from .service import ConvergenceError, MgfDomainError
 from .sim import InvalidConfig, Policy, PolicyKind, run
@@ -31,7 +31,6 @@ _NUMERICAL_ERRORS = (
     ConvergenceError,
     MgfDomainError,
     DivisionBySingularJet,
-    NonVanishingConstantTerm,
     SingularSystem,
     ConsistencyError,
     OutsideConvergenceRegion,

@@ -20,12 +20,10 @@ __all__ = [
     "Jet",
     "JetMismatchError",
     "DivisionBySingularJet",
-    "NonVanishingConstantTerm",
     "DEFAULT_ORDER",
 ]
 
-# Supports moments up to m = 6 for the AoI (deflation costs one order,
-# plus two guard coefficients).
+# Supports moments up to m = 6 with two guard coefficients.
 DEFAULT_ORDER = 8
 
 # |denominator constant term| below this raises instead of producing huge
@@ -40,10 +38,6 @@ class JetMismatchError(ValueError):
 
 class DivisionBySingularJet(ZeroDivisionError):
     """Division by a jet whose constant term is (numerically) zero."""
-
-
-class NonVanishingConstantTerm(ValueError):
-    """deflate() applied to a jet that does not vanish at its center."""
 
 
 @dataclass(frozen=True)
@@ -165,23 +159,6 @@ class Jet:
         return self._lift(other).__truediv__(self)
 
     # -- structure-specific operations --------------------------------------
-
-    def deflate(self, tolerance: float = 1e-9) -> "Jet":
-        """Divide by the variable itself: the Taylor series of f(s)/s.
-
-        Only meaningful for jets at center 0 whose constant term vanishes
-        analytically (it may carry quadrature rounding, hence the relative
-        tolerance against the largest coefficient). The result has order
-        K - 1.
-        """
-        if self.center != 0.0:
-            raise ValueError("deflate requires a jet centered at 0")
-        floor = tolerance * max(1.0, max(abs(c) for c in self.coeffs))
-        if abs(self.coeffs[0]) > floor:
-            raise NonVanishingConstantTerm(
-                f"constant term {self.coeffs[0]!r} exceeds deflation tolerance {floor!r}"
-            )
-        return Jet(0.0, self.coeffs[1:])
 
     def recenter(self, center: float) -> "Jet":
         """Relabel the expansion point, keeping the coefficients.

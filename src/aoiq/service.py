@@ -49,6 +49,11 @@ _GH_RTOL = 1e-9
 # to the rate: jet coefficients blow up as the pole is approached.
 _POLE_MARGIN = 1e-9
 
+# The survival transform at a positive argument t0 is formed as
+# (M(t) - 1)/t, which cancels about -log10(t0) digits; closer to 0 it is
+# refused.
+_SURVIVAL_GAP = 1e-9
+
 
 class MgfDomainError(ValueError):
     """MGF requested outside the distribution's convergence region."""
@@ -129,11 +134,11 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def survival_mgf_jet(self, t0: float, order: int = DEFAULT_ORDER) -> Jet:
-        """Jet at t0 <= 0 of the survival transform H(t) = (1 - M(t)) / (-t).
+        """Jet at t0 of the survival transform H(t) = (1 - M(t)) / (-t).
 
         H is the integral of exp(t*v) against the survival function
         1 - F(v), so its k-th derivative is E[v^k exp(t*v)] integrated
-        against the tail; in regularized-incomplete-gamma form
+        against the tail; for t0 < 0, in regularized-incomplete-gamma form
 
             coeffs[k] = E[P(k+1, -t0*U)] / (-t0)^(k+1),
 
@@ -142,9 +147,17 @@ class ServiceDistribution:
         truncated-series arithmetic, whose rounding blows up like
         (-t0)^-k. Every ratio-of-polynomials expression containing the
         factor (1 - M(s - r))/(r - s) should be built from this jet.
+
+        For t0 > 0, inside the MGF's domain, the jet is (M(t) - 1)/t in
+        series arithmetic; it loses about -log10(t0) digits, so t0 below
+        ``_SURVIVAL_GAP`` is refused.
         """
         if t0 > 0:
-            raise MgfDomainError(f"survival transform implemented for t0 <= 0, got {t0}")
+            if t0 < _SURVIVAL_GAP:
+                raise MgfDomainError(
+                    f"survival transform refused for 0 < t0 < {_SURVIVAL_GAP}, got {t0}"
+                )
+            return (self.mgf_jet(t0, order) - 1.0) / Jet.variable(order, t0)
         if t0 == 0.0:
             return Jet(0.0, self.mgf_jet(0.0, order + 1).coeffs[1:])
         return self._survival_jet_neg(t0, order)

@@ -176,7 +176,7 @@ class _RepStats:
     records: list  # per source: list of (prev_T, Y, A)
     batch_aoi_area: list | None  # per source: list of B floats
     batch_aoi_dur: list | None
-    batch_sums: list | None  # per source: T, Y and A sums and the count, each [B]
+    batch_sums: list | None  # per source, each [B]: T sum and count, Y and A sums and count
     deliveries: list | None  # (source, gen, delivery, T, Y, A) when collected
 
 
@@ -215,18 +215,26 @@ def _simulate_once(
         (lambda n, g=substream(sim.seed, rep, c, 2): g.random(n))
         for c in range(n_src)
     ]
-    rcoin_fill = [
+    # reservoir replacement draws: system times (3) and delivery records (4)
+    sys_fill = [
         (lambda n, g=substream(sim.seed, rep, c, 3): g.random(n))
+        for c in range(n_src)
+    ]
+    rec_fill = [
+        (lambda n, g=substream(sim.seed, rep, c, 4): g.random(n))
         for c in range(n_src)
     ]
     arr_buf = [f(_CHUNK).tolist() for f in arr_fill]
     svc_buf = [f(_CHUNK).tolist() for f in svc_fill]
     coin_buf = [f(_CHUNK).tolist() for f in coin_fill]
-    rcoin_buf = [f(_CHUNK).tolist() for f in rcoin_fill]
     arr_i = [0] * n_src
     svc_i = [0] * n_src
     coin_i = [0] * n_src
-    rcoin_i = [0] * n_src
+    # a reservoir draws only once it is full, so its buffer fills on first use
+    sys_buf = [None] * n_src
+    rec_buf = [None] * n_src
+    sys_i = [_CHUNK] * n_src
+    rec_i = [_CHUNK] * n_src
 
     horizon = sim.horizon
     target = sim.delivered_per_source
@@ -246,9 +254,9 @@ def _simulate_once(
         b_area = [[0.0] * batches for _ in range(n_src)]
         b_dur = [[0.0] * batches for _ in range(n_src)]
         b_sums = [
-            [[0.0] * batches, [0.0] * batches, [0.0] * batches, [0] * batches]
+            [[0.0] * batches, [0] * batches, [0.0] * batches, [0.0] * batches, [0] * batches]
             for _ in range(n_src)
-        ]  # t_sum, y_sum, a_sum, count
+        ]  # t_sum and its count, y_sum, a_sum and their count
 
     arrivals = [0] * n_src
     delivered = [0] * n_src
@@ -318,22 +326,33 @@ def _simulate_once(
                 counted = t > warmup_time
             else:
                 counted = idx > warm_count
+            if track_batches:
+                if horizon is not None:
+                    k = int((t - warmup_time) / batch_width)
+                else:
+                    k = ((idx - warm_count - 1) * batches) // counted_target
+                if k >= batches:
+                    k = batches - 1
             if counted:
                 s = t_sums[c]
                 s[0] += 1
                 s[1] += t_sys
+                if track_batches:
+                    bs = b_sums[c]
+                    bs[0][k] += t_sys
+                    bs[1][k] += 1
                 seen = sys_seen[c]
                 if seen < cap:
                     sys_items[c].append(t_sys)
                 else:
-                    i = rcoin_i[c]
-                    buf = rcoin_buf[c]
+                    i = sys_i[c]
+                    buf = sys_buf[c]
                     if i == _CHUNK:
-                        buf = rcoin_fill[c](_CHUNK).tolist()
-                        rcoin_buf[c] = buf
+                        buf = sys_fill[c](_CHUNK).tolist()
+                        sys_buf[c] = buf
                         i = 0
                     j = int(buf[i] * (seen + 1))
-                    rcoin_i[c] = i + 1
+                    sys_i[c] = i + 1
                     if j < cap:
                         sys_items[c][j] = t_sys
                 sys_seen[c] = seen + 1
@@ -341,13 +360,6 @@ def _simulate_once(
                 y = t - prev
                 pt = prev_t_sys[c]
                 a = pt + y
-                if track_batches:
-                    if horizon is not None:
-                        k = int((t - warmup_time) / batch_width)
-                    else:
-                        k = ((idx - warm_count - 1) * batches) // counted_target
-                    if k >= batches:
-                        k = batches - 1
                 if counted:
                     s = y_sums[c]
                     s[0] += 1
@@ -356,24 +368,23 @@ def _simulate_once(
                     s[0] += 1
                     s[1] += a
                     s[2] += a * a
-                    if track_batches and k >= 0:
+                    if track_batches:
                         bs = b_sums[c]
-                        bs[0][k] += t_sys
-                        bs[1][k] += y
-                        bs[2][k] += a
-                        bs[3][k] += 1
+                        bs[2][k] += y
+                        bs[3][k] += a
+                        bs[4][k] += 1
                     seen = rec_seen[c]
                     if seen < cap:
                         rec_items[c].append((pt, y, a))
                     else:
-                        i = rcoin_i[c]
-                        buf = rcoin_buf[c]
+                        i = rec_i[c]
+                        buf = rec_buf[c]
                         if i == _CHUNK:
-                            buf = rcoin_fill[c](_CHUNK).tolist()
-                            rcoin_buf[c] = buf
+                            buf = rec_fill[c](_CHUNK).tolist()
+                            rec_buf[c] = buf
                             i = 0
                         j = int(buf[i] * (seen + 1))
-                        rcoin_i[c] = i + 1
+                        rec_i[c] = i + 1
                         if j < cap:
                             rec_items[c][j] = (pt, y, a)
                     rec_seen[c] = seen + 1
@@ -637,8 +648,8 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepSta
                 for ar, dur in zip(r.batch_aoi_area[c], r.batch_aoi_dur[c])
                 if dur > 0
             ]
-            t_sum, y_sum, a_sum, cnt = r.batch_sums[c]
-            t_vals = [s / n for s, n in zip(t_sum, cnt) if n > 0]
+            t_sum, t_cnt, y_sum, a_sum, cnt = r.batch_sums[c]
+            t_vals = [s / n for s, n in zip(t_sum, t_cnt) if n > 0]
             y_vals = [s / n for s, n in zip(y_sum, cnt) if n > 0]
             a_vals = [s / n for s, n in zip(a_sum, cnt) if n > 0]
         else:

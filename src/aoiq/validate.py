@@ -112,20 +112,20 @@ def _check_sojourn(cfg: SystemConfig) -> list[ValidationCheck]:
     out = [_verdict("sojourn:probabilities", gap, 1e-12)]
     gain_gap = 0.0
     for c in range(cfg.num_sources):
-        through, loop = analytic._gain_jets(cfg, c, kit.wait_mgf[c].order)
-        via_kit = kit.wait_mgf[c] * kit.race[c] * kit.delivered_mgf[c] * kit.delivery[c]
-        gain_gap = max(gain_gap, _rel_gap(via_kit, through, via_kit.order))
+        order = kit.delivered_mgf[c].order
+        service = analytic._service_jet(cfg, c, 0.0, order)
+        loop = analytic._survival_jet(cfg, c, 0.0, order) * (cfg.theta * cfg.arrival_rates[c])
+        exit_via_kit = kit.delivered_mgf[c] * kit.delivery[c]
         loop_via_kit = kit.preempted_mgf[c] * kit.preempt[c]
-        if cfg.theta * cfg.arrival_rates[c] > 0:
-            gain_gap = max(gain_gap, _rel_gap(loop_via_kit, loop, loop.order))
-        else:
-            gain_gap = max(gain_gap, max(abs(x) for x in loop_via_kit.coeffs))
+        gain_gap = max(
+            gain_gap, _rel_gap(exit_via_kit, service, order), _rel_gap(loop_via_kit, loop, order)
+        )
     out.append(
         _verdict(
             "sojourn:gain_identities",
             gain_gap,
             1e-12,
-            "arrival race * sojourn MGFs reproduce the closed-form gains",
+            "sojourn MGFs times their probabilities reproduce M_c and r_c * H_c",
         )
     )
     return out

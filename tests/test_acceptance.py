@@ -149,7 +149,8 @@ def test_criterion_5_policy_and_rate_reductions():
         (Exponential(1.2), {}),
         (Gamma(2.0, 2.5), {}),
         (Deterministic(0.8), {}),
-        # the deflated AoI series sits one order ahead of the peak series
+        # the AoI series, built on (M_Y - 1)/s, sits one order ahead of the
+        # peak series
         (PAPER_DIST, {aoi_mgf_jet: 5, paoi_mgf_jet: 6}),
     ]
     for theta in (0.0, 0.28, 1.0):

@@ -85,9 +85,9 @@ class TestPaoiAndAoi:
             for c in range(cfg.num_sources):
                 assert aoi_mgf_jet(cfg, c).coeffs[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_aoi_order_is_one_less(self):
+    def test_aoi_order_matches_request(self):
         j = aoi_mgf_jet(ANCHOR, 0, 6)
-        assert j.order == 5
+        assert j.order == 6
 
     def test_continuity_at_full_preemption(self):
         cfg_hi = SystemConfig((1.0,), 1.0 - 1e-9, Exponential(1.0))
@@ -258,11 +258,6 @@ class TestPointEval:
         # s beyond the preemption rate pushes the service MGF argument positive
         with pytest.raises(OutsideConvergenceRegion):
             mgf_point_eval(cfg, 0, 0.6, Transform.SYSTEM_TIME)
-
-    def test_removable_point_guarded(self):
-        cfg = SystemConfig((1.0, 1.0), 0.5, Exponential(5.0))
-        with pytest.raises(OutsideConvergenceRegion):
-            mgf_point_eval(cfg, 0, 0.5, Transform.INTERDEPARTURE)
 
     def test_sources_validated(self):
         with pytest.raises(ValueError):

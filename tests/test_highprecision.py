@@ -2,7 +2,12 @@
 closed forms, evaluated completely outside the package's own series
 arithmetic. This is the route of last resort that would catch a defect
 shared by the jet algebra and the graph solver (both of which multiply
-and divide the same Jet objects)."""
+and divide the same Jet objects). The oracle keeps the textbook form
+of the closed form (through gain over 1 - self-loop gain, detour factor
+1 - sum of the other sources' ratios), which shares no identity with
+the cancellation-free form the package evaluates."""
+
+import math
 
 import mpmath as mp
 import pytest
@@ -11,8 +16,12 @@ from aoiq import (
     Deterministic,
     Exponential,
     Gamma,
+    LogNormal,
     SystemConfig,
+    Transform,
     interdeparture_mgf_jet,
+    mgf_point_eval,
+    moments,
     system_time_mgf_jet,
 )
 
@@ -70,6 +79,8 @@ CASES = [
     SystemConfig((1.7, 1e-9), 0.28, Gamma(2.0, 2.5)),
     SystemConfig((1.7, 1e-6), 0.5, Deterministic(0.8)),
     SystemConfig((0.9, 1e-7), 0.9, Exponential(1.2)),
+    # near-certain preemption: delivery probability e^-20 for source 0
+    SystemConfig((20.0, 1.0), 1.0, Deterministic(1.0)),
 ]
 
 
@@ -85,16 +96,106 @@ def test_system_time_coefficients(cfg):
 
 @pytest.mark.parametrize("cfg", CASES, ids=lambda c: c.service.label())
 def test_interdeparture_coefficients(cfg):
+    # no constant term of the closed form is formed by cancellation, so
+    # a vanishing rate share or delivery probability costs no digits
     for source in range(cfg.num_sources):
-        # the detour factor's constant term is assembled as 1 - (1 - share)
-        # in double precision, so the transform of a source holding a
-        # vanishing share of the arrival rate cannot be more accurate than
-        # eps / share in relative terms; the bound below allows exactly
-        # that conditioning and nothing more
-        share = cfg.arrival_rates[source] / cfg.total_rate
-        tol = max(1e-10, 1e-13 / share)
         jet = interdeparture_mgf_jet(cfg, source, 8)
         for k in range(9):
             exact = mp.diff(lambda s: _mp_interdeparture(cfg, source, s), 0, k)
             exact = float(exact / mp.factorial(k))
-            assert jet.coeffs[k] == pytest.approx(exact, rel=tol)
+            assert jet.coeffs[k] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_former_removable_point_is_exact():
+    # at s = theta * rate_c the textbook self-loop gain is 0/0; the point
+    # value is its limit, and the transform is continuous on both sides
+    cfg = SystemConfig((1.0, 1.0), 0.5, Exponential(5.0))
+    s = cfg.theta * cfg.arrival_rates[0]
+    with mp.workdps(80):
+        limit = _mp_interdeparture(cfg, 0, s + mp.mpf("1e-40"))
+    got = mgf_point_eval(cfg, 0, s, Transform.INTERDEPARTURE)
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(limit), rel=1e-14, abs=0.0)
+    for step in (-1e-8, 1e-8):
+        near = mgf_point_eval(cfg, 0, s + step, Transform.INTERDEPARTURE)
+        assert abs(near - got) <= 1e-7 * got
+
+
+def test_positive_point_between_preemption_and_total_rate():
+    cfg = SystemConfig((1.0, 1.0), 0.5, Exponential(5.0))
+    s = 0.7
+    assert cfg.theta * cfg.arrival_rates[0] < s < cfg.total_rate
+    exact = _mp_interdeparture(cfg, 0, mp.mpf(s))
+    assert mgf_point_eval(cfg, 0, s, Transform.INTERDEPARTURE) == pytest.approx(
+        float(exact), rel=1e-13, abs=0.0
+    )
+    exact = _mp_system_time(cfg, 0, mp.mpf(s))
+    assert mgf_point_eval(cfg, 0, s, Transform.SYSTEM_TIME) == pytest.approx(
+        float(exact), rel=1e-13, abs=0.0
+    )
+
+
+def _series_mul(a, b):
+    return [mp.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _series_div(a, b):
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - mp.fsum(q[i] * b[k - i] for i in range(k))) / b[0])
+    return q
+
+
+def _mp_moments_on_float_jets(cfg, source, max_order):
+    """The closed form in 50-digit series arithmetic, fed the package's own
+    float service jets (taken as exact) at the order ``moments`` uses.
+
+    With the inputs shared, the gap to ``moments`` is the rounding of the
+    package's jet algebra alone. The reference evaluates the package's
+    identities: fed inexact jets, algebraically equal forms differ by the
+    jets' own error, which this test does not measure.
+    """
+    order = max_order + 3
+    n = order + 1
+    with mp.workdps(50):
+        rates = [mp.mpf(r) for r in cfg.arrival_rates]
+        m_jets, h_jets = [], []
+        for rate in cfg.arrival_rates:
+            shift = -cfg.theta * rate
+            m_jets.append([mp.mpf(x) for x in cfg.service.mgf_jet(shift, order).coeffs])
+            h_jets.append([mp.mpf(x) for x in cfg.service.survival_mgf_jet(shift, order).coeffs])
+        one = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1)
+        s_h = [[mp.mpf(0)] + h[:-1] for h in h_jets]  # s * H
+        loop_free = [[m - x for m, x in zip(m_jets[c], s_h[c])] for c in range(len(rates))]
+        k_jet = one
+        for c in range(len(rates)):
+            if c != source:
+                ratio = _series_div([rates[c] * x for x in h_jets[c]], loop_free[c])
+                k_jet = [x + y for x, y in zip(k_jet, ratio)]
+        s_k = [mp.mpf(0)] + k_jet[:-1]
+        detour = [rates[source] * o - x for o, x in zip(one, s_k)]
+        denominator = _series_mul(loop_free[source], detour)
+        y = _series_div([rates[source] * x for x in m_jets[source]], denominator)
+        k_loop_free = _series_mul(k_jet, loop_free[source])
+        excess = _series_div(
+            [rates[source] * h + x for h, x in zip(h_jets[source], k_loop_free)], denominator
+        )
+        t = [x / m_jets[source][0] for x in m_jets[source]]
+        paoi = _series_mul(t, y)
+        aoi = [x / y[1] for x in _series_mul(t, excess)]
+        raw = [mp.factorial(m) for m in range(max_order + 1)]
+        return (
+            [raw[m] * aoi[m] for m in range(1, max_order + 1)],
+            [raw[m] * paoi[m] for m in range(1, max_order + 1)],
+        )
+
+
+@pytest.mark.parametrize("theta", (0.0, 0.35, 1.0))
+@pytest.mark.parametrize("rates", ((2.0, 6.0), (4.0, 4.0), (5.0, 3.0)))
+def test_moments_on_shared_service_jets(rates, theta):
+    cfg = SystemConfig(rates, theta, LogNormal(-1.0, 1.0))
+    for source in range(cfg.num_sources):
+        m = moments(cfg, source, 2)
+        aoi, paoi = _mp_moments_on_float_jets(cfg, source, 2)
+        for got, want in zip(m.aoi_moments + m.paoi_moments, aoi + paoi):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aoiq.jets import (
-    DivisionBySingularJet,
-    Jet,
-    JetMismatchError,
-    NonVanishingConstantTerm,
-)
+from aoiq.jets import DivisionBySingularJet, Jet, JetMismatchError
 
 
 def jet(*coeffs, center=0.0):
@@ -121,38 +116,6 @@ class TestRingLaws:
                 assert close(a * b, b * a)
                 assert close((a * b) * c, a * (b * c))
                 assert close(a * (b + c), a * b + a * c)
-
-
-class TestDeflate:
-    def test_drop_leading_zero(self):
-        assert jet(0, 2, 3).deflate().coeffs == (2, 3)
-
-    def test_inverse_of_multiply_by_s(self):
-        rng = np.random.default_rng(5)
-        a = random_jet(rng, 8)
-        s = Jet.variable(8)
-        back = (s * a).deflate()
-        assert back.coeffs == a.coeffs[:-1]
-
-    def test_expm1_series(self):
-        # (e^s - 1)/s has coefficients 1/(k+1)!
-        order = 8
-        coeffs = [0.0] + [1.0 / math.factorial(k) for k in range(1, order + 1)]
-        got = Jet.from_coeffs(coeffs).deflate()
-        want = [1.0 / math.factorial(k + 1) for k in range(order)]
-        assert got.coeffs == pytest.approx(want, rel=1e-15)
-
-    def test_nonvanishing_rejected(self):
-        with pytest.raises(NonVanishingConstantTerm):
-            jet(0.5, 1, 1).deflate()
-
-    def test_tolerance_scales_with_magnitude(self):
-        # constant term tiny relative to the largest coefficient passes
-        jet(1e-7, 1e3, 1.0).deflate()
-
-    def test_requires_center_zero(self):
-        with pytest.raises(ValueError):
-            jet(0, 1, 1, center=2.0).deflate()
 
 
 class TestDerivativeValue:

@@ -143,24 +143,28 @@ class TestSojournKit:
 
     def test_loop_gain_identity(self):
         # preempt probability times the preempted-sojourn MGF equals the
-        # closed-form self-loop gain, coefficient by coefficient
-        from aoiq.analytic import _gain_jets
+        # closed form's self-loop gain r_c * H_c, coefficient by
+        # coefficient; at theta = 0 both sides are the zero jet
+        from aoiq.analytic import _survival_jet
 
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
             for c in range(cfg.num_sources):
-                through, loop = _gain_jets(cfg, c, 8)
+                loop = _survival_jet(cfg, c, 0.0, 8) * (cfg.theta * cfg.arrival_rates[c])
                 via_kit = kit.preempted_mgf[c] * kit.preempt[c]
                 for x, y in zip(via_kit.coeffs, loop.coeffs):
                     assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
 
     def test_through_gain_identity(self):
-        from aoiq.analytic import _gain_jets
+        # entry race times delivered sojourn equals the through gain
+        # rate_c * M_c / (total rate - s) built on the closed form's M_c
+        from aoiq.analytic import _service_jet
 
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
+            lam_minus_s = Jet.from_coeffs((cfg.total_rate, -1.0) + (0.0,) * 7)
             for c in range(cfg.num_sources):
-                through, _ = _gain_jets(cfg, c, 8)
+                through = _service_jet(cfg, c, 0.0, 8) * cfg.arrival_rates[c] / lam_minus_s
                 via_kit = (
                     kit.wait_mgf[c] * kit.race[c] * kit.delivered_mgf[c] * kit.delivery[c]
                 )

@@ -24,7 +24,9 @@ from aoiq import (
     moments,
     run,
 )
-from aoiq.sim import RESERVOIR_CAPACITY
+from aoiq import sim as sim_mod
+from aoiq.service import substream
+from aoiq.sim import RESERVOIR_CAPACITY, _simulate_once
 
 ANCHOR = SystemConfig((1.0,), 1.0, Exponential(1.0))
 TWO_EXP = SystemConfig((1.0, 2.0), 0.5, Exponential(1.5))
@@ -220,6 +222,69 @@ class TestAccumulatorsMatchReservoirs:
             assert rec[:, 1].mean() == pytest.approx(s.interdeparture_mean, rel=1e-12)
             assert rec[:, 2].mean() == pytest.approx(s.paoi_mean, rel=1e-12)
             assert (rec[:, 2] ** 2).mean() == pytest.approx(s.paoi_moments[1], rel=1e-12)
+
+
+def _algorithm_r(samples, cap, rng):
+    """Reservoir of ``cap`` items over ``samples``, one uniform draw per
+    sample past the capacity."""
+    items = list(samples[:cap])
+    draws = rng.random(max(len(samples) - cap, 0))
+    for seen in range(cap, len(samples)):
+        j = int(draws[seen - cap] * (seen + 1))
+        if j < cap:
+            items[j] = samples[seen]
+    return np.array(items, dtype=float)
+
+
+class TestReservoirSubstreams:
+    # each reservoir draws its replacement indices from a substream of its
+    # own, purpose 3 for system times and 4 for delivery records, so either
+    # is Algorithm R replayed over its counted samples with that stream
+    @pytest.mark.parametrize(
+        "stop",
+        [{"horizon": 3000.0}, {"delivered_per_source": 2000}],
+        ids=["horizon", "delivered"],
+    )
+    def test_each_reservoir_replays_algorithm_r(self, monkeypatch, stop):
+        cap = 200
+        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", cap)
+        sim = SimConfig(seed=7, warmup_fraction=0.1, **stop)
+        report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
+        dump = report.deliveries  # source, generation, delivery, T, Y, A
+        for c, s in enumerate(report.per_source):
+            rows = dump[dump[:, 0] == c]
+            if "horizon" in stop:
+                counted = rows[:, 2] > sim.warmup_fraction * sim.horizon
+            else:
+                counted = np.arange(1, len(rows) + 1) > round(0.1 * sim.delivered_per_source)
+            times = rows[counted, 3]
+            records = np.column_stack([rows[:-1, 3], rows[1:, 4], rows[1:, 5]])[counted[1:]]
+            assert len(records) > 4 * cap
+            want_times = _algorithm_r(times, cap, substream(sim.seed, 0, c, 3))
+            want_records = _algorithm_r(records, cap, substream(sim.seed, 0, c, 4))
+            assert np.array_equal(s.system_times, want_times)
+            assert np.array_equal(s.delivery_records, want_records)
+
+
+class TestBatchCounts:
+    # with no warmup every delivery counts, a source's first one included;
+    # the within-run batches of T, and of Y and the peak age, must hold
+    # exactly the samples behind the reported means
+    @pytest.mark.parametrize(
+        "stop",
+        [{"horizon": 4000.0}, {"delivered_per_source": 3000}],
+        ids=["horizon", "delivered"],
+    )
+    def test_batches_total_the_sums(self, stop):
+        sim = SimConfig(seed=5, warmup_fraction=0.0, **stop)
+        rep = _simulate_once(TWO_EXP, Policy.probabilistic(0.5), sim, 0, True, False)
+        for c in range(TWO_EXP.num_sources):
+            t_sum, t_cnt, y_sum, a_sum, cnt = rep.batch_sums[c]
+            assert sum(t_cnt) == rep.t_sums[c][0]
+            assert sum(t_sum) == pytest.approx(rep.t_sums[c][1], rel=1e-12)
+            assert sum(cnt) == rep.y_sums[c][0] == rep.a_sums[c][0]
+            assert sum(y_sum) == pytest.approx(rep.y_sums[c][1], rel=1e-12)
+            assert sum(a_sum) == pytest.approx(rep.a_sums[c][1], rel=1e-12)
 
 
 class TestAgainstAnalytic:
