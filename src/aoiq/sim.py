@@ -1,25 +1,37 @@
 """Discrete-event simulation of the multi-source M/G/1/1 update system.
 
-Faithful event-driven model: independent Poisson arrival streams per
-source, a single server with no waiting room, and a pluggable packet
-management policy deciding what an arrival does to a busy server. The
-age-of-information sawtooth is integrated exactly per linear segment, so
-simulation output is free of discretization error and serves as the
-statistical oracle for the closed-form results.
+Exact sample-path model: independent Poisson arrival streams per source,
+a single server with no waiting room, and a packet management policy
+deciding what an arrival does to a busy server. The age-of-information
+sawtooth is integrated exactly per linear segment, so simulation output
+is free of discretization error and serves as the statistical oracle for
+the closed-form results.
+
+The core steps through service attempts: per attempt, one scan over
+the merged arrivals in service finds the one that preempts or, past the
+delivery, the next to find the server idle. Under global preemption every
+arrival enters service and is delivered iff it ends no later than the
+next arrival, which needs no loop at all. Draws, attempts and the numpy
+statistics move in blocks of ``_BLOCK``, so memory stays bounded, and the
+reports are those of a one-event-at-a-time loop, bit for bit.
 
 Randomness discipline: every (replication, source, purpose) triple owns
-an independent substream, and the preemption coin is consumed only when
-the probabilistic policy actually faces a same-source collision. This
-isolation makes the theta = 0 / theta = 1 runs bit-identical to the
-non-preemptive / self-preemptive policies under shared seeds.
+an independent substream, and a preemption coin is drawn only at a
+same-source collision, where it alone decides. The non-preemptive and
+self-preemptive policies run as the probabilistic one at theta = 0 / 1,
+so those runs are bit-identical under shared seeds.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
+import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy import stats as sps
@@ -53,8 +65,11 @@ __all__ = [
 ]
 
 RESERVOIR_CAPACITY = 100_000
-_CHUNK = 8192
+_BLOCK = 8192  # draws per substream refill; service attempts per statistics block
 _INF = float("inf")
+_PREEMPTED, _DELIVERED, _IN_FLIGHT = 0, 1, 2  # how a service attempt ends
+
+_log = logging.getLogger(__name__)
 
 
 class InvalidConfig(ValueError):
@@ -126,8 +141,12 @@ class SimConfig:
     def __post_init__(self):
         if (self.horizon is None) == (self.delivered_per_source is None):
             raise InvalidConfig("set exactly one of horizon / delivered_per_source")
-        if self.horizon is not None and not self.horizon > 0:
-            raise InvalidConfig(f"horizon must be positive, got {self.horizon}")
+        if self.horizon is not None and not 0 < self.horizon < _INF:
+            raise InvalidConfig(f"horizon must be positive and finite, got {self.horizon}")
+        for name in ("delivered_per_source", "replications", "batches"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.delivered_per_source is not None and not self.delivered_per_source > 0:
             raise InvalidConfig(
                 f"delivered_per_source must be positive, got {self.delivered_per_source}"
@@ -142,12 +161,6 @@ class SimConfig:
             raise InvalidConfig(f"batch count must be >= 10, got {self.batches}")
         if not -(2**63) <= int(self.seed) < 2**64:
             raise InvalidConfig(f"seed must fit in 64 bits, got {self.seed}")
-
-
-# Buffered substream draws and reservoir upkeep are inlined in the event
-# loop: per-stream chunk lists plus integer cursors, refilled every _CHUNK
-# draws. The inlining matters; method dispatch per event dominated the
-# profile before.
 
 
 @dataclass
@@ -172,7 +185,7 @@ class _RepStats:
     t_sums: list  # per source: [n, sum]
     y_sums: list  # per source: [n, sum]
     a_sums: list  # per source: [n, sum, sum of squares]
-    system_times: list  # per source: list of floats
+    system_times: list  # per source: array of floats
     records: list  # per source: list of (prev_T, Y, A)
     batch_aoi_area: list | None  # per source: list of B floats
     batch_aoi_dur: list | None
@@ -180,14 +193,337 @@ class _RepStats:
     deliveries: list | None  # (source, gen, delivery, T, Y, A) when collected
 
 
-def _policy_code(policy: Policy) -> tuple[int, float]:
-    if policy.kind is PolicyKind.NON_PREEMPTIVE:
-        return 0, 0.0
-    if policy.kind is PolicyKind.PROBABILISTIC:
-        return 1, policy.theta
-    if policy.kind is PolicyKind.SELF_PREEMPTIVE:
-        return 2, 0.0
-    return 3, 0.0
+# ---------------------------------------------------------------------------
+# The attempt-level core
+# ---------------------------------------------------------------------------
+
+
+class _Arrivals:
+    """The arrivals of all sources in event order: time, then lower source
+    index, then arrival index. A source draws ``_BLOCK`` gaps at a time;
+    ``np.cumsum`` of a block, the last time before it added to its first
+    gap, is the one-at-a-time running sum exactly."""
+
+    def __init__(self, cfg: SystemConfig, seed: int, rep: int, with_service: bool):
+        n_src = cfg.num_sources
+        self._gaps = [(substream(seed, rep, c, 0), 1 / r) for c, r in enumerate(cfg.arrival_rates)]
+        self._service = cfg.service
+        self._svc = [substream(seed, rep, c, 1) for c in range(n_src)] if with_service else None
+        self._last = [0.0] * n_src  # each source's last drawn time
+        self._pending = [(np.empty(0), np.empty(0))] * n_src  # unmerged times and services
+        self.times, self.sources = [], []  # merged arrivals (see ``extend``)
+        self.passed = np.zeros(n_src, np.int64)  # per source, arrivals trimmed off the lists
+        for c in range(n_src):
+            self._draw(c)
+
+    def _draw(self, c: int) -> None:
+        rng, scale = self._gaps[c]
+        t = rng.exponential(scale, _BLOCK)
+        t[0] += self._last[c]
+        np.cumsum(t, out=t)
+        self._last[c] = float(t[-1])
+        svc = self._service.sample_n(self._svc[c], _BLOCK) if self._svc else t[:0]
+        self._pending[c] = tuple(np.concatenate(x) for x in zip(self._pending[c], (t, svc)))
+
+    def merge(self):
+        """The next arrivals in event order as arrays of times, sources and
+        services (None unless drawn): at most about ``_BLOCK``, all before the
+        earliest last-drawn time, so no undrawn arrival comes before them."""
+        frontier = min(self._last)
+        cuts = [int(np.searchsorted(t, frontier)) for t, _ in self._pending]
+        refill = sum(cuts) <= _BLOCK
+        if not refill:  # stop at the (_BLOCK + 1)-th earliest time, ties included
+            heads = np.concatenate([t[:k] for (t, _), k in zip(self._pending, cuts)])
+            cutoff = np.partition(heads, _BLOCK)[_BLOCK]
+            cuts = [int(np.searchsorted(t, cutoff, "right")) for t, _ in self._pending]
+        times, svc = (np.concatenate([x[:k] for x, k in zip(xs, cuts)])
+                      for xs in zip(*self._pending))
+        self._pending = [(t[k:], s[k:]) for (t, s), k in zip(self._pending, cuts)]
+        if refill:
+            self._draw(self._last.index(frontier))
+        order = np.argsort(times, kind="stable")
+        src = np.repeat(np.arange(len(cuts)), cuts)[order]
+        return times[order], src, svc[order] if self._svc else None
+
+    def extend(self) -> None:
+        times, src, _ = self.merge()
+        self.times.extend(times.tolist())
+        self.sources.extend(src.tolist())
+
+    def count(self, t: float, inclusive: bool, trim: bool = False) -> np.ndarray:
+        """Per source, the arrivals before t (or at t, when inclusive) that
+        have reached the lists; ``trim`` drops those from the lists."""
+        k = (bisect_right if inclusive else bisect_left)(self.times, t)
+        seen = np.bincount(np.asarray(self.sources[:k], np.intp), minlength=len(self.passed))
+        seen += self.passed
+        if trim:
+            self.passed = seen
+            del self.times[:k], self.sources[:k]
+        return seen
+
+
+def _draws(draw):
+    """The values of ``draw(_BLOCK)``, block after block."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
+def _queue_attempts(arrivals: _Arrivals, cfg: SystemConfig, seed: int, rep: int, theta, limit):
+    """Service attempts when only a same-source arrival can preempt: one
+    whose coin falls below ``theta``. Yields flat lists of (source, start,
+    end, outcome) in event order, a block at a time, up to the first event
+    after ``limit``; an attempt still in service then ends the last block."""
+    rngs = [[substream(seed, rep, c, k) for k in (1, 2)] for c in range(cfg.num_sources)]
+    services = [_draws(partial(cfg.service.sample_n, svc)).__next__ for svc, _ in rngs]
+    coins = [_draws(coin.random).__next__ for _, coin in rngs]
+    times, sources = arrivals.times, arrivals.sources
+    while not times:
+        arrivals.extend()
+    block = []
+    add = block.extend
+    p = 0  # the merged position of the attempt's arrival
+    while times[p] <= limit:
+        c, t0 = sources[p], times[p]
+        if len(block) == 4 * _BLOCK:
+            # keep the block's arrivals: a count-rule stop inside it counts them
+            kept = len(times)
+            arrivals.count(block[1], False, trim=True)
+            p -= kept - len(times)
+            yield block
+            del block[:]
+        dep = t0 + services[c]()
+        while times[-1] < dep:
+            arrivals.extend()
+        i = p + 1  # the arrivals in service: one may preempt, the others are discarded
+        while times[i] < dep and (sources[i] != c or not theta or coins[c]() >= theta):
+            i += 1
+        preempted = times[i] < dep
+        end = times[i] if preempted else dep
+        if end > limit:
+            add((c, t0, limit, _IN_FLIGHT))
+            break
+        add((c, t0, end, _PREEMPTED if preempted else _DELIVERED))
+        p = i  # the arrival that preempts, or the next to find the server idle
+    yield block
+
+
+def _global_attempts(arrivals: _Arrivals, limit):
+    """Service attempts under global preemption, as (n, 4) arrays: every
+    arrival enters service and is delivered iff no arrival comes first."""
+    carry = [np.empty(0)] * 3  # the last arrival: its successor is not drawn yet
+    while True:
+        t, src, svc = (np.concatenate(pair) for pair in zip(carry, arrivals.merge()))
+        carry = [t[-1:], src[-1:], svc[-1:]]
+        n = int(np.searchsorted(t, limit, "right"))  # arrivals up to the limit
+        final = n < len(t)
+        n -= not final
+        dep = t[:n] + svc[:n]
+        delivered = dep <= t[1 : n + 1]
+        end = np.where(delivered, dep, t[1 : n + 1])
+        outcome = np.where(delivered, _DELIVERED, _PREEMPTED)
+        if final and n and dep[-1] > limit:
+            end[-1], outcome[-1] = limit, _IN_FLIGHT
+        yield np.column_stack((src[:n], t[:n], end, outcome))
+        if final:
+            return
+
+
+def _add_in_order(total: np.ndarray, keys, values) -> None:
+    """total.flat[k] += v for each (k, v) pair, one after another: bincount
+    adds its weights in input order, after each bin's running total."""
+    m = total.size
+    keys, values = np.concatenate((np.arange(m), keys)), np.concatenate((total.ravel(), values))
+    total.flat[:] = np.bincount(keys, values, m)
+
+
+def _columns(base, step, columns):
+    """Keys and values for ``_add_in_order``: the i-th (mask, values) pair
+    adds values[mask] at base[mask] + i * step."""
+    keys = [base[m] + i * step for i, (m, _) in enumerate(columns)]
+    values = [np.broadcast_to(v, base.shape)[m] for m, v in columns]
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _sawtooth(prev, prev_t, lo, t):
+    """Exact areas under the age and its square from lo to t, the age
+    growing from ``prev_t`` at the previous delivery ``prev`` <= lo."""
+    base = prev_t + (lo - prev)
+    dt = t - lo
+    top = base + dt
+    return dt * base + 0.5 * dt * dt, (top * top * top - base * base * base) / 3.0, dt
+
+
+class _Reservoir:
+    """Algorithm R: the first ``RESERVOIR_CAPACITY`` samples, then sample ``seen``
+    (from 0) takes slot int(u * (seen + 1)) if below it, u from its own substream."""
+
+    def __init__(self, rng, width: tuple):
+        self._rng, self._cap, self.seen = rng, RESERVOIR_CAPACITY, 0
+        self.items = np.empty((0,) + width)
+
+    def add(self, values: np.ndarray) -> None:
+        room = max(self._cap - self.seen, 0)
+        if room and len(values):
+            self.items = np.concatenate((self.items, values[:room]))
+        rest = values[room:]
+        if len(rest):
+            seen = np.arange(self.seen + room, self.seen + len(values))
+            slot = (self._rng.random(len(rest)) * (seen + 1)).astype(np.int64)
+            keep = slot < self._cap
+            # of the samples landing on one slot, the last stays
+            slots, last = np.unique(slot[keep][::-1], return_index=True)
+            self.items[slots] = rest[keep][::-1][last]
+        self.seen += len(values)
+
+
+# per-source counters and times of a _Tally, named as in _RepStats
+_COUNTERS = ("delivered", "preempted", "in_flight", "entered_service", "race_entries")
+_TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "first_delivery",
+          "last_delivery", "last_system_time")
+
+
+class _Tally:
+    """One replication's statistics, fed a block of attempts at a time."""
+
+    def __init__(self, n_src: int, sim: SimConfig, rep: int, track_batches: bool, collect: bool):
+        self.n, self.sim, self.b = n_src, sim, sim.batches if track_batches else 0
+        if sim.horizon is not None:
+            self.warmup = sim.warmup_fraction * sim.horizon
+            self.width = (sim.horizon - self.warmup) / sim.batches
+            self.opens_at = 1  # the delivery that opens a source's measuring window
+        else:
+            self.warm = int(round(sim.warmup_fraction * sim.delivered_per_source))
+            self.opens_at = max(self.warm, 1)
+        for name in _COUNTERS + _TIMES:
+            setattr(self, name, np.zeros(n_src, np.int64 if name in _COUNTERS else float))
+        self.measure_from, self.first_delivery, self.last_delivery = np.full((3, n_src), _INF)
+        self.sums = np.zeros((n_src, 6))  # T count and sum; Y/A count, Y, A and A^2 sums
+        # per source and batch: T sum and count, Y and A sums and count, area, duration
+        self.batch = np.zeros((n_src, 7, self.b))
+        self.reservoirs = [[_Reservoir(substream(sim.seed, rep, c, k), w)  # T; (prev T, Y, A)
+                            for k, w in ((3, ()), (4, (3,)))] for c in range(n_src)]
+        self.rows = [] if collect else None
+        self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
+
+    def add(self, block):
+        """Account a block of attempts; the stop time if it holds the
+        delivery that completes the count rule, else None."""
+        src, start, end, outcome = np.asarray(block, dtype=float).reshape(-1, 4).T
+        src, outcome = src.astype(np.intp), outcome.astype(np.intp)
+        stop, target = None, self.sim.delivered_per_source
+        if target is not None:  # stop at the delivery that brings the last source to it
+            pos = np.flatnonzero(outcome == _DELIVERED)
+            reach = [pos[src[pos] == c][target - self.delivered[c] - 1 :][:1]
+                     for c in np.flatnonzero(self.delivered < target)]
+            if all(len(r) for r in reach):
+                cut = max(r[0] for r in reach) + 1
+                src, start, end, outcome = src[:cut], start[:cut], end[:cut], outcome[:cut]
+                stop = float(end[-1])
+        if not len(src):
+            return stop
+        self.blocks += 1
+        delivered = outcome == _DELIVERED
+        count = lambda mask: np.bincount(src[mask], minlength=self.n)
+        self.entered_service += count(slice(None))
+        self.race_entries += count(np.concatenate(([self.after_delivery], delivered[:-1])))
+        self.after_delivery = bool(delivered[-1])
+        self.preempted += count(outcome == _PREEMPTED)
+        self.in_flight += count(outcome == _IN_FLIGHT)
+        _add_in_order(self.busy_time, src, end - start)
+        if delivered.any():
+            self._deliveries(src[delivered], start[delivered], end[delivered])
+        return stop
+
+    def _deliveries(self, src, gen, t):
+        order = np.argsort(src, kind="stable")  # by source, in event order within each
+        src, gen, t = src[order], gen[order], t[order]
+        sys_t = t - gen
+        counts = np.bincount(src, minlength=self.n)
+        first = np.cumsum(counts) - counts  # each source's first row
+        last = (first + counts - 1)[counts > 0]
+        rank = np.arange(len(src)) - first[src]
+        idx = self.delivered[src] + rank + 1  # the delivery's number within its source
+        lead = rank == 0
+        prev, prev_t = np.concatenate(([0.0], t[:-1])), np.concatenate(([0.0], sys_t[:-1]))
+        prev[lead], prev_t[lead] = self.last_delivery[src[lead]], self.last_system_time[src[lead]]
+        y = t - prev
+        a = prev_t + y
+        later = idx > 1  # y and a exist from a source's second delivery on
+        opens = idx == self.opens_at
+        if self.sim.horizon is not None:
+            counted = t > self.warmup
+            self.measure_from[src[opens]] = np.maximum(t[opens], self.warmup)
+        else:
+            counted = idx > self.warm
+            self.measure_from[src[opens]] = t[opens]
+        # the exact sawtooth over [prev, t], clipped to the measuring window
+        lo = np.maximum(prev, np.where(idx > self.opens_at, self.measure_from[src], _INF))
+        seg = t > lo
+        area, area_sq, dt = np.zeros((3, len(t)))
+        area[seg], area_sq[seg], dt[seg] = _sawtooth(prev[seg], prev_t[seg], lo[seg], t[seg])
+        _add_in_order(self.aoi_area, src[seg], area[seg])
+        _add_in_order(self.aoi_area_sq, src[seg], area_sq[seg])
+        both = counted & later
+        _add_in_order(self.sums, *_columns(src * 6, 1, [
+            (counted, 1.0), (counted, sys_t), (both, 1.0), (both, y), (both, a), (both, a * a)]))
+        if self.b:
+            b = self.b
+            if self.sim.horizon is not None:
+                k = ((t - self.warmup) / self.width).astype(np.intp)
+            else:
+                counted_target = max(self.sim.delivered_per_source - self.warm, 1)
+                k = ((idx - self.warm - 1) * b) // counted_target
+            # a counted delivery, or one that ends a segment, has k >= 0
+            _add_in_order(self.batch, *_columns(src * 7 * b + np.minimum(k, b - 1), b, [
+                (counted, sys_t), (counted, 1.0), (both, y), (both, a), (both, 1.0),
+                (seg, area), (seg, dt)]))
+        records = np.column_stack((prev_t, y, a))
+        for c in np.flatnonzero(counts):
+            rows = slice(first[c], first[c] + counts[c])
+            times, recs = self.reservoirs[c]
+            times.add(sys_t[rows][counted[rows]])
+            recs.add(records[rows][both[rows]])
+        if self.rows is not None:
+            dump = np.empty((len(t), 6))
+            y[~later] = a[~later] = np.nan
+            dump[order] = np.column_stack((src, gen, t, sys_t, y, a))
+            self.rows.extend(zip(*dump.T.tolist()))  # tuples, which the collector untracks
+        self.first_delivery[src[~later]] = t[~later]
+        self.last_delivery[src[last]], self.last_system_time[src[last]] = t[last], sys_t[last]
+        self.delivered += counts
+
+    def finish(self, end_time: float, arrivals: list) -> _RepStats:
+        """Close every source's sawtooth at the end of the run."""
+        lo = np.maximum(self.last_delivery, self.measure_from)
+        seg = np.flatnonzero(end_time > lo)  # lo is inf until a source's window opens
+        prev, prev_t = self.last_delivery[seg], self.last_system_time[seg]
+        area, area_sq, dt = _sawtooth(prev, prev_t, lo[seg], end_time)
+        _add_in_order(self.aoi_area, seg, area)
+        _add_in_order(self.aoi_area_sq, seg, area_sq)
+        b = self.b
+        if b:
+            # the end falls in the last batch: under the time rule,
+            # (end - warmup) / width is the batch count to within an ulp
+            last = seg * 7 * b + b - 1
+            _add_in_order(self.batch, np.r_[last + 5 * b, last + 6 * b], np.r_[area, dt])
+        sums = self.sums.tolist()
+        batch = [[[int(v) for v in col] if i in (1, 4) else col for i, col in enumerate(per)]
+                 for per in self.batch.tolist()]
+        return _RepStats(
+            end_time=end_time,
+            arrivals=arrivals,
+            discarded=(np.asarray(arrivals) - self.entered_service).tolist(),
+            t_sums=[[int(s[0]), s[1]] for s in sums],
+            y_sums=[[int(s[2]), s[3]] for s in sums],
+            a_sums=[[int(s[2]), s[4], s[5]] for s in sums],
+            system_times=[times.items for times, _ in self.reservoirs],
+            records=[list(zip(*recs.items.T.tolist())) for _, recs in self.reservoirs],
+            batch_aoi_area=[per[5] for per in batch] if b else None,
+            batch_aoi_dur=[per[6] for per in batch] if b else None,
+            batch_sums=[per[:5] for per in batch] if b else None,
+            deliveries=self.rows,
+            **{name: getattr(self, name).tolist() for name in _COUNTERS + _TIMES},
+        )
 
 
 def _simulate_once(
@@ -198,351 +534,36 @@ def _simulate_once(
     track_batches: bool,
     collect_deliveries: bool,
 ) -> _RepStats:
-    n_src = cfg.num_sources
-    rates = cfg.arrival_rates
-    dist = cfg.service
-    code, theta = _policy_code(policy)
-
-    arr_fill = [
-        (lambda n, r=rates[c], g=substream(sim.seed, rep, c, 0): g.exponential(1.0 / r, n))
-        for c in range(n_src)
-    ]
-    svc_fill = [
-        (lambda n, g=substream(sim.seed, rep, c, 1): dist.sample_n(g, n))
-        for c in range(n_src)
-    ]
-    coin_fill = [
-        (lambda n, g=substream(sim.seed, rep, c, 2): g.random(n))
-        for c in range(n_src)
-    ]
-    # reservoir replacement draws: system times (3) and delivery records (4)
-    sys_fill = [
-        (lambda n, g=substream(sim.seed, rep, c, 3): g.random(n))
-        for c in range(n_src)
-    ]
-    rec_fill = [
-        (lambda n, g=substream(sim.seed, rep, c, 4): g.random(n))
-        for c in range(n_src)
-    ]
-    arr_buf = [f(_CHUNK).tolist() for f in arr_fill]
-    svc_buf = [f(_CHUNK).tolist() for f in svc_fill]
-    coin_buf = [f(_CHUNK).tolist() for f in coin_fill]
-    arr_i = [0] * n_src
-    svc_i = [0] * n_src
-    coin_i = [0] * n_src
-    # a reservoir draws only once it is full, so its buffer fills on first use
-    sys_buf = [None] * n_src
-    rec_buf = [None] * n_src
-    sys_i = [_CHUNK] * n_src
-    rec_i = [_CHUNK] * n_src
-
-    horizon = sim.horizon
-    target = sim.delivered_per_source
-    if horizon is not None:
-        warmup_time = sim.warmup_fraction * horizon
-        warm_count = 0
+    clock = time.perf_counter()
+    limit = sim.horizon if sim.horizon is not None else _INF
+    arrivals = _Arrivals(cfg, sim.seed, rep, policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE)
+    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:
+        blocks = _global_attempts(arrivals, limit)
     else:
-        warmup_time = 0.0
-        warm_count = int(round(sim.warmup_fraction * target))
-
-    batches = sim.batches
-    if track_batches:
-        if horizon is not None:
-            batch_width = (horizon - warmup_time) / batches
-        else:
-            counted_target = max(target - warm_count, 1)
-        b_area = [[0.0] * batches for _ in range(n_src)]
-        b_dur = [[0.0] * batches for _ in range(n_src)]
-        b_sums = [
-            [[0.0] * batches, [0] * batches, [0.0] * batches, [0.0] * batches, [0] * batches]
-            for _ in range(n_src)
-        ]  # t_sum and its count, y_sum, a_sum and their count
-
-    arrivals = [0] * n_src
-    delivered = [0] * n_src
-    preempted = [0] * n_src
-    discarded = [0] * n_src
-    entered_service = [0] * n_src
-    race_entries = [0] * n_src
-    busy_time = [0.0] * n_src
-    aoi_area = [0.0] * n_src
-    aoi_area_sq = [0.0] * n_src
-    measure_from = [_INF] * n_src
-    first_del = [_INF] * n_src
-    last_del = [_INF] * n_src
-    prev_t_sys = [0.0] * n_src
-    t_sums = [[0, 0.0] for _ in range(n_src)]
-    y_sums = [[0, 0.0] for _ in range(n_src)]
-    a_sums = [[0, 0.0, 0.0] for _ in range(n_src)]
-    cap = RESERVOIR_CAPACITY
-    sys_items = [[] for _ in range(n_src)]
-    sys_seen = [0] * n_src
-    rec_items = [[] for _ in range(n_src)]
-    rec_seen = [0] * n_src
-    deliveries = [] if collect_deliveries else None
-
-    next_arr = [arr_buf[c][0] for c in range(n_src)]
-    for c in range(n_src):
-        arr_i[c] = 1
-    serving = -1
-    dep_time = _INF
-    service_start = 0.0
-    gen_time = 0.0
-    remaining = n_src if target is not None else -1
-    end_time = horizon if horizon is not None else 0.0
-    two_sources = n_src == 2
-
-    while True:
-        if two_sources:
-            a0 = next_arr[0]
-            a1 = next_arr[1]
-            if a0 <= a1:
-                ta = a0
-                ca = 0
-            else:
-                ta = a1
-                ca = 1
-        elif n_src == 1:
-            ta = next_arr[0]
-            ca = 0
-        else:
-            ta = min(next_arr)
-            ca = -1
-        if dep_time <= ta:
-            t = dep_time
-            if horizon is not None and t > horizon:
-                break
-            # -- delivery of the in-service packet ------------------------
-            c = serving
-            busy_time[c] += t - service_start
-            t_sys = t - gen_time
-            delivered[c] += 1
-            idx = delivered[c]
-            serving = -1
-            dep_time = _INF
-
-            prev = last_del[c]
-            if horizon is not None:
-                counted = t > warmup_time
-            else:
-                counted = idx > warm_count
-            if track_batches:
-                if horizon is not None:
-                    k = int((t - warmup_time) / batch_width)
-                else:
-                    k = ((idx - warm_count - 1) * batches) // counted_target
-                if k >= batches:
-                    k = batches - 1
-            if counted:
-                s = t_sums[c]
-                s[0] += 1
-                s[1] += t_sys
-                if track_batches:
-                    bs = b_sums[c]
-                    bs[0][k] += t_sys
-                    bs[1][k] += 1
-                seen = sys_seen[c]
-                if seen < cap:
-                    sys_items[c].append(t_sys)
-                else:
-                    i = sys_i[c]
-                    buf = sys_buf[c]
-                    if i == _CHUNK:
-                        buf = sys_fill[c](_CHUNK).tolist()
-                        sys_buf[c] = buf
-                        i = 0
-                    j = int(buf[i] * (seen + 1))
-                    sys_i[c] = i + 1
-                    if j < cap:
-                        sys_items[c][j] = t_sys
-                sys_seen[c] = seen + 1
-            if prev != _INF:
-                y = t - prev
-                pt = prev_t_sys[c]
-                a = pt + y
-                if counted:
-                    s = y_sums[c]
-                    s[0] += 1
-                    s[1] += y
-                    s = a_sums[c]
-                    s[0] += 1
-                    s[1] += a
-                    s[2] += a * a
-                    if track_batches:
-                        bs = b_sums[c]
-                        bs[2][k] += y
-                        bs[3][k] += a
-                        bs[4][k] += 1
-                    seen = rec_seen[c]
-                    if seen < cap:
-                        rec_items[c].append((pt, y, a))
-                    else:
-                        i = rec_i[c]
-                        buf = rec_buf[c]
-                        if i == _CHUNK:
-                            buf = rec_fill[c](_CHUNK).tolist()
-                            rec_buf[c] = buf
-                            i = 0
-                        j = int(buf[i] * (seen + 1))
-                        rec_i[c] = i + 1
-                        if j < cap:
-                            rec_items[c][j] = (pt, y, a)
-                    rec_seen[c] = seen + 1
-                # exact sawtooth area over [prev, t], clipped to the window
-                lo = measure_from[c]
-                aa = prev if prev > lo else lo
-                if t > aa:
-                    base = pt + (aa - prev)
-                    dt = t - aa
-                    seg = dt * base + 0.5 * dt * dt
-                    aoi_area[c] += seg
-                    top = base + dt
-                    aoi_area_sq[c] += (top * top * top - base * base * base) / 3.0
-                    if track_batches and k >= 0:
-                        b_area[c][k] += seg
-                        b_dur[c][k] += dt
-                if collect_deliveries:
-                    deliveries.append((c, gen_time, t, t_sys, y, a))
-            else:
-                first_del[c] = t
-                if collect_deliveries:
-                    deliveries.append((c, gen_time, t, t_sys, math.nan, math.nan))
-
-            if measure_from[c] == _INF:
-                if horizon is not None:
-                    if idx == 1:
-                        measure_from[c] = t if t > warmup_time else warmup_time
-                elif idx == max(warm_count, 1):
-                    measure_from[c] = t
-
-            last_del[c] = t
-            prev_t_sys[c] = t_sys
-
-            if target is not None and idx == target:
-                remaining -= 1
-                if remaining == 0:
-                    end_time = t
-                    break
-        else:
-            if horizon is not None and ta > horizon:
-                break
-            t = ta
-            c = ca if ca >= 0 else next_arr.index(ta)
-            i = arr_i[c]
-            buf = arr_buf[c]
-            if i == _CHUNK:
-                buf = arr_fill[c](_CHUNK).tolist()
-                arr_buf[c] = buf
-                i = 0
-            next_arr[c] = t + buf[i]
-            arr_i[c] = i + 1
-            arrivals[c] += 1
-            if serving < 0:
-                serving = c
-                gen_time = t
-                service_start = t
-                i = svc_i[c]
-                buf = svc_buf[c]
-                if i == _CHUNK:
-                    buf = svc_fill[c](_CHUNK).tolist()
-                    svc_buf[c] = buf
-                    i = 0
-                dep_time = t + buf[i]
-                svc_i[c] = i + 1
-                entered_service[c] += 1
-                race_entries[c] += 1
-            else:
-                if code == 3:
-                    preempt = True
-                elif serving != c:
-                    preempt = False
-                elif code == 2:
-                    preempt = True
-                elif code == 1:
-                    i = coin_i[c]
-                    buf = coin_buf[c]
-                    if i == _CHUNK:
-                        buf = coin_fill[c](_CHUNK).tolist()
-                        coin_buf[c] = buf
-                        i = 0
-                    preempt = buf[i] < theta
-                    coin_i[c] = i + 1
-                else:
-                    preempt = False
-                if preempt:
-                    # the in-service packet vanishes
-                    busy_time[serving] += t - service_start
-                    preempted[serving] += 1
-                    serving = c
-                    gen_time = t
-                    service_start = t
-                    i = svc_i[c]
-                    buf = svc_buf[c]
-                    if i == _CHUNK:
-                        buf = svc_fill[c](_CHUNK).tolist()
-                        svc_buf[c] = buf
-                        i = 0
-                    dep_time = t + buf[i]
-                    svc_i[c] = i + 1
-                    entered_service[c] += 1
-                else:
-                    discarded[c] += 1
-
-    # -- final accounting at the stop time --------------------------------
-    in_flight = [0] * n_src
-    if serving >= 0:
-        in_flight[serving] = 1
-        busy_time[serving] += end_time - service_start
-    for c in range(n_src):
-        prev = last_del[c]
-        if prev == _INF:
-            continue
-        lo = measure_from[c]
-        aa = prev if prev > lo else lo
-        if end_time > aa:
-            base = prev_t_sys[c] + (aa - prev)
-            dt = end_time - aa
-            seg = dt * base + 0.5 * dt * dt
-            aoi_area[c] += seg
-            top = base + dt
-            aoi_area_sq[c] += (top * top * top - base * base * base) / 3.0
-            if track_batches:
-                if horizon is not None:
-                    k = int((end_time - warmup_time) / batch_width)
-                else:
-                    k = batches - 1
-                if k >= batches:
-                    k = batches - 1
-                if k >= 0:
-                    b_area[c][k] += seg
-                    b_dur[c][k] += dt
-
-    return _RepStats(
-        end_time=end_time,
-        arrivals=arrivals,
-        delivered=delivered,
-        preempted=preempted,
-        discarded=discarded,
-        in_flight=in_flight,
-        entered_service=entered_service,
-        race_entries=race_entries,
-        busy_time=busy_time,
-        aoi_area=aoi_area,
-        aoi_area_sq=aoi_area_sq,
-        measure_from=measure_from,
-        first_delivery=first_del,
-        last_delivery=last_del,
-        last_system_time=prev_t_sys,
-        t_sums=t_sums,
-        y_sums=y_sums,
-        a_sums=a_sums,
-        system_times=sys_items,
-        records=rec_items,
-        batch_aoi_area=b_area if track_batches else None,
-        batch_aoi_dur=b_dur if track_batches else None,
-        batch_sums=b_sums if track_batches else None,
-        deliveries=deliveries,
-    )
+        theta = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}
+        theta = theta.get(policy.kind, policy.theta)
+        blocks = _queue_attempts(arrivals, cfg, sim.seed, rep, theta, limit)
+    tally = _Tally(cfg.num_sources, sim, rep, track_batches, collect_deliveries)
+    end_time = limit
+    for block in blocks:
+        stop = tally.add(block)
+        if stop is not None:
+            end_time = stop
+            break
+    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:  # every arrival enters service
+        counts = tally.entered_service.tolist()
+    else:
+        counts = arrivals.count(end_time, inclusive=sim.horizon is not None).tolist()
+    del blocks, arrivals  # free the drawn streams before the reservoirs become lists
+    stats = tally.finish(end_time, counts)
+    seconds = time.perf_counter() - clock
+    info = dict(replication=rep, arrivals=sum(counts), attempts=sum(stats.entered_service),
+                deliveries=sum(stats.delivered), blocks=tally.blocks, seconds=seconds)
+    _log.debug(
+        "replication %(replication)d: %(arrivals)d arrivals, %(attempts)d service attempts, "
+        "%(deliveries)d deliveries, %(blocks)d blocks, %(seconds).3f s, %(rate).0f arrivals/s",
+        dict(info, rate=info["arrivals"] / seconds if seconds > 0 else math.inf), extra=info)
+    return stats
 
 
 @dataclass
@@ -847,27 +868,33 @@ def _tilted_quantiles(dist, rate: float, n_bins: int) -> np.ndarray:
     if isinstance(dist, Gamma):
         return sps.gamma.ppf(qs, dist.shape, scale=1.0 / (dist.rate + rate))
     if rate == 0.0:
-        # no tilt: invert the plain CDF
-        edges = []
-        hi = dist.mean()
-        for q in qs:
-            while dist.cdf(hi) < q:
-                hi *= 2.0
-            edges.append(brentq(lambda t: dist.cdf(t) - q, 1e-12, hi, xtol=1e-12))
-        return np.asarray(edges)
-    norm = dist.mgf_point(-rate)
+        cdf = dist.cdf  # no tilt: invert the plain CDF
+    else:
+        norm = dist.mgf_point(-rate)
 
-    def tilted_cdf(t: float) -> float:
-        val, _ = quad(lambda u: dist.pdf(u) * math.exp(-rate * u), 0.0, t, limit=200)
-        return val / norm
+        def cdf(t: float) -> float:
+            val, _ = quad(lambda u: dist.pdf(u) * math.exp(-rate * u), 0.0, t, limit=200)
+            return val / norm
 
     edges = []
     hi = dist.mean()
     for q in qs:
-        while tilted_cdf(hi) < q:
+        while cdf(hi) < q:
             hi *= 2.0
-        edges.append(brentq(lambda t: tilted_cdf(t) - q, 1e-12, hi, xtol=1e-12))
+        edges.append(brentq(lambda t: cdf(t) - q, 1e-12, hi, xtol=1e-12))
     return np.asarray(edges)
+
+
+def _z_check(name: str, z: float, detail: str) -> CheckResult:
+    return CheckResult(name, "pass" if z <= 3.0 else "fail", z, 3.0, detail)
+
+
+def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
+    """z-test of the share hits / n against p_expect."""
+    p_hat = hits / n
+    se = math.sqrt(p_expect * (1.0 - p_expect) / n)
+    z = abs(p_hat - p_expect) / se if se > 0 else 0.0
+    return _z_check(name, z, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
 
 
 def empirical_checks(
@@ -948,34 +975,12 @@ def empirical_checks(
         p_expect = cfg.service.mgf_point(-preempt_rate)
         # exclude the still-in-service packet: its outcome is undecided
         decided = stats_c.delivered + stats_c.preempted
-        p_hat = stats_c.delivered / decided
-        se = math.sqrt(p_expect * (1.0 - p_expect) / decided)
-        z = abs(p_hat - p_expect) / se if se > 0 else 0.0
-        results.append(
-            CheckResult(
-                name,
-                "pass" if z <= 3.0 else "fail",
-                z,
-                3.0,
-                f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={decided})",
-            )
-        )
+        results.append(_share_check(name, stats_c.delivered, decided, p_expect))
 
         # (iii) arrival-race frequency
-        name = f"source{c}:race_frequency"
         p_expect = cfg.arrival_rates[c] / total_rate
-        p_hat = stats_c.race_entries / total_races
-        se = math.sqrt(p_expect * (1.0 - p_expect) / total_races)
-        z = abs(p_hat - p_expect) / se if se > 0 else 0.0
-        results.append(
-            CheckResult(
-                name,
-                "pass" if z <= 3.0 else "fail",
-                z,
-                3.0,
-                f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={total_races})",
-            )
-        )
+        name = f"source{c}:race_frequency"
+        results.append(_share_check(name, stats_c.race_entries, total_races, p_expect))
 
         # (iv) preemption rate over in-service exposure
         name = f"source{c}:preemption_rate"
@@ -998,14 +1003,7 @@ def empirical_checks(
                 )
             else:
                 z = abs(stats_c.preempted - expect) / math.sqrt(expect)
-                results.append(
-                    CheckResult(
-                        name,
-                        "pass" if z <= 3.0 else "fail",
-                        z,
-                        3.0,
-                        f"{stats_c.preempted} preemptions vs {expect:.1f} expected "
-                        f"over exposure {stats_c.busy_time:.1f}",
-                    )
-                )
+                detail = (f"{stats_c.preempted} preemptions vs {expect:.1f} expected "
+                          f"over exposure {stats_c.busy_time:.1f}")
+                results.append(_z_check(name, z, detail))
     return CheckSummary(tuple(results))

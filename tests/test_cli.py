@@ -128,6 +128,12 @@ class TestExitCodes:
         path.write_text("[system]\narrival_rates = 2, 6\nservice = exponential(rate=1)\ntheta = 3\n")
         assert main(["analytic", "-c", str(path)]) == 1
 
+    def test_infinite_horizon_rejected(self, tmp_path):
+        # a run that could never stop is a configuration error, not a hang
+        spec, out = write_spec(tmp_path, POINT_SPEC)
+        assert main(["simulate", "-c", spec, "--horizon", "inf"]) == 1
+        assert not out.exists()
+
     def test_validation_failure_exit_two(self, tmp_path, monkeypatch):
         import aoiq.cli as cli_mod
         from aoiq.validate import ValidationCheck, ValidationReport

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from aoiq import (
     Deterministic,
     Exponential,
+    Gamma,
     InsufficientSamples,
     InvalidConfig,
     LogNormal,
@@ -27,6 +29,7 @@ from aoiq import (
 from aoiq import sim as sim_mod
 from aoiq.service import substream
 from aoiq.sim import RESERVOIR_CAPACITY, _simulate_once
+from sim_reference import reference_run
 
 ANCHOR = SystemConfig((1.0,), 1.0, Exponential(1.0))
 TWO_EXP = SystemConfig((1.0, 2.0), 0.5, Exponential(1.5))
@@ -52,6 +55,33 @@ class TestConfigValidation:
             SimConfig(seed=1, horizon=10.0, batches=5)
         with pytest.raises(InvalidConfig):
             SimConfig(seed=1, horizon=10.0, replications=0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_horizon_must_be_finite(self, horizon):
+        with pytest.raises(InvalidConfig):
+            SimConfig(seed=1, horizon=horizon)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delivered_per_source", 2.5),
+            ("delivered_per_source", True),
+            ("batches", 10.5),
+            ("batches", True),
+            ("replications", 2.0),
+            ("replications", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        kw = {"horizon": 10.0, field: value}
+        if field == "delivered_per_source":
+            kw.pop("horizon")
+        with pytest.raises(InvalidConfig):
+            SimConfig(seed=1, **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        sim = SimConfig(seed=1, delivered_per_source=np.int64(5), replications=np.int32(2))
+        assert sim.replications == 2
 
     def test_policy_validation(self):
         with pytest.raises(InvalidConfig):
@@ -98,8 +128,7 @@ class TestCounters:
             assert s.time_avg_aoi >= s.system_time_mean
 
     def test_four_source_run(self):
-        # exercises the general next-event scan (neither the one- nor the
-        # two-source fast path)
+        # more sources than the other systems here, each with deliveries
         cfg = SystemConfig((0.5, 1.0, 1.5, 0.3), 0.6, Exponential(2.0))
         report = run(cfg, Policy.probabilistic(0.6), small_sim(horizon=8000.0))
         assert len(report.per_source) == 4
@@ -439,3 +468,94 @@ class TestEmpiricalChecks:
         rep = run(cfg, Policy.probabilistic(0.0), sim)
         summary = empirical_checks(rep, cfg, Policy.probabilistic(0.0))
         assert summary.all_passed, summary.failures()
+
+
+REFERENCE_SYSTEMS = {
+    "one-exp": SystemConfig((1.5,), 0.5, Exponential(1.0)),
+    "two-gamma": SystemConfig((1.0, 2.0), 0.5, Gamma(2.0, 3.0)),
+    "two-det": SystemConfig((1.5, 1.0), 0.5, Deterministic(0.4)),
+    "sixteen-lognormal": SystemConfig((0.5,) * 16, 0.3, LogNormal(-1.5, 0.8)),
+}
+EVERY_POLICY = [
+    Policy.probabilistic(0.4),
+    Policy.probabilistic(0.0),
+    Policy.probabilistic(1.0),
+    Policy.non_preemptive(),
+    Policy.self_preemptive(),
+    Policy.globally_preemptive(),
+]
+REFERENCE_RUNS = {
+    "horizon": SimConfig(seed=11, horizon=600.0, warmup_fraction=0.1),
+    "horizon-3reps-no-warmup": SimConfig(
+        seed=12, horizon=200.0, warmup_fraction=0.0, replications=3
+    ),
+    "count": SimConfig(seed=13, delivered_per_source=250, warmup_fraction=0.1),
+    "count-3reps-no-warmup": SimConfig(
+        seed=14, delivered_per_source=80, warmup_fraction=0.0, replications=3
+    ),
+}
+
+
+def _same_report(a, b):
+    return a.stats_identical(b) and np.array_equal(a.deliveries, b.deliveries, equal_nan=True)
+
+
+class TestAgainstReference:
+    # the attempt-level core against a plain one-event-at-a-time loop:
+    # every statistic, reservoir and dumped delivery bit for bit. A
+    # capacity of 200 sends the reservoirs past capacity
+    @pytest.mark.parametrize("stop", REFERENCE_RUNS.values(), ids=REFERENCE_RUNS.keys())
+    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=lambda p: p.label())
+    @pytest.mark.parametrize("cfg", REFERENCE_SYSTEMS.values(), ids=REFERENCE_SYSTEMS.keys())
+    def test_bit_identical(self, monkeypatch, cfg, policy, stop):
+        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
+        got = run(cfg, policy, stop, collect_deliveries=True)
+        want = reference_run(cfg, policy, stop, collect_deliveries=True)
+        assert _same_report(got, want)
+        for s in got.per_source:
+            assert s.arrivals == s.delivered + s.preempted + s.discarded + s.in_flight
+
+    def test_past_capacity_reached(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
+        report = run(REFERENCE_SYSTEMS["two-gamma"], EVERY_POLICY[0], REFERENCE_RUNS["count"])
+        assert all(len(s.system_times) == 200 for s in report.per_source)
+        assert all(s.delivered > 220 for s in report.per_source)
+
+
+class TestBlockSeams:
+    # a block of 7 puts a seam between draws, attempts and statistics
+    # every few events; the reports must not see it
+    @pytest.mark.parametrize(
+        "stop",
+        [
+            SimConfig(seed=21, horizon=400.0),
+            SimConfig(seed=22, delivered_per_source=120, warmup_fraction=0.2),
+        ],
+        ids=["horizon", "count"],
+    )
+    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=lambda p: p.label())
+    def test_tiny_blocks_change_nothing(self, monkeypatch, policy, stop):
+        cfg = SystemConfig((0.7, 1.1, 0.4), 0.5, Exponential(2.0))
+        want = run(cfg, policy, stop, collect_deliveries=True)
+        monkeypatch.setattr(sim_mod, "_BLOCK", 7)
+        got = run(cfg, policy, stop, collect_deliveries=True)
+        assert _same_report(got, want)
+
+
+class TestRunLog:
+    def test_one_debug_record_per_replication(self, caplog):
+        sim = small_sim(horizon=500.0, replications=2)
+        with caplog.at_level(logging.DEBUG, logger="aoiq.sim"):
+            report = run(TWO_EXP, Policy.probabilistic(0.5), sim)
+        records = [r for r in caplog.records if r.name == "aoiq.sim"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert [r.replication for r in records] == [0, 1]
+        total = sum(s.arrivals for s in report.per_source)
+        assert sum(r.arrivals for r in records) == total
+        assert sum(r.attempts for r in records) == sum(
+            s.entered_service for s in report.per_source
+        )
+        assert sum(r.deliveries for r in records) == sum(s.delivered for s in report.per_source)
+        for r in records:
+            assert r.blocks >= 1 and r.seconds > 0
+            assert "arrivals/s" in r.getMessage()
