@@ -6,125 +6,29 @@ semi-Markov transfer-function solver, a discrete-event simulator, and
 binomial moment identities.
 """
 
-from .jets import (
-    DEFAULT_ORDER,
-    DivisionBySingularJet,
-    Jet,
-    JetMismatchError,
-)
-from .service import (
-    ConvergenceError,
-    Deterministic,
-    Exponential,
-    Gamma,
-    LogNormal,
-    MgfDomainError,
-    ServiceDistribution,
-    UnsupportedDensity,
-    parse_distribution,
-    substream,
-)
-from .analytic import (
-    AoiMetrics,
-    ConsistencyError,
-    OutsideConvergenceRegion,
-    SystemConfig,
-    Transform,
-    aoi_mgf_jet,
-    interdeparture_mgf_jet,
-    mgf_point_eval,
-    moments,
-    moments_both_routes,
-    paoi_mgf_jet,
-    system_time_mgf_jet,
-)
-from .semimarkov import (
-    LabeledDigraph,
-    SingularSystem,
-    SojournKit,
-    build_interdeparture_graph,
-    sojourn_kit,
-    transfer_functions,
-)
-from .sim import (
-    CheckResult,
-    CheckSummary,
-    InsufficientSamples,
-    InvalidConfig,
-    Policy,
-    PolicyKind,
-    PositiveExponentRejected,
-    SimConfig,
-    SimReport,
-    SourceStats,
-    empirical_aoi_mgf,
-    empirical_checks,
-    empirical_mgf,
-    run,
-)
-from .config import ExperimentSpec, ParseError, ValidationError, parse_spec
-from .sweep import CSV_COLUMNS, grid_values, iter_sweep_rows, run_sweep, write_rows
-from .validate import ValidationCheck, ValidationReport, validation_suite
+from .service import Deterministic, Exponential, Gamma, LogNormal
+from .analytic import SystemConfig, interdeparture_mgf_jet, moments
+from .semimarkov import build_interdeparture_graph, transfer_functions
+from .sim import InsufficientSamples, Policy, PolicyKind, SimConfig, empirical_checks, run
 
 __version__ = "0.1.0"
 
+# the names the README documents and the benchmark imports; everything
+# else is imported from its module (aoiq.analytic, aoiq.sim, ...)
 __all__ = [
-    "DEFAULT_ORDER",
-    "Jet",
-    "JetMismatchError",
-    "DivisionBySingularJet",
-    "ServiceDistribution",
+    "SystemConfig",
     "Exponential",
     "Gamma",
     "Deterministic",
     "LogNormal",
-    "MgfDomainError",
-    "UnsupportedDensity",
-    "ConvergenceError",
-    "parse_distribution",
-    "substream",
-    "SystemConfig",
-    "AoiMetrics",
-    "Transform",
-    "ConsistencyError",
-    "OutsideConvergenceRegion",
-    "system_time_mgf_jet",
-    "interdeparture_mgf_jet",
-    "paoi_mgf_jet",
-    "aoi_mgf_jet",
     "moments",
-    "moments_both_routes",
-    "mgf_point_eval",
-    "LabeledDigraph",
-    "SojournKit",
-    "SingularSystem",
-    "transfer_functions",
-    "sojourn_kit",
+    "interdeparture_mgf_jet",
     "build_interdeparture_graph",
+    "transfer_functions",
     "Policy",
     "PolicyKind",
     "SimConfig",
-    "SimReport",
-    "SourceStats",
-    "InvalidConfig",
-    "InsufficientSamples",
-    "PositiveExponentRejected",
     "run",
+    "InsufficientSamples",
     "empirical_checks",
-    "empirical_mgf",
-    "empirical_aoi_mgf",
-    "CheckResult",
-    "CheckSummary",
-    "ExperimentSpec",
-    "ParseError",
-    "ValidationError",
-    "parse_spec",
-    "CSV_COLUMNS",
-    "grid_values",
-    "iter_sweep_rows",
-    "run_sweep",
-    "write_rows",
-    "ValidationCheck",
-    "ValidationReport",
-    "validation_suite",
 ]

@@ -164,33 +164,17 @@ class SimConfig:
 
 
 @dataclass
-class _RepStats:
-    """Raw accumulators of one replication, merged later in rep order."""
+class _Replication:
+    """One replication's accumulators, merged later in replication order."""
 
     end_time: float
-    arrivals: list
-    delivered: list
-    preempted: list
-    discarded: list
-    in_flight: list
-    entered_service: list
-    race_entries: list
-    busy_time: list
-    aoi_area: list
-    aoi_area_sq: list
-    measure_from: list
-    first_delivery: list
-    last_delivery: list
-    last_system_time: list
-    t_sums: list  # per source: [n, sum]
-    y_sums: list  # per source: [n, sum]
-    a_sums: list  # per source: [n, sum, sum of squares]
-    system_times: list  # per source: array of floats
-    records: list  # per source: list of (prev_T, Y, A)
-    batch_aoi_area: list | None  # per source: list of B floats
-    batch_aoi_dur: list | None
-    batch_sums: list | None  # per source, each [B]: T sum and count, Y and A sums and count
-    deliveries: list | None  # (source, gen, delivery, T, Y, A) when collected
+    counts: np.ndarray  # (7, sources): the _COUNTS
+    times: np.ndarray  # (7, sources): the _TIMES
+    sums: np.ndarray  # (sources, 6): T count and sum; Y/A count, Y, A and A^2 sums
+    batch: np.ndarray  # (sources, 7, batches): see _Tally
+    system_times: list  # per source, the reservoir of system times
+    records: list  # per source, the (n, 3) reservoir of (prev T, Y, A)
+    deliveries: np.ndarray | None  # (n, 6): source, generation, delivery, T, Y, A
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +360,9 @@ class _Reservoir:
         self.seen += len(values)
 
 
-# per-source counters and times of a _Tally, named as in _RepStats
-_COUNTERS = ("delivered", "preempted", "in_flight", "entered_service", "race_entries")
+# per-source counters and times of a _Tally, the counters in the order of SourceStats
+_COUNTS = ("arrivals", "delivered", "preempted", "discarded", "in_flight", "entered_service",
+           "race_entries")
 _TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "first_delivery",
           "last_delivery", "last_system_time")
 
@@ -394,15 +379,15 @@ class _Tally:
         else:
             self.warm = int(round(sim.warmup_fraction * sim.delivered_per_source))
             self.opens_at = max(self.warm, 1)
-        for name in _COUNTERS + _TIMES:
-            setattr(self, name, np.zeros(n_src, np.int64 if name in _COUNTERS else float))
+        for name in _COUNTS + _TIMES:  # arrivals and discards are known at the end
+            setattr(self, name, np.zeros(n_src, np.int64 if name in _COUNTS else float))
         self.measure_from, self.first_delivery, self.last_delivery = np.full((3, n_src), _INF)
         self.sums = np.zeros((n_src, 6))  # T count and sum; Y/A count, Y, A and A^2 sums
         # per source and batch: T sum and count, Y and A sums and count, area, duration
         self.batch = np.zeros((n_src, 7, self.b))
         self.reservoirs = [[_Reservoir(substream(sim.seed, rep, c, k), w)  # T; (prev T, Y, A)
                             for k, w in ((3, ()), (4, (3,)))] for c in range(n_src)]
-        self.rows = [] if collect else None
+        self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
 
     def add(self, block):
@@ -487,13 +472,14 @@ class _Tally:
             dump = np.empty((len(t), 6))
             y[~later] = a[~later] = np.nan
             dump[order] = np.column_stack((src, gen, t, sys_t, y, a))
-            self.rows.extend(zip(*dump.T.tolist()))  # tuples, which the collector untracks
+            self.rows.append(dump)
         self.first_delivery[src[~later]] = t[~later]
         self.last_delivery[src[last]], self.last_system_time[src[last]] = t[last], sys_t[last]
         self.delivered += counts
 
-    def finish(self, end_time: float, arrivals: list) -> _RepStats:
-        """Close every source's sawtooth at the end of the run."""
+    def finish(self, end_time: float, arrivals: np.ndarray) -> _Replication:
+        """Close every source's sawtooth at the end of the run and hand over
+        the replication's arrays."""
         lo = np.maximum(self.last_delivery, self.measure_from)
         seg = np.flatnonzero(end_time > lo)  # lo is inf until a source's window opens
         prev, prev_t = self.last_delivery[seg], self.last_system_time[seg]
@@ -506,23 +492,16 @@ class _Tally:
             # (end - warmup) / width is the batch count to within an ulp
             last = seg * 7 * b + b - 1
             _add_in_order(self.batch, np.r_[last + 5 * b, last + 6 * b], np.r_[area, dt])
-        sums = self.sums.tolist()
-        batch = [[[int(v) for v in col] if i in (1, 4) else col for i, col in enumerate(per)]
-                 for per in self.batch.tolist()]
-        return _RepStats(
-            end_time=end_time,
-            arrivals=arrivals,
-            discarded=(np.asarray(arrivals) - self.entered_service).tolist(),
-            t_sums=[[int(s[0]), s[1]] for s in sums],
-            y_sums=[[int(s[2]), s[3]] for s in sums],
-            a_sums=[[int(s[2]), s[4], s[5]] for s in sums],
-            system_times=[times.items for times, _ in self.reservoirs],
-            records=[list(zip(*recs.items.T.tolist())) for _, recs in self.reservoirs],
-            batch_aoi_area=[per[5] for per in batch] if b else None,
-            batch_aoi_dur=[per[6] for per in batch] if b else None,
-            batch_sums=[per[:5] for per in batch] if b else None,
-            deliveries=self.rows,
-            **{name: getattr(self, name).tolist() for name in _COUNTERS + _TIMES},
+        self.arrivals, self.discarded = arrivals, arrivals - self.entered_service
+        return _Replication(
+            end_time,
+            np.stack([getattr(self, name) for name in _COUNTS]),
+            np.stack([getattr(self, name) for name in _TIMES]),
+            self.sums,
+            self.batch,
+            [times.items for times, _ in self.reservoirs],
+            [recs.items for _, recs in self.reservoirs],
+            None if self.rows is None else np.concatenate(self.rows),
         )
 
 
@@ -533,7 +512,7 @@ def _simulate_once(
     rep: int,
     track_batches: bool,
     collect_deliveries: bool,
-) -> _RepStats:
+) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
     arrivals = _Arrivals(cfg, sim.seed, rep, policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE)
@@ -551,14 +530,14 @@ def _simulate_once(
             end_time = stop
             break
     if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:  # every arrival enters service
-        counts = tally.entered_service.tolist()
+        counts = tally.entered_service.copy()
     else:
-        counts = arrivals.count(end_time, inclusive=sim.horizon is not None).tolist()
-    del blocks, arrivals  # free the drawn streams before the reservoirs become lists
+        counts = arrivals.count(end_time, inclusive=sim.horizon is not None)
     stats = tally.finish(end_time, counts)
     seconds = time.perf_counter() - clock
-    info = dict(replication=rep, arrivals=sum(counts), attempts=sum(stats.entered_service),
-                deliveries=sum(stats.delivered), blocks=tally.blocks, seconds=seconds)
+    info = dict(replication=rep, arrivals=int(counts.sum()),
+                attempts=int(tally.entered_service.sum()), deliveries=int(tally.delivered.sum()),
+                blocks=tally.blocks, seconds=seconds)
     _log.debug(
         "replication %(replication)d: %(arrivals)d arrivals, %(attempts)d service attempts, "
         "%(deliveries)d deliveries, %(blocks)d blocks, %(seconds).3f s, %(rate).0f arrivals/s",
@@ -603,7 +582,6 @@ class SimReport:
     per_source: tuple[SourceStats, ...]
     sum_time_avg_aoi: float
     sum_aoi_ci_halfwidth: float
-    replication_aoi: np.ndarray  # (replications, sources) time-average AoI
     deliveries: np.ndarray | None = None
 
     def stats_identical(self, other: "SimReport") -> bool:
@@ -618,12 +596,24 @@ class SimReport:
         return (
             self.sum_time_avg_aoi == other.sum_time_avg_aoi
             and self.sum_aoi_ci_halfwidth == other.sum_aoi_ci_halfwidth
-            and np.array_equal(self.replication_aoi, other.replication_aoi)
         )
 
 
-def _halfwidth(values: list[float]) -> float:
-    vals = [v for v in values if not math.isnan(v)]
+def _ratio(num, den) -> np.ndarray:
+    """num / den where den > 0, else NaN, elementwise, as a new C-ordered array."""
+    out = np.full(np.broadcast_shapes(np.shape(num), np.shape(den)), math.nan)
+    return np.divide(num, den, out=out, where=den > 0)
+
+
+def _in_order(stack: np.ndarray) -> np.ndarray:
+    """Totals over axis 0, adding one row after another; ``sum(axis=0)``
+    may add the rows pairwise, which rounds differently."""
+    return np.cumsum(stack, axis=0)[-1]
+
+
+def _halfwidth(values: np.ndarray) -> float:
+    """95% CI half-width of the mean of the group means that are not NaN."""
+    vals = values[~np.isnan(values)]
     m = len(vals)
     if m < 2:
         return math.nan
@@ -631,129 +621,65 @@ def _halfwidth(values: list[float]) -> float:
     return float(sps.t.ppf(0.975, m - 1)) * sd / math.sqrt(m)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else math.nan
-
-
-def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list[_RepStats]) -> SimReport:
-    n_src = cfg.num_sources
-    n_rep = len(reps)
-    single = n_rep == 1
+def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
+    """The _Replication records stacked on axis 0, merged in replication order."""
+    end = np.array([r.end_time for r in reps])[:, None]
+    counts, times, sums = (
+        np.stack([getattr(r, k) for r in reps]) for k in ("counts", "times", "sums"))
+    busy, area, area_sq, measure_from, first, last, last_t = times.transpose(1, 0, 2)
+    span = end - measure_from  # -inf until a source's measuring window opens
+    rep_aoi = _ratio(area, span)  # (replications, sources)
+    measured = _in_order(np.maximum(span, 0.0))
+    aoi, aoi_sq = _ratio(_in_order(area), measured), _ratio(_in_order(area_sq), measured)
+    tot = _in_order(sums)  # pooled over all replications: raw moments of the counted samples
+    t_mean, (y_mean, a_m1, a_m2) = _ratio(tot[:, 1], tot[:, 0]), _ratio(tot[:, 3:], tot[:, 2:3]).T
+    # CI groups per source, each (AoI, T, Y, peak AoI) x group: the batches of a
+    # single run, else the replications; across sources the sum-AoI group
+    # means add in order per batch, and with numpy's pairwise sum per replication
+    if len(reps) == 1:
+        b = reps[0].batch
+        groups = _ratio(b[:, [5, 0, 2, 3]], b[:, [6, 1, 4, 4]])
+        sum_groups = _in_order(groups[:, 0])
+    else:
+        groups = np.concatenate(
+            (rep_aoi[..., None], _ratio(sums[..., [1, 3, 4]], sums[..., [0, 2, 2]])), axis=2
+        ).transpose(1, 2, 0)
+        sum_groups = np.sum(rep_aoi, axis=1)  # C-ordered: each row as np.sum of the row
+    windows = np.stack(np.broadcast_arrays(end, measure_from, area, first, last, last_t), axis=2)
+    counters = _in_order(counts).T.tolist()  # Python ints and floats from here on
+    values = np.column_stack((_in_order(busy), aoi, aoi_sq, t_mean, y_mean, a_m1, a_m2)).tolist()
     per_source = []
-    rep_aoi = np.full((n_rep, n_src), math.nan)
-
-    for c in range(n_src):
-        area = sum(r.aoi_area[c] for r in reps)
-        area_sq = sum(r.aoi_area_sq[c] for r in reps)
-        measured = sum(
-            max(r.end_time - r.measure_from[c], 0.0)
-            for r in reps
-            if r.measure_from[c] != _INF
-        )
-        for i, r in enumerate(reps):
-            if r.measure_from[c] != _INF and r.end_time > r.measure_from[c]:
-                rep_aoi[i, c] = r.aoi_area[c] / (r.end_time - r.measure_from[c])
-
-        def pooled(sums_name):
-            # raw moments m1.. of the counted samples of all replications
-            tot = [sum(col) for col in zip(*(getattr(r, sums_name)[c] for r in reps))]
-            n = tot[0]
-            return tuple(v / n if n else math.nan for v in tot[1:])
-
-        paoi_moments = pooled("a_sums")
-
-        if single:
-            r = reps[0]
-            aoi_vals = [
-                _ratio(ar, dur)
-                for ar, dur in zip(r.batch_aoi_area[c], r.batch_aoi_dur[c])
-                if dur > 0
-            ]
-            t_sum, t_cnt, y_sum, a_sum, cnt = r.batch_sums[c]
-            t_vals = [s / n for s, n in zip(t_sum, t_cnt) if n > 0]
-            y_vals = [s / n for s, n in zip(y_sum, cnt) if n > 0]
-            a_vals = [s / n for s, n in zip(a_sum, cnt) if n > 0]
-        else:
-            aoi_vals = [rep_aoi[i, c] for i in range(n_rep)]
-            t_vals = [_ratio(r.t_sums[c][1], r.t_sums[c][0]) for r in reps]
-            y_vals = [_ratio(r.y_sums[c][1], r.y_sums[c][0]) for r in reps]
-            a_vals = [_ratio(r.a_sums[c][1], r.a_sums[c][0]) for r in reps]
-
-        rep_windows = np.array(
-            [
-                [
-                    r.end_time,
-                    r.measure_from[c],
-                    r.aoi_area[c],
-                    r.first_delivery[c],
-                    r.last_delivery[c],
-                    r.last_system_time[c],
-                ]
-                for r in reps
-            ]
-        )
+    for c in range(cfg.num_sources):
+        busy_c, aoi_c, aoi_sq_c, t_c, y_c, m1, m2 = values[c]
+        hw_aoi, hw_t, hw_y, hw_a = (_halfwidth(g) for g in groups[c])
         per_source.append(
             SourceStats(
-                arrivals=sum(r.arrivals[c] for r in reps),
-                delivered=sum(r.delivered[c] for r in reps),
-                preempted=sum(r.preempted[c] for r in reps),
-                discarded=sum(r.discarded[c] for r in reps),
-                in_flight=sum(r.in_flight[c] for r in reps),
-                entered_service=sum(r.entered_service[c] for r in reps),
-                race_entries=sum(r.race_entries[c] for r in reps),
-                busy_time=sum(r.busy_time[c] for r in reps),
-                time_avg_aoi=_ratio(area, measured),
-                time_avg_aoi_sq=_ratio(area_sq, measured),
-                aoi_ci_halfwidth=_halfwidth(aoi_vals),
-                system_time_mean=pooled("t_sums")[0],
-                system_time_ci_halfwidth=_halfwidth(t_vals),
-                interdeparture_mean=pooled("y_sums")[0],
-                interdeparture_ci_halfwidth=_halfwidth(y_vals),
-                paoi_mean=paoi_moments[0],
-                paoi_moments=paoi_moments,
-                paoi_ci_halfwidth=_halfwidth(a_vals),
-                system_times=np.concatenate(
-                    [np.asarray(r.system_times[c], dtype=float) for r in reps]
-                    or [np.empty(0)]
-                ),
-                delivery_records=(
-                    np.array(
-                        [rec for r in reps for rec in r.records[c]], dtype=float
-                    ).reshape(-1, 3)
-                ),
-                rep_windows=rep_windows,
+                **dict(zip(_COUNTS, counters[c])),
+                busy_time=busy_c,
+                time_avg_aoi=aoi_c,
+                time_avg_aoi_sq=aoi_sq_c,
+                aoi_ci_halfwidth=hw_aoi,
+                system_time_mean=t_c,
+                system_time_ci_halfwidth=hw_t,
+                interdeparture_mean=y_c,
+                interdeparture_ci_halfwidth=hw_y,
+                paoi_mean=m1,
+                paoi_moments=(m1, m2),
+                paoi_ci_halfwidth=hw_a,
+                system_times=np.concatenate([r.system_times[c] for r in reps]),
+                delivery_records=np.concatenate([r.records[c] for r in reps]),
+                rep_windows=windows[:, c],
             )
         )
-
-    sum_aoi = float(sum(s.time_avg_aoi for s in per_source))
-    if single:
-        r = reps[0]
-        sums = []
-        for k in range(sim.batches):
-            ok = all(r.batch_aoi_dur[c][k] > 0 for c in range(n_src))
-            if ok:
-                sums.append(
-                    sum(r.batch_aoi_area[c][k] / r.batch_aoi_dur[c][k] for c in range(n_src))
-                )
-        sum_hw = _halfwidth(sums)
-    else:
-        sum_rep_aoi = [float(np.sum(rep_aoi[i])) for i in range(n_rep)]
-        sum_hw = _halfwidth(sum_rep_aoi)
-
-    deliveries = None
-    if reps[0].deliveries is not None:
-        rows = [row for r in reps for row in r.deliveries]
-        deliveries = np.array(rows, dtype=float).reshape(-1, 6)
-
+    collected = reps[0].deliveries is not None
     return SimReport(
         system=cfg,
         policy=policy,
         sim=sim,
         per_source=tuple(per_source),
-        sum_time_avg_aoi=sum_aoi,
-        sum_aoi_ci_halfwidth=sum_hw,
-        replication_aoi=rep_aoi,
-        deliveries=deliveries,
+        sum_time_avg_aoi=float(_in_order(aoi)),
+        sum_aoi_ci_halfwidth=_halfwidth(sum_groups),
+        deliveries=np.concatenate([r.deliveries for r in reps]) if collected else None,
     )
 
 

@@ -2,9 +2,9 @@
 
 Runs, for one experiment spec: jet normalization at s = 0, closed form
 against the graph solver, the two moment routes against each other, the
-sojourn-kit algebraic identities, policy-limit bit-identity of simulation
-runs, analytic-vs-simulated means, and the distributional goodness-of-fit
-checks. Each check reports pass/fail/skip with its measured discrepancy.
+sojourn-kit algebraic identities, analytic-vs-simulated means, and the
+distributional goodness-of-fit checks. Each check reports pass/fail/skip
+with its measured discrepancy.
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ from . import analytic, semimarkov
 from .analytic import SystemConfig, moments_both_routes
 from .config import ExperimentSpec
 from .jets import Jet
-from .sim import (
-    InsufficientSamples,
-    Policy,
-    SimConfig,
-    empirical_checks,
-    run,
-)
+from .sim import InsufficientSamples, Policy, empirical_checks, run
 
 __all__ = ["ValidationCheck", "ValidationReport", "validation_suite"]
-
-_EQUIV_HORIZON = 2000.0
 
 
 @dataclass(frozen=True)
@@ -131,27 +123,6 @@ def _check_sojourn(cfg: SystemConfig) -> list[ValidationCheck]:
     return out
 
 
-def _check_policy_limits(cfg: SystemConfig, seed: int) -> list[ValidationCheck]:
-    sim = SimConfig(seed=seed, horizon=_EQUIV_HORIZON, warmup_fraction=0.1)
-    pairs = [
-        ("theta0_vs_non_preemptive", Policy.probabilistic(0.0), Policy.non_preemptive()),
-        ("theta1_vs_self_preemptive", Policy.probabilistic(1.0), Policy.self_preemptive()),
-    ]
-    out = []
-    for name, a, b in pairs:
-        same = run(cfg, a, sim).stats_identical(run(cfg, b, sim))
-        out.append(
-            ValidationCheck(
-                f"policy_limits:{name}",
-                "pass" if same else "fail",
-                0.0 if same else 1.0,
-                0.0,
-                "bit-identical reports under shared seeds",
-            )
-        )
-    return out
-
-
 def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[ValidationCheck]:
     cfg = spec.system
     report = run(cfg, Policy.probabilistic(cfg.theta), spec.sim, workers=workers)
@@ -211,6 +182,5 @@ def validation_suite(spec: ExperimentSpec, workers: int = 1) -> ValidationReport
     checks += _check_graph(cfg)
     checks += _check_moment_routes(cfg)
     checks += _check_sojourn(cfg)
-    checks += _check_policy_limits(cfg, spec.sim.seed)
     checks += _check_against_simulation(spec, workers)
     return ValidationReport(tuple(checks))

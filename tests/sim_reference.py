@@ -4,11 +4,18 @@ One event per loop iteration: the earlier of the next delivery and the
 next arrival, where a delivery wins a tie with an arrival and the lower
 source index wins a tie between arrivals. Each substream is drawn one
 value at a time, and every statistic is added up as its event happens.
+The replications then merge in plain Python, one statistic at a time.
 It is written to be read, not to be fast; the tests hold
 ``aoiq.sim.run`` to its reports bit for bit.
 """
 
+import collections
+import functools
 import math
+import operator
+
+import numpy as np
+from scipy import stats as sps
 
 from aoiq import sim as sim_mod
 from aoiq.service import substream
@@ -78,7 +85,7 @@ class Source:
 
 
 def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
-    """One replication, returned as the simulator's raw accumulators."""
+    """One replication of the plain loop."""
     horizon, target, batches = sim.horizon, sim.delivered_per_source, sim.batches
     if horizon is not None:
         warmup_time = sim.warmup_fraction * horizon
@@ -213,42 +220,140 @@ def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
             k = batch_of(end_time, 0) if horizon is not None else batches - 1
             add_segment(src, end_time, k)
 
-    def per_source(name):
-        return [getattr(s, name) for s in sources]
+    return Replication(end_time, sources, in_flight, deliveries)
 
-    return sim_mod._RepStats(
-        end_time=end_time,
-        arrivals=per_source("arrivals"),
-        delivered=per_source("delivered"),
-        preempted=per_source("preempted"),
-        discarded=per_source("discarded"),
-        in_flight=in_flight,
-        entered_service=per_source("entered_service"),
-        race_entries=per_source("race_entries"),
-        busy_time=per_source("busy_time"),
-        aoi_area=per_source("aoi_area"),
-        aoi_area_sq=per_source("aoi_area_sq"),
-        measure_from=per_source("measure_from"),
-        first_delivery=per_source("first_delivery"),
-        last_delivery=per_source("last_delivery"),
-        last_system_time=per_source("last_system_time"),
-        t_sums=per_source("t_sums"),
-        y_sums=per_source("y_sums"),
-        a_sums=per_source("a_sums"),
-        system_times=[s.system_times.items for s in sources],
-        records=[s.records.items for s in sources],
-        batch_aoi_area=per_source("batch_area") if track_batches else None,
-        batch_aoi_dur=per_source("batch_dur") if track_batches else None,
-        batch_sums=per_source("batch_sums") if track_batches else None,
+
+# one replication: its end, its Source objects, the packet in flight at the
+# end, and the dumped deliveries
+Replication = collections.namedtuple("Replication", "end_time sources in_flight deliveries")
+
+
+def total(values):
+    """Left-to-right sum from 0, one term after another."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def ratio(num, den):
+    return num / den if den > 0 else math.nan
+
+
+def halfwidth(values):
+    vals = [v for v in values if not math.isnan(v)]
+    m = len(vals)
+    if m < 2:
+        return math.nan
+    sd = float(np.std(vals, ddof=1))
+    return float(sps.t.ppf(0.975, m - 1)) * sd / math.sqrt(m)
+
+
+def merge(cfg, policy, sim, reps):
+    """The replications merged one statistic at a time: counts and sums
+    in replication order, the CI of each mean over the batches of a single
+    run or over the replications, and the sum-AoI CI over the per-batch sums
+    across sources in source order, or over numpy's sum of each
+    replication's per-source AoI."""
+    n_src = cfg.num_sources
+    n_rep = len(reps)
+    single = n_rep == 1
+    per_source = []
+    rep_aoi = np.full((n_rep, n_src), math.nan)
+
+    for c in range(n_src):
+        runs = [(r.end_time, r.sources[c]) for r in reps]
+        area = total(src.aoi_area for _, src in runs)
+        area_sq = total(src.aoi_area_sq for _, src in runs)
+        measured = total(
+            max(end - src.measure_from, 0.0) for end, src in runs if src.measure_from != INF
+        )
+        for i, (end, src) in enumerate(runs):
+            if src.measure_from != INF and end > src.measure_from:
+                rep_aoi[i, c] = src.aoi_area / (end - src.measure_from)
+
+        def pooled(sums_name):
+            # raw moments m1.. of the counted samples of all replications
+            tot = [total(col) for col in zip(*(getattr(src, sums_name) for _, src in runs))]
+            n = tot[0]
+            return tuple(v / n if n else math.nan for v in tot[1:])
+
+        paoi_moments = pooled("a_sums")
+        if single:
+            src = runs[0][1]
+            aoi_vals = [ratio(ar, dur) for ar, dur in zip(src.batch_area, src.batch_dur) if dur > 0]
+            t_sum, t_cnt, y_sum, a_sum, cnt = src.batch_sums
+            t_vals = [s / n for s, n in zip(t_sum, t_cnt) if n > 0]
+            y_vals = [s / n for s, n in zip(y_sum, cnt) if n > 0]
+            a_vals = [s / n for s, n in zip(a_sum, cnt) if n > 0]
+        else:
+            aoi_vals = list(rep_aoi[:, c])
+            t_vals = [ratio(src.t_sums[1], src.t_sums[0]) for _, src in runs]
+            y_vals = [ratio(src.y_sums[1], src.y_sums[0]) for _, src in runs]
+            a_vals = [ratio(src.a_sums[1], src.a_sums[0]) for _, src in runs]
+
+        per_source.append(
+            sim_mod.SourceStats(
+                arrivals=total(src.arrivals for _, src in runs),
+                delivered=total(src.delivered for _, src in runs),
+                preempted=total(src.preempted for _, src in runs),
+                discarded=total(src.discarded for _, src in runs),
+                in_flight=total(r.in_flight[c] for r in reps),
+                entered_service=total(src.entered_service for _, src in runs),
+                race_entries=total(src.race_entries for _, src in runs),
+                busy_time=total(src.busy_time for _, src in runs),
+                time_avg_aoi=ratio(area, measured),
+                time_avg_aoi_sq=ratio(area_sq, measured),
+                aoi_ci_halfwidth=halfwidth(aoi_vals),
+                system_time_mean=pooled("t_sums")[0],
+                system_time_ci_halfwidth=halfwidth(t_vals),
+                interdeparture_mean=pooled("y_sums")[0],
+                interdeparture_ci_halfwidth=halfwidth(y_vals),
+                paoi_mean=paoi_moments[0],
+                paoi_moments=paoi_moments,
+                paoi_ci_halfwidth=halfwidth(a_vals),
+                system_times=np.array(
+                    [t for _, src in runs for t in src.system_times.items], dtype=float
+                ),
+                delivery_records=np.array(
+                    [rec for _, src in runs for rec in src.records.items], dtype=float
+                ).reshape(-1, 3),
+                rep_windows=np.array(
+                    [
+                        [end, src.measure_from, src.aoi_area, src.first_delivery,
+                         src.last_delivery, src.last_system_time]
+                        for end, src in runs
+                    ]
+                ),
+            )
+        )
+
+    if single:
+        sources = reps[0].sources
+        sums = [
+            total(src.batch_area[k] / src.batch_dur[k] for src in sources)
+            for k in range(sim.batches)
+            if all(src.batch_dur[k] > 0 for src in sources)
+        ]
+    else:
+        sums = [float(np.sum(rep_aoi[i])) for i in range(n_rep)]
+    deliveries = None
+    if reps[0].deliveries is not None:
+        deliveries = np.array([row for r in reps for row in r.deliveries], dtype=float)
+        deliveries = deliveries.reshape(-1, 6)
+    return sim_mod.SimReport(
+        system=cfg,
+        policy=policy,
+        sim=sim,
+        per_source=tuple(per_source),
+        sum_time_avg_aoi=float(total(s.time_avg_aoi for s in per_source)),
+        sum_aoi_ci_halfwidth=halfwidth(sums),
         deliveries=deliveries,
     )
 
 
 def reference_run(cfg, policy, sim, collect_deliveries=False):
-    """``aoiq.sim.run`` computed by the reference loop, one worker."""
+    """``aoiq.sim.run`` computed by the reference loop and merge, one worker."""
     track_batches = sim.replications == 1
     reps = [
         simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries)
         for rep in range(sim.replications)
     ]
-    return sim_mod._merge(cfg, policy, sim, reps)
+    return merge(cfg, policy, sim, reps)

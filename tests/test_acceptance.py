@@ -16,17 +16,14 @@ from aoiq import (
     Policy,
     SimConfig,
     SystemConfig,
-    aoi_mgf_jet,
     build_interdeparture_graph,
     empirical_checks,
     interdeparture_mgf_jet,
     moments,
-    moments_both_routes,
-    paoi_mgf_jet,
     run,
-    system_time_mgf_jet,
     transfer_functions,
 )
+from aoiq.analytic import aoi_mgf_jet, moments_both_routes, paoi_mgf_jet, system_time_mgf_jet
 from aoiq.cli import main as cli_main
 from grid_helpers import config_grid
 

@@ -3,13 +3,15 @@ import pytest
 from aoiq import (
     Exponential,
     LogNormal,
-    OutsideConvergenceRegion,
     SystemConfig,
+    interdeparture_mgf_jet,
+    moments,
+)
+from aoiq.analytic import (
+    OutsideConvergenceRegion,
     Transform,
     aoi_mgf_jet,
-    interdeparture_mgf_jet,
     mgf_point_eval,
-    moments,
     moments_both_routes,
     paoi_mgf_jet,
     system_time_mgf_jet,

@@ -1,13 +1,7 @@
 import pytest
 
-from aoiq import (
-    Exponential,
-    LogNormal,
-    ParseError,
-    PolicyKind,
-    ValidationError,
-    parse_spec,
-)
+from aoiq import Exponential, LogNormal, PolicyKind
+from aoiq.config import ParseError, ValidationError, parse_spec
 
 MINIMAL = """
 [system]

@@ -18,12 +18,10 @@ from aoiq import (
     Gamma,
     LogNormal,
     SystemConfig,
-    Transform,
     interdeparture_mgf_jet,
-    mgf_point_eval,
     moments,
-    system_time_mgf_jet,
 )
+from aoiq.analytic import Transform, mgf_point_eval, system_time_mgf_jet
 
 mp.mp.dps = 40
 

@@ -1,0 +1,54 @@
+"""Every name the benchmark harness and the README import from ``aoiq``
+must resolve, so trimming the package's re-exports cannot break them."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import aoiq
+
+ROOT = Path(__file__).resolve().parents[1]
+# ``from aoiq import a, b`` or ``from aoiq import (a, b)``, also inside the
+# code strings that the harness runs in a fresh interpreter
+IMPORT = re.compile(r"from aoiq import\s+(\([^)]*\)|[\w ,]+)")
+
+
+def _imported_names(path: Path) -> list[str]:
+    names = []
+    for group in IMPORT.findall(path.read_text()):
+        names += [piece.split()[0] for piece in group.strip("()").split(",") if piece.strip()]
+    return names
+
+
+def _resolves(name: str) -> bool:
+    """What ``from aoiq import name`` finds: an attribute or a submodule."""
+    if hasattr(aoiq, name):
+        return True
+    try:
+        importlib.import_module(f"aoiq.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+SOURCES = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_imported_names_resolve(path):
+    names = _imported_names(path)
+    missing = [n for n in names if not _resolves(n)]
+    assert not missing, f"{path.name} imports {missing} from aoiq"
+
+
+def test_imports_found():
+    # the harness and the quickstart do import from the package root
+    assert {"moments", "run", "SimConfig"} <= set(_imported_names(ROOT / "README.md"))
+    bench = {n for p in SOURCES[:-1] for n in _imported_names(p)}
+    assert {"empirical_checks", "transfer_functions", "PolicyKind", "jets"} <= bench
+
+
+def test_all_names_exist():
+    assert all(hasattr(aoiq, name) for name in aoiq.__all__)

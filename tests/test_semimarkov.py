@@ -3,16 +3,14 @@ import pytest
 
 from aoiq import (
     Exponential,
-    Jet,
-    LabeledDigraph,
     LogNormal,
-    SingularSystem,
     SystemConfig,
     build_interdeparture_graph,
     interdeparture_mgf_jet,
-    sojourn_kit,
     transfer_functions,
 )
+from aoiq.jets import Jet
+from aoiq.semimarkov import LabeledDigraph, SingularSystem, sojourn_kit
 from grid_helpers import config_grid
 
 

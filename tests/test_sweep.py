@@ -3,8 +3,9 @@ import csv
 import pytest
 
 import aoiq.sweep as sweep_mod
-from aoiq import Policy, PolicyKind, SystemConfig, moments, parse_spec, run, run_sweep
-from aoiq.sweep import CSV_COLUMNS, format_number, grid_values, write_rows
+from aoiq import Policy, PolicyKind, SystemConfig, moments, run
+from aoiq.config import parse_spec
+from aoiq.sweep import CSV_COLUMNS, format_number, grid_values, run_sweep, write_rows
 
 ANALYTIC_SWEEP = """
 [system]

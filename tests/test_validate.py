@@ -1,7 +1,9 @@
 import pytest
 
 import aoiq.validate as validate_mod
-from aoiq import Jet, parse_spec, validation_suite
+from aoiq.config import parse_spec
+from aoiq.jets import Jet
+from aoiq.validate import validation_suite
 
 EXP_SPEC = parse_spec(
     """
@@ -36,16 +38,10 @@ class TestSuite:
             "closed_form_vs_graph",
             "moment_routes",
             "sojourn",
-            "policy_limits",
             "analytic_vs_sim",
             "peak_mean_gap_identity",
             "distribution_fit",
         }
-
-    def test_policy_limit_checks_present(self, suite_report):
-        limit = [c for c in suite_report.checks if c.name.startswith("policy_limits")]
-        assert len(limit) == 2
-        assert all(c.passed for c in limit)
 
 
 class TestMutationSensitivity:
