@@ -7,19 +7,28 @@ sawtooth is integrated exactly per linear segment, so simulation output
 is free of discretization error and serves as the statistical oracle for
 the closed-form results.
 
-The core steps through service attempts: per attempt, one scan over
-the merged arrivals in service finds the one that preempts or, past the
-delivery, the next to find the server idle. Under global preemption every
-arrival enters service and is delivered iff it ends no later than the
-next arrival, which needs no loop at all. Draws, attempts and the numpy
-statistics move in blocks of ``_BLOCK``, so memory stays bounded, and the
-reports are those of a one-event-at-a-time loop, bit for bit.
+The sampler draws service attempts, not arrivals (regenerative
+simulation; Asmussen and Glynn, Stochastic Simulation, 2007, ch. IV).
+An arrival to a busy server changes nothing unless it preempts, so by
+Poisson thinning and memorylessness the path starts afresh at every
+delivery: the server idles Exp(Lambda), source c wins with probability
+lambda_c / Lambda, and each of its attempts, service S, is preempted at
+G ~ Exp(theta lambda_c) if G < S, which starts its next attempt. Under
+global preemption G ~ Exp(Lambda) and every attempt's source is a fresh
+winner. Given the busy times, source c's discards are Poisson with mean
+lambda_c (others' busy time) + (1 - theta) lambda_c (own busy time), one
+draw at the end. Each piece has its exact law, so reports are exact in
+distribution, the counter identity holds by construction, and blocks of
+about ``_BLOCK`` episodes give the reports of a one-attempt-at-a-time
+loop over the same substreams, bit for bit.
 
-Randomness discipline: every (replication, source, purpose) triple owns
-an independent substream, and a preemption coin is drawn only at a
-same-source collision, where it alone decides. The non-preemptive and
-self-preemptive policies run as the probabilistic one at theta = 0 / 1,
-so those runs are bit-identical under shared seeds.
+Substreams: ``substream(seed, rep, c, k)`` serves source c with k = 0
+its discards, 1 service times, 2 unit-exponential preemption gaps
+(divided by theta lambda_c), 3 and 4 the reservoirs; the system key
+``(rep, C, k)``, C the number of sources and so no source index, serves
+k = 0 the idle waits, 1 the winners, 2 the global preemption gaps. The
+non-preemptive and self-preemptive policies run as the probabilistic one
+at theta = 0 / 1, so those runs are bit-identical under shared seeds.
 """
 
 from __future__ import annotations
@@ -28,10 +37,8 @@ import enum
 import logging
 import math
 import time
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 from scipy import stats as sps
@@ -65,7 +72,7 @@ __all__ = [
 ]
 
 RESERVOIR_CAPACITY = 100_000
-_BLOCK = 8192  # draws per substream refill; service attempts per statistics block
+_BLOCK = 8192  # episodes per block; a source draws its share of a block at a time
 _INF = float("inf")
 _PREEMPTED, _DELIVERED, _IN_FLIGHT = 0, 1, 2  # how a service attempt ends
 
@@ -178,138 +185,98 @@ class _Replication:
 
 
 # ---------------------------------------------------------------------------
-# The attempt-level core
+# The episode sampler
 # ---------------------------------------------------------------------------
 
 
-class _Arrivals:
-    """The arrivals of all sources in event order: time, then lower source
-    index, then arrival index. A source draws ``_BLOCK`` gaps at a time;
-    ``np.cumsum`` of a block, the last time before it added to its first
-    gap, is the one-at-a-time running sum exactly."""
-
-    def __init__(self, cfg: SystemConfig, seed: int, rep: int, with_service: bool):
-        n_src = cfg.num_sources
-        self._gaps = [(substream(seed, rep, c, 0), 1 / r) for c, r in enumerate(cfg.arrival_rates)]
-        self._service = cfg.service
-        self._svc = [substream(seed, rep, c, 1) for c in range(n_src)] if with_service else None
-        self._last = [0.0] * n_src  # each source's last drawn time
-        self._pending = [(np.empty(0), np.empty(0))] * n_src  # unmerged times and services
-        self.times, self.sources = [], []  # merged arrivals (see ``extend``)
-        self.passed = np.zeros(n_src, np.int64)  # per source, arrivals trimmed off the lists
-        for c in range(n_src):
-            self._draw(c)
-
-    def _draw(self, c: int) -> None:
-        rng, scale = self._gaps[c]
-        t = rng.exponential(scale, _BLOCK)
-        t[0] += self._last[c]
-        np.cumsum(t, out=t)
-        self._last[c] = float(t[-1])
-        svc = self._service.sample_n(self._svc[c], _BLOCK) if self._svc else t[:0]
-        self._pending[c] = tuple(np.concatenate(x) for x in zip(self._pending[c], (t, svc)))
-
-    def merge(self):
-        """The next arrivals in event order as arrays of times, sources and
-        services (None unless drawn): at most about ``_BLOCK``, all before the
-        earliest last-drawn time, so no undrawn arrival comes before them."""
-        frontier = min(self._last)
-        cuts = [int(np.searchsorted(t, frontier)) for t, _ in self._pending]
-        refill = sum(cuts) <= _BLOCK
-        if not refill:  # stop at the (_BLOCK + 1)-th earliest time, ties included
-            heads = np.concatenate([t[:k] for (t, _), k in zip(self._pending, cuts)])
-            cutoff = np.partition(heads, _BLOCK)[_BLOCK]
-            cuts = [int(np.searchsorted(t, cutoff, "right")) for t, _ in self._pending]
-        times, svc = (np.concatenate([x[:k] for x, k in zip(xs, cuts)])
-                      for xs in zip(*self._pending))
-        self._pending = [(t[k:], s[k:]) for (t, s), k in zip(self._pending, cuts)]
-        if refill:
-            self._draw(self._last.index(frontier))
-        order = np.argsort(times, kind="stable")
-        src = np.repeat(np.arange(len(cuts)), cuts)[order]
-        return times[order], src, svc[order] if self._svc else None
-
-    def extend(self) -> None:
-        times, src, _ = self.merge()
-        self.times.extend(times.tolist())
-        self.sources.extend(src.tolist())
-
-    def count(self, t: float, inclusive: bool, trim: bool = False) -> np.ndarray:
-        """Per source, the arrivals before t (or at t, when inclusive) that
-        have reached the lists; ``trim`` drops those from the lists."""
-        k = (bisect_right if inclusive else bisect_left)(self.times, t)
-        seen = np.bincount(np.asarray(self.sources[:k], np.intp), minlength=len(self.passed))
-        seen += self.passed
-        if trim:
-            self.passed = seen
-            del self.times[:k], self.sources[:k]
-        return seen
+def _lay_out(t: float, src, wait, dur, delivered, limit: float):
+    """Attempts on the clock from t, each after its wait (0 inside an
+    episode), as one in-order running sum, as a one-at-a-time loop adds.
+    Returns the (source, start, end, outcome) block up to the first event
+    past ``limit`` (where one in service ends) and the clock, or None."""
+    steps = np.column_stack((wait, dur)).ravel()
+    steps[0] += t
+    start, end = np.cumsum(steps).reshape(-1, 2).T
+    outcome = np.where(delivered, _DELIVERED, _PREEMPTED)
+    k = int(np.searchsorted(end, limit, "right"))  # the first attempt to end past limit
+    if k == len(end):
+        return (src, start, end, outcome), float(end[-1])
+    k += bool(start[k] <= limit)
+    src, start, end, outcome = src[:k], start[:k], end[:k], outcome[:k]
+    if k and end[-1] > limit:
+        end[-1], outcome[-1] = limit, _IN_FLIGHT
+    return (src, start, end, outcome), None
 
 
-def _draws(draw):
-    """The values of ``draw(_BLOCK)``, block after block."""
-    while True:
-        yield from draw(_BLOCK).tolist()
-
-
-def _queue_attempts(arrivals: _Arrivals, cfg: SystemConfig, seed: int, rep: int, theta, limit):
-    """Service attempts when only a same-source arrival can preempt: one
-    whose coin falls below ``theta``. Yields flat lists of (source, start,
-    end, outcome) in event order, a block at a time, up to the first event
-    after ``limit``; an attempt still in service then ends the last block."""
-    rngs = [[substream(seed, rep, c, k) for k in (1, 2)] for c in range(cfg.num_sources)]
-    services = [_draws(partial(cfg.service.sample_n, svc)).__next__ for svc, _ in rngs]
-    coins = [_draws(coin.random).__next__ for _, coin in rngs]
-    times, sources = arrivals.times, arrivals.sources
-    while not times:
-        arrivals.extend()
-    block = []
-    add = block.extend
-    p = 0  # the merged position of the attempt's arrival
-    while times[p] <= limit:
-        c, t0 = sources[p], times[p]
-        if len(block) == 4 * _BLOCK:
-            # keep the block's arrivals: a count-rule stop inside it counts them
-            kept = len(times)
-            arrivals.count(block[1], False, trim=True)
-            p -= kept - len(times)
+def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
+    """Service attempts in event order, as blocks of (source, start, end,
+    outcome) arrays, up to the first event after ``limit``. ``theta`` is
+    None under global preemption."""
+    n, total = cfg.num_sources, cfg.total_rate
+    shares = np.cumsum(cfg.arrival_rates)  # source c wins iff shares[c-1] <= u * Lambda < shares[c]
+    waits, winners, global_gaps = (substream(seed, rep, n, k) for k in range(3))
+    services = [substream(seed, rep, c, 1) for c in range(n)]
+    wait = lambda k: waits.exponential(1 / total, k)
+    winner = lambda k: np.searchsorted(shares, winners.random(k) * shares[-1], "right")
+    t = 0.0
+    if theta is None:  # every arrival preempts: each attempt's source is a fresh winner
+        idle = True  # the next attempt follows a delivery, after a wait
+        while t is not None:
+            src, gap, svc = winner(_BLOCK), global_gaps.exponential(1 / total, _BLOCK), np.empty(_BLOCK)
+            for c in range(n):
+                svc[src == c] = cfg.service.sample_n(services[c], np.count_nonzero(src == c))
+            ok = svc <= gap
+            after = np.concatenate(([idle], ok[:-1]))
+            w = np.zeros(_BLOCK)
+            w[after] = wait(np.count_nonzero(after))
+            idle = bool(ok[-1])
+            block, t = _lay_out(t, src, w, np.minimum(svc, gap), ok, limit)
             yield block
-            del block[:]
-        dep = t0 + services[c]()
-        while times[-1] < dep:
-            arrivals.extend()
-        i = p + 1  # the arrivals in service: one may preempt, the others are discarded
-        while times[i] < dep and (sources[i] != c or not theta or coins[c]() >= theta):
-            i += 1
-        preempted = times[i] < dep
-        end = times[i] if preempted else dep
-        if end > limit:
-            add((c, t0, limit, _IN_FLIGHT))
-            break
-        add((c, t0, end, _PREEMPTED if preempted else _DELIVERED))
-        p = i  # the arrival that preempts, or the next to find the server idle
-    yield block
-
-
-def _global_attempts(arrivals: _Arrivals, limit):
-    """Service attempts under global preemption, as (n, 4) arrays: every
-    arrival enters service and is delivered iff no arrival comes first."""
-    carry = [np.empty(0)] * 3  # the last arrival: its successor is not drawn yet
-    while True:
-        t, src, svc = (np.concatenate(pair) for pair in zip(carry, arrivals.merge()))
-        carry = [t[-1:], src[-1:], svc[-1:]]
-        n = int(np.searchsorted(t, limit, "right"))  # arrivals up to the limit
-        final = n < len(t)
-        n -= not final
-        dep = t[:n] + svc[:n]
-        delivered = dep <= t[1 : n + 1]
-        end = np.where(delivered, dep, t[1 : n + 1])
-        outcome = np.where(delivered, _DELIVERED, _PREEMPTED)
-        if final and n and dep[-1] > limit:
-            end[-1], outcome[-1] = limit, _IN_FLIGHT
-        yield np.column_stack((src[:n], t[:n], end, outcome))
-        if final:
-            return
+        return
+    gaps = [substream(seed, rep, c, 2) for c in range(n)]
+    rates = np.asarray(cfg.arrival_rates)
+    chunks = np.ceil(_BLOCK / total * rates).astype(np.intp)  # a source's share of a block
+    # per source, the attempts drawn but not laid out: duration, delivered
+    pools = [(np.empty(0), np.empty(0, bool))] * n
+    w, v = np.empty(0), np.empty(0, np.intp)  # the episodes not laid out: wait, winner
+    while t is not None:
+        w, v = np.concatenate((w, wait(_BLOCK - len(v)))), np.concatenate((v, winner(_BLOCK - len(v))))
+        need = np.bincount(v, minlength=n)
+        for c in np.flatnonzero(need):  # a pool stays under two blocks
+            dur, ok = pools[c]
+            while np.count_nonzero(ok) < need[c] and len(ok) < _BLOCK:
+                k = max(chunks[c], len(ok))  # the pool at least doubles
+                svc = cfg.service.sample_n(services[c], k)
+                gap = gaps[c].standard_exponential(k) / (theta * rates[c]) if theta else _INF
+                dur, ok = np.concatenate((dur, np.minimum(svc, gap))), np.concatenate((ok, svc <= gap))
+            pools[c] = dur, ok
+        sizes = np.array([len(ok) for _, ok in pools])
+        dur, ok = (np.concatenate(x) for x in zip(*pools))
+        src = np.repeat(np.arange(n), sizes)
+        found = np.bincount(src[ok], minlength=n)
+        # each attempt's episode within its source, and each win's rank within its source
+        episode = np.cumsum(ok) - ok - (np.cumsum(found) - found)[src]
+        order, first = np.argsort(v, kind="stable"), np.cumsum(need) - need
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(v)) - first[v[order]]
+        # episodes up to the first whose source lacks its delivery, that one in part
+        complete = rank < found[v]
+        m = len(v) - 1 if complete.all() else int(np.argmin(complete))
+        slot = np.full(len(src), len(v))  # each attempt's episode in the block
+        mine = episode < need[src]
+        slot[mine] = order[first[src[mine]] + episode[mine]]
+        take = slot <= m
+        idx = np.flatnonzero(take)
+        idx = idx[np.argsort(slot[idx], kind="stable")]
+        ep = slot[idx]
+        opens = np.concatenate(([True], ep[1:] != ep[:-1]))
+        block, t = _lay_out(t, src[idx], np.where(opens, w[ep], 0.0), dur[idx], ok[idx], limit)
+        yield block
+        split = np.cumsum(np.bincount(src[~take], minlength=n))[:-1]
+        pools = list(zip(np.split(dur[~take], split), np.split(ok[~take], split)))
+        if ep[-1] == m and not complete[m]:  # the episode resumes without its wait
+            w[m] = 0.0
+        w, v = w[m + complete[m]:], v[m + complete[m]:]
 
 
 def _add_in_order(total: np.ndarray, keys, values) -> None:
@@ -390,11 +357,9 @@ class _Tally:
         self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
 
-    def add(self, block):
+    def add(self, src, start, end, outcome):
         """Account a block of attempts; the stop time if it holds the
         delivery that completes the count rule, else None."""
-        src, start, end, outcome = np.asarray(block, dtype=float).reshape(-1, 4).T
-        src, outcome = src.astype(np.intp), outcome.astype(np.intp)
         stop, target = None, self.sim.delivered_per_source
         if target is not None:  # stop at the delivery that brings the last source to it
             pos = np.flatnonzero(outcome == _DELIVERED)
@@ -477,7 +442,7 @@ class _Tally:
         self.last_delivery[src[last]], self.last_system_time[src[last]] = t[last], sys_t[last]
         self.delivered += counts
 
-    def finish(self, end_time: float, arrivals: np.ndarray) -> _Replication:
+    def finish(self, end_time: float, discarded: np.ndarray) -> _Replication:
         """Close every source's sawtooth at the end of the run and hand over
         the replication's arrays."""
         lo = np.maximum(self.last_delivery, self.measure_from)
@@ -492,7 +457,7 @@ class _Tally:
             # (end - warmup) / width is the batch count to within an ulp
             last = seg * 7 * b + b - 1
             _add_in_order(self.batch, np.r_[last + 5 * b, last + 6 * b], np.r_[area, dt])
-        self.arrivals, self.discarded = arrivals, arrivals - self.entered_service
+        self.arrivals, self.discarded = self.entered_service + discarded, discarded
         return _Replication(
             end_time,
             np.stack([getattr(self, name) for name in _COUNTS]),
@@ -515,27 +480,23 @@ def _simulate_once(
 ) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
-    arrivals = _Arrivals(cfg, sim.seed, rep, policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE)
-    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:
-        blocks = _global_attempts(arrivals, limit)
-    else:
-        theta = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}
-        theta = theta.get(policy.kind, policy.theta)
-        blocks = _queue_attempts(arrivals, cfg, sim.seed, rep, theta, limit)
+    theta = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0,
+             PolicyKind.GLOBALLY_PREEMPTIVE: None}.get(policy.kind, policy.theta)
     tally = _Tally(cfg.num_sources, sim, rep, track_batches, collect_deliveries)
     end_time = limit
-    for block in blocks:
-        stop = tally.add(block)
+    for block in _attempts(cfg, sim.seed, rep, theta, limit):
+        stop = tally.add(*block)
         if stop is not None:
             end_time = stop
             break
-    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:  # every arrival enters service
-        counts = tally.entered_service.copy()
-    else:
-        counts = arrivals.count(end_time, inclusive=sim.horizon is not None)
-    stats = tally.finish(end_time, counts)
+    discarded = np.zeros(cfg.num_sources, np.int64)  # global preemption: every arrival enters
+    if theta is not None:  # a busy server loses source c's arrivals but its preempting ones
+        busy = tally.busy_time
+        mean = np.asarray(cfg.arrival_rates) * (_in_order(busy) - theta * busy)
+        discarded[:] = [substream(sim.seed, rep, c, 0).poisson(mu) for c, mu in enumerate(mean)]
+    stats = tally.finish(end_time, discarded)
     seconds = time.perf_counter() - clock
-    info = dict(replication=rep, arrivals=int(counts.sum()),
+    info = dict(replication=rep, arrivals=int(tally.arrivals.sum()),
                 attempts=int(tally.entered_service.sum()), deliveries=int(tally.delivered.sum()),
                 blocks=tally.blocks, seconds=seconds)
     _log.debug(
@@ -585,18 +546,17 @@ class SimReport:
     deliveries: np.ndarray | None = None
 
     def stats_identical(self, other: "SimReport") -> bool:
-        """Bitwise equality of all statistical content (policy label aside)."""
+        """Bitwise equality of all statistical content, the delivery dump
+        included (policy label aside); NaN equals NaN."""
         if len(self.per_source) != len(other.per_source):
             return False
-        for a, b in zip(self.per_source, other.per_source):
-            for field in fields(SourceStats):
-                x, y = getattr(a, field.name), getattr(b, field.name)
-                if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
-                    return False
-        return (
-            self.sum_time_avg_aoi == other.sum_time_avg_aoi
-            and self.sum_aoi_ci_halfwidth == other.sum_aoi_ci_halfwidth
-        )
+        pairs = [(getattr(a, f.name), getattr(b, f.name))
+                 for a, b in zip(self.per_source, other.per_source) for f in fields(SourceStats)]
+        pairs += [(self.sum_time_avg_aoi, other.sum_time_avg_aoi),
+                  (self.sum_aoi_ci_halfwidth, other.sum_aoi_ci_halfwidth)]
+        x, y = self.deliveries, other.deliveries
+        pairs.append((x, y) if x is not None and y is not None else (x is None, y is None))
+        return all(np.array_equal(x, y, equal_nan=True) for x, y in pairs)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -704,14 +664,10 @@ def run(
     ]
     if workers > 1 and sim.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_simulate_once_star, args))
+            reps = list(pool.map(_simulate_once, *zip(*args)))
     else:
         reps = [_simulate_once(*a) for a in args]
     return _merge(cfg, policy, sim, reps)
-
-
-def _simulate_once_star(args):
-    return _simulate_once(*args)
 
 
 # ---------------------------------------------------------------------------

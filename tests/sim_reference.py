@@ -1,16 +1,28 @@
-"""Plain event-by-event reference for the simulator in ``aoiq.sim``.
+"""Plain one-step-per-iteration references for the simulator in ``aoiq.sim``.
 
-One event per loop iteration: the earlier of the next delivery and the
-next arrival, where a delivery wins a tie with an arrival and the lower
-source index wins a tie between arrivals. Each substream is drawn one
-value at a time, and every statistic is added up as its event happens.
-The replications then merge in plain Python, one statistic at a time.
-It is written to be read, not to be fast; the tests hold
-``aoiq.sim.run`` to its reports bit for bit.
+Two loops share one way of adding up statistics, event by event, and a
+plain-Python merge of the replications, one statistic at a time. They are
+written to be read, not to be fast.
+
+``episode_loop`` takes one service attempt per iteration and draws each
+value, one at a time, from the substreams ``aoiq.sim`` draws: after a
+delivery an idle wait and a winning source, per attempt a service time
+and a preemption gap, and at the end each source's discards. The tests
+hold ``aoiq.sim.run`` to it bit for bit, so the blocked sampler, the numpy
+statistics and the numpy merge are checked exactly.
+
+``arrival_loop`` is the model read literally, one event per iteration:
+the earlier of the next delivery and the next arrival, where a delivery
+wins a tie with an arrival and the lower source index wins a tie between
+arrivals; a busy server's policy decides each arrival's fate by a coin.
+It shares no draws and no decomposition with the sampler, so the tests
+compare the two in distribution only.
 """
 
+import bisect
 import collections
 import functools
+import itertools
 import math
 import operator
 
@@ -63,13 +75,9 @@ class Reservoir:
 class Source:
     """Counters and accumulators of one source in one replication."""
 
-    def __init__(self, seed, rep, c, rate, dist, cap, batches):
-        self.arrival_gap = Draws(substream(seed, rep, c, 0), lambda g, n: g.exponential(1.0 / rate, n))
-        self.service = Draws(substream(seed, rep, c, 1), dist.sample_n)
-        self.coin = Draws(substream(seed, rep, c, 2), lambda g, n: g.random(n))
+    def __init__(self, seed, rep, c, cap, batches):
         self.system_times = Reservoir(substream(seed, rep, c, 3), cap)
         self.records = Reservoir(substream(seed, rep, c, 4), cap)
-        self.next_arrival = self.arrival_gap()
         self.arrivals = self.delivered = self.preempted = self.discarded = 0
         self.entered_service = self.race_entries = 0
         self.busy_time = self.aoi_area = self.aoi_area_sq = 0.0
@@ -84,29 +92,32 @@ class Source:
                            [0.0] * batches, [0] * batches]
 
 
-def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
-    """One replication of the plain loop."""
-    horizon, target, batches = sim.horizon, sim.delivered_per_source, sim.batches
-    if horizon is not None:
-        warmup_time = sim.warmup_fraction * horizon
-        batch_width = (horizon - warmup_time) / batches
-    else:
-        warm_count = int(round(sim.warmup_fraction * target))
-        counted_target = max(target - warm_count, 1)
-    sources = [
-        Source(sim.seed, rep, c, rate, cfg.service, sim_mod.RESERVOIR_CAPACITY, batches)
-        for c, rate in enumerate(cfg.arrival_rates)
-    ]
-    deliveries = [] if collect_deliveries else None
+class Tally:
+    """The statistics of one replication, added up as each event happens."""
 
-    def batch_of(t, idx):
-        if horizon is not None:
-            k = int((t - warmup_time) / batch_width)
+    def __init__(self, cfg, sim, rep, track_batches, collect_deliveries):
+        self.sim, self.track_batches = sim, track_batches
+        self.sources = [
+            Source(sim.seed, rep, c, sim_mod.RESERVOIR_CAPACITY, sim.batches)
+            for c in range(cfg.num_sources)
+        ]
+        self.deliveries = [] if collect_deliveries else None
+        self.reached = 0  # sources at their delivery target
+        if sim.horizon is not None:
+            self.warmup_time = sim.warmup_fraction * sim.horizon
+            self.batch_width = (sim.horizon - self.warmup_time) / sim.batches
         else:
-            k = ((idx - warm_count - 1) * batches) // counted_target
-        return min(k, batches - 1)
+            self.warm_count = int(round(sim.warmup_fraction * sim.delivered_per_source))
+            self.counted_target = max(sim.delivered_per_source - self.warm_count, 1)
 
-    def add_segment(src, t, k):
+    def batch_of(self, t, idx):
+        if self.sim.horizon is not None:
+            k = int((t - self.warmup_time) / self.batch_width)
+        else:
+            k = ((idx - self.warm_count - 1) * self.sim.batches) // self.counted_target
+        return min(k, self.sim.batches - 1)
+
+    def add_segment(self, src, t, k):
         # exact area under the age and its square from the last delivery
         # (clipped to the measuring window) up to t
         prev = src.last_delivery
@@ -118,17 +129,20 @@ def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
             src.aoi_area += seg
             top = base + dt
             src.aoi_area_sq += (top * top * top - base * base * base) / 3.0
-            if track_batches and k >= 0:
+            if self.track_batches and k >= 0:
                 src.batch_area[k] += seg
                 src.batch_dur[k] += dt
 
-    def deliver(c, t, gen_time):
-        src = sources[c]
+    def deliver(self, c, t, gen_time):
+        """Account source c's delivery at t of a packet generated at
+        gen_time; True once it completes the count rule."""
+        horizon, track_batches = self.sim.horizon, self.track_batches
+        src = self.sources[c]
         t_sys = t - gen_time
         src.delivered += 1
         idx = src.delivered
-        counted = t > warmup_time if horizon is not None else idx > warm_count
-        k = batch_of(t, idx)
+        counted = t > self.warmup_time if horizon is not None else idx > self.warm_count
+        k = self.batch_of(t, idx)
         if counted:
             src.t_sums[0] += 1
             src.t_sums[1] += t_sys
@@ -154,25 +168,112 @@ def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
                     src.batch_sums[3][k] += a
                     src.batch_sums[4][k] += 1
                 src.records.add((prev_t, y, a))
-            add_segment(src, t, k)
+            self.add_segment(src, t, k)
             row = (c, gen_time, t, t_sys, y, a)
-        if collect_deliveries:
-            deliveries.append(row)
+        if self.deliveries is not None:
+            self.deliveries.append(row)
         # the delivery that opens the source's measuring window
         if horizon is not None and idx == 1:
-            src.measure_from = max(t, warmup_time)
-        elif horizon is None and idx == max(warm_count, 1):
+            src.measure_from = max(t, self.warmup_time)
+        elif horizon is None and idx == max(self.warm_count, 1):
             src.measure_from = t
         src.last_delivery = t
         src.last_system_time = t_sys
+        if horizon is None and src.delivered == self.sim.delivered_per_source:
+            self.reached += 1
+        return self.reached == len(self.sources)
 
+    def finish(self, end_time, serving, service_start):
+        """Close the run at end_time, source ``serving`` (or -1) still in
+        service since service_start."""
+        in_flight = [0] * len(self.sources)
+        if serving >= 0:
+            in_flight[serving] = 1
+            self.sources[serving].busy_time += end_time - service_start
+        for src in self.sources:
+            if src.last_delivery != INF:
+                k = self.batch_of(end_time, 0) if self.sim.horizon is not None else self.sim.batches - 1
+                self.add_segment(src, end_time, k)
+        return Replication(end_time, self.sources, in_flight, self.deliveries)
+
+
+def effective_theta(policy):
+    """The policy as the sampler runs it: theta, or None under global preemption."""
+    return {
+        PolicyKind.NON_PREEMPTIVE: 0.0,
+        PolicyKind.SELF_PREEMPTIVE: 1.0,
+        PolicyKind.GLOBALLY_PREEMPTIVE: None,
+    }.get(policy.kind, policy.theta)
+
+
+def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
+    """One replication of the sampler's model, one attempt per iteration."""
+    seed, n, total_rate = sim.seed, cfg.num_sources, cfg.total_rate
+    theta = effective_theta(policy)
+    horizon = sim.horizon if sim.horizon is not None else INF
+    shares = list(itertools.accumulate(cfg.arrival_rates))
+    wait = Draws(substream(seed, rep, n, 0), lambda g, k: g.exponential(1 / total_rate, k))
+    uniform = Draws(substream(seed, rep, n, 1), lambda g, k: g.random(k))
+    global_gap = Draws(substream(seed, rep, n, 2), lambda g, k: g.exponential(1 / total_rate, k))
+    service = [Draws(substream(seed, rep, c, 1), cfg.service.sample_n) for c in range(n)]
+    unit_gap = [Draws(substream(seed, rep, c, 2), lambda g, k: g.standard_exponential(k))
+                for c in range(n)]
+    tally = Tally(cfg, sim, rep, track_batches, collect_deliveries)
+    t, idle, c = 0.0, True, -1
+    while True:
+        if idle:
+            t = t + wait()
+        if idle or theta is None:
+            c = bisect.bisect_right(shares, uniform() * shares[-1])
+        if t > horizon:
+            replication = tally.finish(horizon, -1, 0.0)
+            break
+        src = tally.sources[c]
+        src.entered_service += 1
+        src.race_entries += idle
+        s = service[c]()
+        if theta is None:
+            g = global_gap()
+        elif theta:
+            g = unit_gap[c]() / (theta * cfg.arrival_rates[c])
+        else:
+            g = INF
+        end = t + s if s <= g else t + g
+        if end > horizon:
+            replication = tally.finish(horizon, c, t)
+            break
+        src.busy_time += end - t
+        idle = s <= g
+        if not idle:
+            src.preempted += 1
+        elif tally.deliver(c, end, t):
+            replication = tally.finish(end, -1, 0.0)
+            break
+        t = end
+    busy = total(src.busy_time for src in replication.sources)
+    for c, src in enumerate(replication.sources):
+        if theta is not None:
+            mean = cfg.arrival_rates[c] * (busy - theta * src.busy_time)
+            src.discarded = int(substream(seed, rep, c, 0).poisson(mean))
+        src.arrivals = src.entered_service + src.discarded
+    return replication
+
+
+def arrival_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
+    """One replication of the model read literally, one event per iteration."""
+    seed, horizon = sim.seed, sim.horizon
+    tally = Tally(cfg, sim, rep, track_batches, collect_deliveries)
+    sources = tally.sources
+    gap = [Draws(substream(seed, rep, c, 0), lambda g, n, r=rate: g.exponential(1.0 / r, n))
+           for c, rate in enumerate(cfg.arrival_rates)]
+    service = [Draws(substream(seed, rep, c, 1), cfg.service.sample_n) for c in range(len(sources))]
+    coin = [Draws(substream(seed, rep, c, 2), lambda g, n: g.random(n)) for c in range(len(sources))]
+    next_arrival = [draw() for draw in gap]
     serving = -1  # the source in service, or -1 when the server is idle
     dep_time = INF
     service_start = gen_time = 0.0
-    reached = 0  # sources at their delivery target
-    end_time = horizon
     while True:
-        arrival_time = min(s.next_arrival for s in sources)
+        arrival_time = min(next_arrival)
         if dep_time <= arrival_time:
             t = dep_time
             if horizon is not None and t > horizon:
@@ -180,19 +281,15 @@ def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
             c = serving
             sources[c].busy_time += t - service_start
             serving, dep_time = -1, INF
-            deliver(c, t, gen_time)
-            if target is not None and sources[c].delivered == target:
-                reached += 1
-                if reached == len(sources):
-                    end_time = t
-                    break
+            if tally.deliver(c, t, gen_time):
+                return tally.finish(t, -1, 0.0)
             continue
         t = arrival_time
         if horizon is not None and t > horizon:
             break
-        c = [s.next_arrival for s in sources].index(t)
+        c = next_arrival.index(t)
         src = sources[c]
-        src.next_arrival = t + src.arrival_gap()
+        next_arrival[c] = t + gap[c]()
         src.arrivals += 1
         if serving < 0:
             src.race_entries += 1
@@ -201,26 +298,16 @@ def simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries):
         elif serving != c or policy.kind is PolicyKind.NON_PREEMPTIVE:
             src.discarded += 1
             continue
-        elif policy.kind is PolicyKind.PROBABILISTIC and not src.coin() < policy.theta:
+        elif policy.kind is PolicyKind.PROBABILISTIC and not coin[c]() < policy.theta:
             src.discarded += 1
             continue
         if serving >= 0:  # the packet in service is preempted
             sources[serving].busy_time += t - service_start
             sources[serving].preempted += 1
         serving, gen_time, service_start = c, t, t
-        dep_time = t + src.service()
+        dep_time = t + service[c]()
         src.entered_service += 1
-
-    in_flight = [0] * len(sources)
-    if serving >= 0:
-        in_flight[serving] = 1
-        sources[serving].busy_time += end_time - service_start
-    for src in sources:
-        if src.last_delivery != INF:
-            k = batch_of(end_time, 0) if horizon is not None else batches - 1
-            add_segment(src, end_time, k)
-
-    return Replication(end_time, sources, in_flight, deliveries)
+    return tally.finish(horizon, serving, service_start)
 
 
 # one replication: its end, its Source objects, the packet in flight at the
@@ -349,11 +436,11 @@ def merge(cfg, policy, sim, reps):
     )
 
 
-def reference_run(cfg, policy, sim, collect_deliveries=False):
-    """``aoiq.sim.run`` computed by the reference loop and merge, one worker."""
+def reference_run(cfg, policy, sim, collect_deliveries=False, loop=episode_loop):
+    """``aoiq.sim.run`` computed by a reference loop and the plain merge."""
     track_batches = sim.replications == 1
     reps = [
-        simulate_once(cfg, policy, sim, rep, track_batches, collect_deliveries)
+        loop(cfg, policy, sim, rep, track_batches, collect_deliveries)
         for rep in range(sim.replications)
     ]
     return merge(cfg, policy, sim, reps)
