@@ -250,31 +250,34 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
                 gap = gaps[c].standard_exponential(k) / (theta * rates[c]) if theta else _INF
                 dur, ok = np.concatenate((dur, np.minimum(svc, gap))), np.concatenate((ok, svc <= gap))
             pools[c] = dur, ok
-        sizes = np.array([len(ok) for _, ok in pools])
+        sizes, found = np.array([(len(ok), np.count_nonzero(ok)) for _, ok in pools]).T
         dur, ok = (np.concatenate(x) for x in zip(*pools))
-        src = np.repeat(np.arange(n), sizes)
-        found = np.bincount(src[ok], minlength=n)
-        # each attempt's episode within its source, and each win's rank within its source
-        episode = np.cumsum(ok) - ok - (np.cumsum(found) - found)[src]
+        off, base = np.cumsum(sizes) - sizes, np.cumsum(found) - found + np.arange(n)
+        # source c's r-th episode spans pool positions lo[base[c] + r] to hi[base[c] + r];
+        # at r = found[c], what follows its last delivery, which ends no episode
+        ends = np.flatnonzero(ok)  # the deliveries, source by source
+        key = np.arange(len(ends)) + np.repeat(np.arange(n), found)
+        lo, hi = np.empty(len(ends) + n + 1, np.intp), np.empty(len(ends) + n, np.intp)
+        lo[key + 1], lo[base], lo[-1] = ends + 1, off, len(ok)
+        hi[key], hi[base + found] = ends, off + sizes - 1
+        # each win's rank within its source: episodes up to the first whose
+        # source lacks its delivery, that one in part
         order, first = np.argsort(v, kind="stable"), np.cumsum(need) - need
         rank = np.empty_like(order)
         rank[order] = np.arange(len(v)) - first[v[order]]
-        # episodes up to the first whose source lacks its delivery, that one in part
         complete = rank < found[v]
         m = len(v) - 1 if complete.all() else int(np.argmin(complete))
-        slot = np.full(len(src), len(v))  # each attempt's episode in the block
-        mine = episode < need[src]
-        slot[mine] = order[first[src[mine]] + episode[mine]]
-        take = slot <= m
-        idx = np.flatnonzero(take)
-        idx = idx[np.argsort(slot[idx], kind="stable")]
-        ep = slot[idx]
-        opens = np.concatenate(([True], ep[1:] != ep[:-1]))
-        block, t = _lay_out(t, src[idx], np.where(opens, w[ep], 0.0), dur[idx], ok[idx], limit)
+        e = base[v[: m + 1]] + rank[: m + 1]
+        size = hi[e] + 1 - lo[e]
+        heads = np.cumsum(size) - size
+        idx = np.repeat(lo[e] - heads, size) + np.arange(heads[-1] + size[-1])
+        idle = np.zeros(len(idx))  # each episode's wait, before its first attempt
+        idle[heads[size > 0]] = w[: m + 1][size > 0]
+        block, t = _lay_out(t, np.repeat(v[: m + 1], size), idle, dur[idx], ok[idx], limit)
         yield block
-        split = np.cumsum(np.bincount(src[~take], minlength=n))[:-1]
-        pools = list(zip(np.split(dur[~take], split), np.split(ok[~take], split)))
-        if ep[-1] == m and not complete[m]:  # the episode resumes without its wait
+        cut = lo[base + np.bincount(v[: m + 1], minlength=n)]  # each pool's first attempt left
+        pools = [(dur[i:j], ok[i:j]) for i, j in zip(cut, off + sizes)]
+        if size[-1] and not complete[m]:  # the episode resumes without its wait
             w[m] = 0.0
         w, v = w[m + complete[m]:], v[m + complete[m]:]
 
