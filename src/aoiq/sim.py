@@ -271,9 +271,9 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
         size = hi[e] + 1 - lo[e]
         heads = np.cumsum(size) - size
         idx = np.repeat(lo[e] - heads, size) + np.arange(heads[-1] + size[-1])
-        idle = np.zeros(len(idx))  # each episode's wait, before its first attempt
-        idle[heads[size > 0]] = w[: m + 1][size > 0]
-        block, t = _lay_out(t, np.repeat(v[: m + 1], size), idle, dur[idx], ok[idx], limit)
+        pause = np.zeros(len(idx))  # each episode's wait, before its first attempt
+        pause[heads[size > 0]] = w[: m + 1][size > 0]
+        block, t = _lay_out(t, np.repeat(v[: m + 1], size), pause, dur[idx], ok[idx], limit)
         yield block
         cut = lo[base + np.bincount(v[: m + 1], minlength=n)]  # each pool's first attempt left
         pools = [(dur[i:j], ok[i:j]) for i, j in zip(cut, off + sizes)]
