@@ -20,7 +20,8 @@ IEEE T-IT 65(12), 2019). Near s = 0 no constant term is formed by a
 subtraction, so a small delivery probability M_c(0) or rate share costs
 no digits, and theta = 0 needs no special case. One term builder
 assembles them in jet arithmetic at an expansion point: at 0 it gives
-exact derivatives, at s the pointwise values.
+exact derivatives, at s the pointwise values; all sources' jets come from
+one memoized service pass per configuration, K_c from prefix and suffix sums.
 
 Moments are additionally computed a second, independent way from binomial
 combinations of the T and Y moments; the two routes share nothing past
@@ -32,8 +33,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .jets import DEFAULT_ORDER, Jet
+from .jets import DEFAULT_ORDER, DIVISION_FLOOR, DivisionBySingularJet, Jet
 from .service import MgfDomainError, ServiceDistribution
 
 __all__ = [
@@ -131,14 +133,10 @@ def _survival_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
     return cfg.service.survival_mgf_jet(shift, order).recenter(s0)
 
 
-def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet, Jet]:
-    """Jets at s0 of M_c, M_Y and (M_Y - 1)/s: the term builder that every
-    transform of ``source`` reads.
-
-    Raises OutsideConvergenceRegion where a denominator is not positive
-    at s0: s0 at or beyond the total rate, a factor 1 - h_c, or the
-    detour factor rate_source - s * K.
-    """
+@lru_cache(maxsize=8)
+def _system_terms(cfg: SystemConfig, s0: float, order: int):
+    """Jets at s0 that all sources share: s, every M_c, H_c and 1 - h_c, and the prefix
+    and suffix sums 1 + sum_{c' < c} g_c', sum_{c' > c} g_c' of g_c = rate_c H_c / (1 - h_c)."""
     if s0 >= cfg.total_rate:
         raise OutsideConvergenceRegion(
             f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
@@ -150,10 +148,25 @@ def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, 
     for c, factor in enumerate(loop_free):
         if factor.coeffs[0] <= 0.0:
             raise OutsideConvergenceRegion(f"self-loop gain of source {c} reaches 1 at s={s0}")
-    k = Jet.constant(1.0, order, s0)
-    for c, rate in enumerate(cfg.arrival_rates):
-        if c != source:
-            k = k + survival[c] * rate / loop_free[c]
+    # a 1 - h_c below the division floor fails only the sources whose K reads g_c
+    g = [h * rate / f if f.coeffs[0] >= DIVISION_FLOOR else None
+         for h, rate, f in zip(survival, cfg.arrival_rates, loop_free)]
+    prefix, suffix = [Jet.constant(1.0, order, s0)], [Jet.constant(0.0, order, s0)]
+    for c in range(cfg.num_sources - 1):  # a sum is None once a term is
+        prefix.append(prefix[-1] and g[c] and prefix[-1] + g[c])
+        suffix.append(g[-1 - c] and suffix[-1] and g[-1 - c] + suffix[-1])
+    return s, service, survival, loop_free, prefix, suffix[::-1]
+
+
+def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet, Jet]:
+    """Jets at s0 of M_c, M_Y and (M_Y - 1)/s, the term builder that every
+    transform of ``source`` reads, with K_c = prefix + suffix of the others.
+    Raises OutsideConvergenceRegion where a denominator is not positive at s0
+    (s0 at or beyond the total rate, a factor 1 - h_c, or rate_c - s * K)."""
+    s, service, survival, loop_free, prefix, suffix = _system_terms(cfg, s0, order)
+    if prefix[source] is None or suffix[source] is None:
+        raise DivisionBySingularJet(f"another source's 1 - h_c is below the floor at s={s0}")
+    k = prefix[source] + suffix[source]
     rate = cfg.arrival_rates[source]
     detour = rate - s * k
     if detour.coeffs[0] <= 0.0:

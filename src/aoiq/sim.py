@@ -179,8 +179,8 @@ class _Replication:
     times: np.ndarray  # (7, sources): the _TIMES
     sums: np.ndarray  # (sources, 6): T count and sum; Y/A count, Y, A and A^2 sums
     batch: np.ndarray  # (sources, 7, batches): see _Tally
-    system_times: list  # per source, the reservoir of system times
-    records: list  # per source, the (n, 3) reservoir of (prev T, Y, A)
+    system_times: list  # per source, the chunks of its reservoir of system times
+    records: list  # per source, the (n, 3) chunks of its reservoir of (prev T, Y, A)
     deliveries: np.ndarray | None  # (n, 6): source, generation, delivery, T, Y, A
 
 
@@ -313,20 +313,22 @@ class _Reservoir:
 
     def __init__(self, rng, width: tuple):
         self._rng, self._cap, self.seen = rng, RESERVOIR_CAPACITY, 0
-        self.items = np.empty((0,) + width)
+        self.chunks = [np.empty((0,) + width)]  # joined once the reservoir fills, or by the merge
 
     def add(self, values: np.ndarray) -> None:
         room = max(self._cap - self.seen, 0)
         if room and len(values):
-            self.items = np.concatenate((self.items, values[:room]))
+            self.chunks.append(values[:room])
         rest = values[room:]
         if len(rest):
+            if len(self.chunks) > 1:
+                self.chunks = [np.concatenate(self.chunks)]
             seen = np.arange(self.seen + room, self.seen + len(values))
             slot = (self._rng.random(len(rest)) * (seen + 1)).astype(np.int64)
             keep = slot < self._cap
             # of the samples landing on one slot, the last stays
             slots, last = np.unique(slot[keep][::-1], return_index=True)
-            self.items[slots] = rest[keep][::-1][last]
+            self.chunks[0][slots] = rest[keep][::-1][last]
         self.seen += len(values)
 
 
@@ -467,8 +469,8 @@ class _Tally:
             np.stack([getattr(self, name) for name in _TIMES]),
             self.sums,
             self.batch,
-            [times.items for times, _ in self.reservoirs],
-            [recs.items for _, recs in self.reservoirs],
+            [times.chunks for times, _ in self.reservoirs],
+            [recs.chunks for _, recs in self.reservoirs],
             None if self.rows is None else np.concatenate(self.rows),
         )
 
@@ -629,8 +631,8 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
                 paoi_mean=m1,
                 paoi_moments=(m1, m2),
                 paoi_ci_halfwidth=hw_a,
-                system_times=np.concatenate([r.system_times[c] for r in reps]),
-                delivery_records=np.concatenate([r.records[c] for r in reps]),
+                system_times=np.concatenate([x for r in reps for x in r.system_times[c]]),
+                delivery_records=np.concatenate([x for r in reps for x in r.records[c]]),
                 rep_windows=windows[:, c],
             )
         )

@@ -1,7 +1,9 @@
 import pytest
 
 from aoiq import (
+    Deterministic,
     Exponential,
+    Gamma,
     LogNormal,
     SystemConfig,
     interdeparture_mgf_jet,
@@ -218,6 +220,67 @@ class TestMoments:
         monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
         with pytest.raises(ConsistencyError):
             moments(ANCHOR, 0, 2)
+
+
+    def test_singular_loop_factor_fails_only_its_readers(self):
+        # delivery probability e^-30 puts the middle source's 1 - h below the
+        # jet division floor: the others' K reads its term, its own K does not
+        from aoiq.jets import DivisionBySingularJet
+
+        cfg = SystemConfig((1.0, 30.0, 2.0), 1.0, Deterministic(1.0))
+        for source in (0, 2):
+            with pytest.raises(DivisionBySingularJet):
+                moments(cfg, source, 2)
+        assert moments(cfg, 1, 2).mean_aoi == pytest.approx(3.562158193841e11, rel=1e-9)
+
+
+class TestOneServicePass:
+    """Every source's service jets belong to the configuration: they are
+    built once per configuration, not once per tracked source."""
+
+    @staticmethod
+    def _count_requests(monkeypatch):
+        counts = {"mgf_jet": 0, "survival_mgf_jet": 0}
+        for name in counts:
+            original = getattr(Gamma, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Gamma, name, counted)
+        return counts
+
+    @staticmethod
+    def _config(n, offset):
+        # distinct rates, so that no two sources share a service jet
+        rates = tuple(0.1 + offset + 0.01 * c for c in range(n))
+        return SystemConfig(rates, 0.28, Gamma(2.0, 4.0))
+
+    def test_one_request_per_source_and_kind(self, monkeypatch):
+        counts = self._count_requests(monkeypatch)
+        cfg = self._config(32, 0.123)
+        for c in range(cfg.num_sources):
+            moments(cfg, c, 2)
+        assert counts == {"mgf_jet": 32, "survival_mgf_jet": 32}
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from aoiq.analytic import _system_terms
+
+        maxsize = _system_terms.cache_info().maxsize
+        assert maxsize is not None
+        counts = self._count_requests(monkeypatch)
+        first = self._config(3, 0.456)
+        moments(first, 0, 2)
+        for i in range(maxsize - 1):
+            moments(self._config(3, 1.0 + i), 0, 2)
+        moments(first, 1, 2)  # still held, and now the most recent
+        assert counts["mgf_jet"] == 3 * maxsize
+        for i in range(maxsize + 1):
+            moments(self._config(3, 100.0 + i), 0, 2)
+        moments(first, 2, 2)
+        assert counts["mgf_jet"] == 3 * (2 * maxsize + 2)
+        assert counts["survival_mgf_jet"] == counts["mgf_jet"]
 
 
 class TestPointEval:

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +223,28 @@ class TestOverridesAndReproducibility:
         first = out.read_bytes()
         assert main(["sweep", "-c", spec, "--seed", "8"]) == 0
         assert out.read_bytes() != first
+
+
+# sha256 of `aoiq analytic -c configs/<name>.ini`: a refactor of the closed
+# forms must leave every shipped analytic CSV byte-identical; a change that
+# moves a cell on purpose updates the digest and says which cells moved
+SHIPPED_ANALYTIC_SHA256 = {
+    "sweep_lambda1_theta_02": "0e07bc3af6520a23fe599519f582f9337e147908b7c0efef927d7812d08fb542",
+    "sweep_lambda1_theta_06": "f2a36fd9824afa64ecbdb8361a440a609025b9a5b8e739b18fd812053c7f736e",
+    "sweep_lambda1_theta_09": "313e10d703fa19a4d3d3d1b48e8eadc3e8138316f753f7140f3e1fd107f9a752",
+    "sweep_theta_lambda1_2": "f44685f0f1782558f5158e90b2112efccfa90d29f9a12dd8709a385af3f970ff",
+    "sweep_theta_lambda1_4": "6eba36e8b15347ee9a3eeb16819dca74d460d7b589999e5f0f52a530edd83012",
+    "sweep_theta_lambda1_5": "bf9d5ef40b1b7ee0c29ba2a11edfc22f97c4daf8a4f69e14d27331f8151711aa",
+}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(p.stem for p in CONFIGS.glob("*.ini")) == sorted(SHIPPED_ANALYTIC_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_ANALYTIC_SHA256))
+def test_shipped_analytic_csv_is_byte_identical(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main(["analytic", "-c", str(CONFIGS / f"{name}.ini"), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_ANALYTIC_SHA256[name]

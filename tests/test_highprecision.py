@@ -79,6 +79,9 @@ CASES = [
     SystemConfig((0.9, 1e-7), 0.9, Exponential(1.2)),
     # near-certain preemption: delivery probability e^-20 for source 0
     SystemConfig((20.0, 1.0), 1.0, Deterministic(1.0)),
+    # a lone source at delivery probability e^-31: its 1 - h_c is below
+    # the jet division floor, and no other source's term divides by it
+    SystemConfig((62.0,), 1.0, Deterministic(0.5)),
 ]
 
 
@@ -188,8 +191,19 @@ def _mp_moments_on_float_jets(cfg, source, max_order):
         )
 
 
+# from three sources on, K_c is a prefix plus a suffix sum of the other
+# sources' terms, so its rounding differs from a plain sum over them
+MANY_RATES = (
+    (2.0, 6.0),
+    (4.0, 4.0),
+    (5.0, 3.0),
+    (1.0, 2.5, 4.5),
+    tuple(8.0 * (c + 1) / 528.0 for c in range(32)),
+)
+
+
 @pytest.mark.parametrize("theta", (0.0, 0.35, 1.0))
-@pytest.mark.parametrize("rates", ((2.0, 6.0), (4.0, 4.0), (5.0, 3.0)))
+@pytest.mark.parametrize("rates", MANY_RATES)
 def test_moments_on_shared_service_jets(rates, theta):
     cfg = SystemConfig(rates, theta, LogNormal(-1.0, 1.0))
     for source in range(cfg.num_sources):
