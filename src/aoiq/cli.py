@@ -37,7 +37,7 @@ _NUMERICAL_ERRORS = (
 )
 
 _OVERRIDES = {
-    # flag dest -> (section, key)
+    # flag dest -> (section, key); the flag is --dest with "-" for "_"
     "arrival_rates": ("system", "arrival_rates"),
     "theta": ("system", "theta"),
     "service": ("system", "service"),
@@ -60,22 +60,9 @@ _OVERRIDES = {
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-c", "--config", required=True, help="spec file (INI sections)")
     sub.add_argument("--workers", type=int, default=1, help="parallel replication workers")
-    sub.add_argument("--arrival-rates", dest="arrival_rates")
-    sub.add_argument("--theta")
-    sub.add_argument("--service")
-    sub.add_argument("--axis")
-    sub.add_argument("--start")
-    sub.add_argument("--stop")
-    sub.add_argument("--points")
-    sub.add_argument("--policies")
-    sub.add_argument("--mode")
-    sub.add_argument("--horizon")
-    sub.add_argument("--delivered")
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction")
-    sub.add_argument("--seed")
-    sub.add_argument("--replications")
-    sub.add_argument("--batches")
-    sub.add_argument("-o", "--output")
+    for dest in _OVERRIDES:
+        short = ("-o",) if dest == "output" else ()
+        sub.add_argument(*short, "--" + dest.replace("_", "-"), dest=dest)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .analytic import SystemConfig
@@ -121,9 +122,16 @@ def _as_int(raw, section, key, default=None):
     if value is None:
         return default
     try:
-        return int(float(value)) if "e" in value.lower() else int(value)
+        return int(value)
     except ValueError:
-        raise ParseError(f"[{section}] {key} = {value!r} is not an integer") from None
+        pass
+    try:
+        number = float(value)  # exponent notation, such as 1e5
+    except ValueError:
+        number = math.nan
+    if not number.is_integer():  # nor is inf or nan
+        raise ParseError(f"[{section}] {key} = {value!r} is not an integer")
+    return int(number)
 
 
 def build_spec(raw: dict[str, dict[str, str]]) -> ExperimentSpec:

@@ -24,11 +24,13 @@ loop over the same substreams, bit for bit.
 
 Substreams: ``substream(seed, rep, c, k)`` serves source c with k = 0
 its discards, 1 service times, 2 unit-exponential preemption gaps
-(divided by theta lambda_c), 3 and 4 the reservoirs; the system key
+(divided by theta lambda_c), 3 the system-time reservoir; k = 4 is
+retired, and no new use takes it over. The system key
 ``(rep, C, k)``, C the number of sources and so no source index, serves
 k = 0 the idle waits, 1 the winners, 2 the global preemption gaps. The
 non-preemptive and self-preemptive policies run as the probabilistic one
-at theta = 0 / 1, so those runs are bit-identical under shared seeds.
+at theta = 0 / 1 (``Policy.effective_theta``), so those runs are
+bit-identical under shared seeds.
 """
 
 from __future__ import annotations
@@ -128,6 +130,14 @@ class Policy:
     def globally_preemptive(cls) -> "Policy":
         return cls(PolicyKind.GLOBALLY_PREEMPTIVE)
 
+    @property
+    def effective_theta(self) -> float | None:
+        """The preemption probability the policy acts with: theta, 0 for the
+        non-preemptive and 1 for the self-preemptive policy; None under
+        global preemption, where no theta applies."""
+        return {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0,
+                PolicyKind.GLOBALLY_PREEMPTIVE: None}.get(self.kind, self.theta)
+
     def label(self) -> str:
         if self.kind is PolicyKind.PROBABILISTIC:
             return f"probabilistic(theta={self.theta:g})"
@@ -150,7 +160,7 @@ class SimConfig:
             raise InvalidConfig("set exactly one of horizon / delivered_per_source")
         if self.horizon is not None and not 0 < self.horizon < _INF:
             raise InvalidConfig(f"horizon must be positive and finite, got {self.horizon}")
-        for name in ("delivered_per_source", "replications", "batches"):
+        for name in ("seed", "delivered_per_source", "replications", "batches"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
@@ -180,7 +190,6 @@ class _Replication:
     sums: np.ndarray  # (sources, 6): T count and sum; Y/A count, Y, A and A^2 sums
     batch: np.ndarray  # (sources, 7, batches): see _Tally
     system_times: list  # per source, the chunks of its reservoir of system times
-    records: list  # per source, the (n, 3) chunks of its reservoir of (prev T, Y, A)
     deliveries: np.ndarray | None  # (n, 6): source, generation, delivery, T, Y, A
 
 
@@ -311,9 +320,9 @@ class _Reservoir:
     """Algorithm R: the first ``RESERVOIR_CAPACITY`` samples, then sample ``seen``
     (from 0) takes slot int(u * (seen + 1)) if below it, u from its own substream."""
 
-    def __init__(self, rng, width: tuple):
+    def __init__(self, rng):
         self._rng, self._cap, self.seen = rng, RESERVOIR_CAPACITY, 0
-        self.chunks = [np.empty((0,) + width)]  # joined once the reservoir fills, or by the merge
+        self.chunks = [np.empty(0)]  # joined once the reservoir fills, or by the merge
 
     def add(self, values: np.ndarray) -> None:
         room = max(self._cap - self.seen, 0)
@@ -342,8 +351,9 @@ _TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "first_deliver
 class _Tally:
     """One replication's statistics, fed a block of attempts at a time."""
 
-    def __init__(self, n_src: int, sim: SimConfig, rep: int, track_batches: bool, collect: bool):
-        self.n, self.sim, self.b = n_src, sim, sim.batches if track_batches else 0
+    def __init__(self, n_src: int, sim: SimConfig, rep: int, collect: bool):
+        # batches give a single run its CIs; replications give them otherwise
+        self.n, self.sim, self.b = n_src, sim, sim.batches if sim.replications == 1 else 0
         if sim.horizon is not None:
             self.warmup = sim.warmup_fraction * sim.horizon
             self.width = (sim.horizon - self.warmup) / sim.batches
@@ -357,8 +367,7 @@ class _Tally:
         self.sums = np.zeros((n_src, 6))  # T count and sum; Y/A count, Y, A and A^2 sums
         # per source and batch: T sum and count, Y and A sums and count, area, duration
         self.batch = np.zeros((n_src, 7, self.b))
-        self.reservoirs = [[_Reservoir(substream(sim.seed, rep, c, k), w)  # T; (prev T, Y, A)
-                            for k, w in ((3, ()), (4, (3,)))] for c in range(n_src)]
+        self.reservoirs = [_Reservoir(substream(sim.seed, rep, c, 3)) for c in range(n_src)]
         self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
 
@@ -432,12 +441,9 @@ class _Tally:
             _add_in_order(self.batch, *_columns(src * 7 * b + np.minimum(k, b - 1), b, [
                 (counted, sys_t), (counted, 1.0), (both, y), (both, a), (both, 1.0),
                 (seg, area), (seg, dt)]))
-        records = np.column_stack((prev_t, y, a))
         for c in np.flatnonzero(counts):
             rows = slice(first[c], first[c] + counts[c])
-            times, recs = self.reservoirs[c]
-            times.add(sys_t[rows][counted[rows]])
-            recs.add(records[rows][both[rows]])
+            self.reservoirs[c].add(sys_t[rows][counted[rows]])
         if self.rows is not None:
             dump = np.empty((len(t), 6))
             y[~later] = a[~later] = np.nan
@@ -469,8 +475,7 @@ class _Tally:
             np.stack([getattr(self, name) for name in _TIMES]),
             self.sums,
             self.batch,
-            [times.chunks for times, _ in self.reservoirs],
-            [recs.chunks for _, recs in self.reservoirs],
+            [r.chunks for r in self.reservoirs],
             None if self.rows is None else np.concatenate(self.rows),
         )
 
@@ -480,14 +485,12 @@ def _simulate_once(
     policy: Policy,
     sim: SimConfig,
     rep: int,
-    track_batches: bool,
     collect_deliveries: bool,
 ) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
-    theta = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0,
-             PolicyKind.GLOBALLY_PREEMPTIVE: None}.get(policy.kind, policy.theta)
-    tally = _Tally(cfg.num_sources, sim, rep, track_batches, collect_deliveries)
+    theta = policy.effective_theta
+    tally = _Tally(cfg.num_sources, sim, rep, collect_deliveries)
     end_time = limit
     for block in _attempts(cfg, sim.seed, rep, theta, limit):
         stop = tally.add(*block)
@@ -534,7 +537,6 @@ class SourceStats:
     paoi_moments: tuple[float, float]  # raw moments m1, m2
     paoi_ci_halfwidth: float
     system_times: np.ndarray
-    delivery_records: np.ndarray  # columns: prev system time, interdep, peak age
     rep_windows: np.ndarray  # per rep: end, measure_from, area, first/last delivery, last T
 
 
@@ -632,7 +634,6 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
                 paoi_moments=(m1, m2),
                 paoi_ci_halfwidth=hw_a,
                 system_times=np.concatenate([x for r in reps for x in r.system_times[c]]),
-                delivery_records=np.concatenate([x for r in reps for x in r.records[c]]),
                 rep_windows=windows[:, c],
             )
         )
@@ -662,11 +663,7 @@ def run(
     """
     if not isinstance(policy, Policy):
         raise InvalidConfig(f"not a policy: {policy!r}")
-    track_batches = sim.replications == 1
-    args = [
-        (cfg, policy, sim, rep, track_batches, collect_deliveries)
-        for rep in range(sim.replications)
-    ]
+    args = [(cfg, policy, sim, rep, collect_deliveries) for rep in range(sim.replications)]
     if workers > 1 and sim.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_simulate_once, *zip(*args)))
@@ -694,6 +691,10 @@ def empirical_mgf(samples, s: float) -> tuple[float, float]:
 def empirical_aoi_mgf(records: np.ndarray, s: float, groups: int = 20) -> tuple[float, float]:
     """Stationary-AoI MGF estimate from delivery records, plus standard error.
 
+    ``records`` has one row per segment of the sawtooth: the previous
+    delivery's system time, the interdeparture time and the peak age. A
+    source's rows follow from consecutive rows of the delivery dump of
+    ``run(..., collect_deliveries=True)`` within one replication.
     Over one sawtooth segment the age runs linearly from the previous
     system time up to the peak, so the time integral of exp(s * age) has a
     closed form per record; the estimate is a ratio of segment sums and

@@ -74,42 +74,20 @@ def _config_at(spec: ExperimentSpec, value: float | None) -> SystemConfig:
     return SystemConfig((value, total - value), base.theta, base.service)
 
 
-def _effective_policy(kind: PolicyKind, theta: float) -> Policy:
-    """The policy as the simulator sees it at preemption probability theta.
-
-    Only the probabilistic policy reads theta, and at theta 0 or 1 it is
-    bit-identical to the non-preemptive or self-preemptive policy (see
-    ``aoiq.sim``), so those two values map onto the baselines.
-    """
-    if kind is not PolicyKind.PROBABILISTIC:
-        return Policy(kind)
-    if theta == 0.0:
-        return Policy.non_preemptive()
-    if theta == 1.0:
-        return Policy.self_preemptive()
-    return Policy.probabilistic(theta)
-
-
 def _system_key(cfg: SystemConfig, policy: Policy) -> tuple:
-    """Equal keys mean equal closed forms and bit-identical simulations."""
-    return cfg.arrival_rates, cfg.service, policy
+    """Equal keys mean equal closed forms and bit-identical simulations:
+    the probabilistic policy at theta 0 or 1 acts as the non-preemptive or
+    self-preemptive one (see ``aoiq.sim``)."""
+    return cfg.arrival_rates, cfg.service, policy.effective_theta
 
 
-def _analytic_block(cfg: SystemConfig, policies) -> dict[PolicyKind, list | None]:
-    """Per-policy per-source analytic metrics; None where no closed form."""
-    out: dict[PolicyKind, list | None] = {}
-    theta_map = {
-        PolicyKind.PROBABILISTIC: cfg.theta,
-        PolicyKind.NON_PREEMPTIVE: 0.0,
-        PolicyKind.SELF_PREEMPTIVE: 1.0,
-    }
-    for kind in policies:
-        if kind is PolicyKind.GLOBALLY_PREEMPTIVE:
-            out[kind] = None
-            continue
-        eff = SystemConfig(cfg.arrival_rates, theta_map[kind], cfg.service)
-        out[kind] = [moments(eff, c, 2) for c in range(cfg.num_sources)]
-    return out
+def _analytic_block(cfg: SystemConfig, policy: Policy) -> list | None:
+    """Per-source analytic metrics of one policy; None where no closed form."""
+    theta = policy.effective_theta
+    if theta is None:
+        return None
+    eff = SystemConfig(cfg.arrival_rates, theta, cfg.service)
+    return [moments(eff, c, 2) for c in range(cfg.num_sources)]
 
 
 _METRICS = ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "ci_halfwidth")
@@ -193,7 +171,7 @@ def iter_sweep_rows(
     do_simulate = spec.mode in ("simulate", "both")
     solved: dict[tuple, _Block] = {}
     simulated: dict[tuple, _Block] = {
-        _system_key(r.system, _effective_policy(r.policy.kind, r.policy.theta)): _simulated_block(r)
+        _system_key(r.system, r.policy): _simulated_block(r)
         for r in reports
         if r.sim == spec.sim
     }
@@ -201,11 +179,13 @@ def iter_sweep_rows(
     for value in grid_values(spec):
         cfg = _config_at(spec, value)
         axis_value = "" if value is None else value
-        policies = {kind: _effective_policy(kind, cfg.theta) for kind in spec.policies}
+        policies = {kind: Policy.probabilistic(cfg.theta) if kind is PolicyKind.PROBABILISTIC
+                    else Policy(kind) for kind in spec.policies}
         keys = {kind: _system_key(cfg, policy) for kind, policy in policies.items()}
 
         if do_analytic:
-            for kind, metrics in _analytic_block(cfg, _unseen(keys, solved)).items():
+            for kind in _unseen(keys, solved):
+                metrics = _analytic_block(cfg, policies[kind])
                 solved[keys[kind]] = _closed_form_block(metrics, cfg.num_sources)
             blocks = {kind: solved[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "analytic", blocks)

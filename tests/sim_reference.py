@@ -77,7 +77,6 @@ class Source:
 
     def __init__(self, seed, rep, c, cap, batches):
         self.system_times = Reservoir(substream(seed, rep, c, 3), cap)
-        self.records = Reservoir(substream(seed, rep, c, 4), cap)
         self.arrivals = self.delivered = self.preempted = self.discarded = 0
         self.entered_service = self.race_entries = 0
         self.busy_time = self.aoi_area = self.aoi_area_sq = 0.0
@@ -155,8 +154,7 @@ class Tally:
             row = (c, gen_time, t, t_sys, math.nan, math.nan)
         else:
             y = t - src.last_delivery
-            prev_t = src.last_system_time
-            a = prev_t + y
+            a = src.last_system_time + y
             if counted:
                 src.y_sums[0] += 1
                 src.y_sums[1] += y
@@ -167,7 +165,6 @@ class Tally:
                     src.batch_sums[2][k] += y
                     src.batch_sums[3][k] += a
                     src.batch_sums[4][k] += 1
-                src.records.add((prev_t, y, a))
             self.add_segment(src, t, k)
             row = (c, gen_time, t, t_sys, y, a)
         if self.deliveries is not None:
@@ -399,9 +396,6 @@ def merge(cfg, policy, sim, reps):
                 system_times=np.array(
                     [t for _, src in runs for t in src.system_times.items], dtype=float
                 ),
-                delivery_records=np.array(
-                    [rec for _, src in runs for rec in src.records.items], dtype=float
-                ).reshape(-1, 3),
                 rep_windows=np.array(
                     [
                         [end, src.measure_from, src.aoi_area, src.first_delivery,

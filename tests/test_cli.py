@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import aoiq.cli as cli_mod
 from aoiq.cli import main
 
 POINT_SPEC = """
@@ -168,7 +169,7 @@ class TestExitCodes:
 
         spec, _ = write_spec(tmp_path, POINT_SPEC)
 
-        def blow_up(cfg, policies):
+        def blow_up(cfg, policy):
             raise ConvergenceError("quadrature stuck")
 
         monkeypatch.setattr(sweep_mod, "_analytic_block", blow_up)
@@ -216,6 +217,18 @@ class TestOverridesAndReproducibility:
         first = out.read_bytes()
         assert main(["sweep", "-c", spec]) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("dest", cli_mod._OVERRIDES)
+    def test_each_flag_lands_in_its_key(self, tmp_path, monkeypatch, dest):
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+        flag = "-o" if dest == "output" else "--" + dest.replace("_", "-")
+        args = cli_mod._build_parser().parse_args(["sweep", "-c", spec, flag, "1e3"])
+        monkeypatch.setattr(cli_mod, "build_spec", lambda raw: raw)
+        raw = cli_mod._spec_from_args(args)
+        section, key = cli_mod._OVERRIDES[dest]
+        assert raw[section][key] == "1e3"
+        others = [(sec, k) for sec, keys in raw.items() for k, v in keys.items() if v == "1e3"]
+        assert others == [(section, key)]
 
     def test_seed_override_changes_bytes(self, tmp_path):
         spec, out = write_spec(tmp_path, POINT_SPEC)

@@ -141,3 +141,29 @@ class TestRejections:
     def test_bad_distribution(self):
         with pytest.raises(ParseError, match="service"):
             parse_spec("[system]\narrival_rates = 1\nservice = weibull(k=2)\n")
+
+
+# each integer key, in a spec that reads it
+INTEGER_KEYS = {
+    "points": "[sweep]\naxis = theta\nstart = 0\nstop = 1\npoints = {}\n",
+    "delivered": "[simulation]\ndelivered = {}\n",
+    "seed": "[simulation]\nseed = {}\n",
+    "replications": "[simulation]\nreplications = {}\n",
+    "batches": "[simulation]\nbatches = {}\n",
+}
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    @pytest.mark.parametrize("value", ["2.5e0", "1e400", "nan", "many"])
+    def test_non_integers_rejected(self, key, value):
+        with pytest.raises(ParseError, match=key):
+            parse_spec(MINIMAL + INTEGER_KEYS[key].format(value))
+
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_exponent_notation_of_an_integer(self, key):
+        spec = parse_spec(MINIMAL + INTEGER_KEYS[key].format("2e1"))
+        got = {"points": spec.grid and spec.grid[2], "delivered": spec.sim.delivered_per_source,
+               "seed": spec.sim.seed, "replications": spec.sim.replications,
+               "batches": spec.sim.batches}[key]
+        assert got == 20 and type(got) is int

@@ -73,14 +73,16 @@ class TestConfigValidation:
             ("batches", True),
             ("replications", 2.0),
             ("replications", True),
+            ("seed", 1.5),
+            ("seed", True),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
-        kw = {"horizon": 10.0, field: value}
+        kw = {"seed": 1, "horizon": 10.0, field: value}
         if field == "delivered_per_source":
             kw.pop("horizon")
         with pytest.raises(InvalidConfig):
-            SimConfig(seed=1, **kw)
+            SimConfig(**kw)
 
     def test_numpy_integer_counts_accepted(self):
         sim = SimConfig(seed=1, delivered_per_source=np.int64(5), replications=np.int32(2))
@@ -212,13 +214,32 @@ class TestStatsIdenticalEdges:
         assert report.stats_identical(report)
 
 
+def dump_records(report, c):
+    """Source c's (prev T, Y, peak) records from the delivery dump of a run
+    made with ``collect_deliveries=True``: one per counted delivery with a
+    previous one in its replication. A NaN Y marks a replication's first
+    delivery, where the per-replication delivery index of the count rule
+    restarts."""
+    sim = report.sim
+    rows = report.deliveries[report.deliveries[:, 0] == c]
+    fresh = np.isnan(rows[:, 4])
+    if sim.horizon is not None:
+        counted = rows[:, 2] > sim.warmup_fraction * sim.horizon
+    else:
+        pos = np.arange(len(rows))
+        idx = pos - np.maximum.accumulate(np.where(fresh, pos, 0)) + 1
+        counted = idx > int(round(sim.warmup_fraction * sim.delivered_per_source))
+    keep = counted[1:] & ~fresh[1:]
+    return np.column_stack((rows[:-1, 3], rows[1:, 4], rows[1:, 5]))[keep]
+
+
 class TestSampleIdentities:
     def test_paoi_identity_exact(self):
         # every recorded peak equals previous system time plus the
         # interdeparture gap, bit for bit
-        report = run(TWO_EXP, Policy.probabilistic(0.7), small_sim())
-        for s in report.per_source:
-            rec = s.delivery_records
+        report = run(TWO_EXP, Policy.probabilistic(0.7), small_sim(), collect_deliveries=True)
+        for c in range(TWO_EXP.num_sources):
+            rec = dump_records(report, c)
             assert rec.shape[0] > 100
             assert np.all(rec[:, 0] + rec[:, 1] == rec[:, 2])
 
@@ -226,9 +247,10 @@ class TestSampleIdentities:
         # with no warmup, accumulated area between first and last delivery
         # equals the closed form from the recorded samples
         cfg = SystemConfig((0.8,), 1.0, Exponential(1.0))
-        report = run(cfg, Policy.probabilistic(1.0), small_sim(warmup_fraction=0.0))
+        report = run(cfg, Policy.probabilistic(1.0), small_sim(warmup_fraction=0.0),
+                     collect_deliveries=True)
         s = report.per_source[0]
-        rec = s.delivery_records
+        rec = dump_records(report, 0)
         want_between = float(np.sum(rec[:, 0] * rec[:, 1] + 0.5 * rec[:, 1] ** 2))
         end, measure_from, area, first_del, last_del, last_t = s.rep_windows[0]
         tail_dt = end - last_del
@@ -247,6 +269,23 @@ class TestSampleIdentities:
         delivered_total = sum(s.delivered for s in report.per_source)
         assert rows.shape[0] == delivered_total
 
+    def test_records_stay_within_a_replication(self):
+        # each replication's records, built from its own stretch of the
+        # dump, and nothing that pairs one replication's last delivery with
+        # the next one's first
+        sim = SimConfig(seed=5, delivered_per_source=600, warmup_fraction=0.1, replications=3)
+        report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
+        for c in range(TWO_EXP.num_sources):
+            rows = report.deliveries[report.deliveries[:, 0] == c]
+            starts = np.flatnonzero(np.isnan(rows[:, 4]))
+            assert len(starts) == sim.replications
+            # a replication's i-th delivery (from 1) counts past the 60 warm
+            # ones and holds its record i - 2 (from 0)
+            want = [np.column_stack((r[:-1, 3], r[1:, 4], r[1:, 5]))[60 - 1:]
+                    for r in np.split(rows, starts[1:])]
+            assert all(len(w) > 400 for w in want)
+            assert np.array_equal(dump_records(report, c), np.concatenate(want))
+
     def test_count_stop_rule(self):
         sim = SimConfig(seed=4, delivered_per_source=500, warmup_fraction=0.0)
         report = run(TWO_EXP, Policy.probabilistic(0.5), sim)
@@ -255,9 +294,10 @@ class TestSampleIdentities:
 
 
 class TestAccumulatorsMatchReservoirs:
-    # below the reservoir capacity a reservoir holds every counted sample,
-    # so the running sums behind the reported means and PAoI moments must
-    # reproduce the sample averages up to summation rounding
+    # below the reservoir capacity the reservoir holds every counted system
+    # time, and the dump holds every delivery, so the running sums behind
+    # the reported means and PAoI moments must reproduce the sample
+    # averages up to summation rounding
     @pytest.mark.parametrize("replications", [1, 3])
     @pytest.mark.parametrize(
         "stop",
@@ -266,10 +306,10 @@ class TestAccumulatorsMatchReservoirs:
     )
     def test_sums_match_samples(self, stop, replications):
         sim = SimConfig(seed=5, replications=replications, **stop)
-        report = run(TWO_EXP, Policy.probabilistic(0.5), sim)
-        for s in report.per_source:
+        report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
+        for c, s in enumerate(report.per_source):
             assert 1000 < s.delivered < RESERVOIR_CAPACITY
-            rec = s.delivery_records
+            rec = dump_records(report, c)
             assert s.system_times.mean() == pytest.approx(s.system_time_mean, rel=1e-12)
             assert rec[:, 1].mean() == pytest.approx(s.interdeparture_mean, rel=1e-12)
             assert rec[:, 2].mean() == pytest.approx(s.paoi_mean, rel=1e-12)
@@ -289,9 +329,9 @@ def _algorithm_r(samples, cap, rng):
 
 
 class TestReservoirSubstreams:
-    # each reservoir draws its replacement indices from a substream of its
-    # own, purpose 3 for system times and 4 for delivery records, so either
-    # is Algorithm R replayed over its counted samples with that stream
+    # the system-time reservoir draws its replacement indices from a
+    # substream of its own, purpose 3, so it is Algorithm R replayed over
+    # the counted system times with that stream
     @pytest.mark.parametrize(
         "stop",
         [{"horizon": 3000.0}, {"delivered_per_source": 2000}],
@@ -310,12 +350,9 @@ class TestReservoirSubstreams:
             else:
                 counted = np.arange(1, len(rows) + 1) > round(0.1 * sim.delivered_per_source)
             times = rows[counted, 3]
-            records = np.column_stack([rows[:-1, 3], rows[1:, 4], rows[1:, 5]])[counted[1:]]
-            assert len(records) > 4 * cap
+            assert len(times) > 4 * cap
             want_times = _algorithm_r(times, cap, substream(sim.seed, 0, c, 3))
-            want_records = _algorithm_r(records, cap, substream(sim.seed, 0, c, 4))
             assert np.array_equal(s.system_times, want_times)
-            assert np.array_equal(s.delivery_records, want_records)
 
 
 class TestBatchCounts:
@@ -329,7 +366,7 @@ class TestBatchCounts:
     )
     def test_batches_total_the_sums(self, stop):
         sim = SimConfig(seed=5, warmup_fraction=0.0, **stop)
-        rep = _simulate_once(TWO_EXP, Policy.probabilistic(0.5), sim, 0, True, False)
+        rep = _simulate_once(TWO_EXP, Policy.probabilistic(0.5), sim, 0, False)
         for c in range(TWO_EXP.num_sources):
             t_sum, t_cnt, y_sum, a_sum, cnt = rep.batch[c, :5].sum(axis=1)
             t_n, t_total, ya_n, y_total, a_total, _ = rep.sums[c]
@@ -406,9 +443,9 @@ def aoi_mgf_gate(seed):
     """The stationary-AoI transform against the exact per-segment sawtooth
     integral of e^{s * age}."""
     sim = SimConfig(seed=seed, horizon=6e4, warmup_fraction=0.05)
-    report = run(TWO_EXP, Policy.probabilistic(TWO_EXP.theta), sim)
+    report = run(TWO_EXP, Policy.probabilistic(TWO_EXP.theta), sim, collect_deliveries=True)
     want = mgf_point_eval(TWO_EXP, 0, -0.5, Transform.AOI)
-    est, se = empirical_aoi_mgf(report.per_source[0].delivery_records, -0.5)
+    est, se = empirical_aoi_mgf(dump_records(report, 0), -0.5)
     return abs(est - want) < 3 * se, f"z = {(est - want) / se:.2f}"
 
 
