@@ -162,7 +162,9 @@ class SimConfig:
             raise InvalidConfig(f"horizon must be positive and finite, got {self.horizon}")
         for name in ("seed", "delivered_per_source", "replications", "batches"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+            if value is None and name == "delivered_per_source":
+                continue  # the time rule
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.delivered_per_source is not None and not self.delivered_per_source > 0:
             raise InvalidConfig(

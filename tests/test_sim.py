@@ -75,6 +75,8 @@ class TestConfigValidation:
             ("replications", True),
             ("seed", 1.5),
             ("seed", True),
+            ("seed", None),
+            ("batches", None),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
