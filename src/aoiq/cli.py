@@ -19,11 +19,11 @@ import math
 import sys
 
 from .analytic import ConsistencyError, OutsideConvergenceRegion
-from .config import ParseError, ValidationError, build_spec, load_raw
+from .config import SPEC_KEYS, ParseError, ValidationError, build_spec, load_raw
 from .jets import DivisionBySingularJet
 from .semimarkov import SingularSystem
 from .service import ConvergenceError, MgfDomainError
-from .sim import InvalidConfig, Policy, PolicyKind, run
+from .sim import InvalidConfig, Policy, run
 from .sweep import format_number, iter_sweep_rows, write_rows
 from .validate import validation_suite
 
@@ -36,24 +36,12 @@ _NUMERICAL_ERRORS = (
     OutsideConvergenceRegion,
 )
 
+# flag dest -> (section, key); the dest is the key, "output" for [output] path,
+# and the flag is --dest with "-" for "_"
 _OVERRIDES = {
-    # flag dest -> (section, key); the flag is --dest with "-" for "_"
-    "arrival_rates": ("system", "arrival_rates"),
-    "theta": ("system", "theta"),
-    "service": ("system", "service"),
-    "axis": ("sweep", "axis"),
-    "start": ("sweep", "start"),
-    "stop": ("sweep", "stop"),
-    "points": ("sweep", "points"),
-    "policies": ("sweep", "policies"),
-    "mode": ("sweep", "mode"),
-    "horizon": ("simulation", "horizon"),
-    "delivered": ("simulation", "delivered"),
-    "warmup_fraction": ("simulation", "warmup_fraction"),
-    "seed": ("simulation", "seed"),
-    "replications": ("simulation", "replications"),
-    "batches": ("simulation", "batches"),
-    "output": ("output", "path"),
+    "output" if key == "path" else key: (section, key)
+    for section, keys in SPEC_KEYS.items()
+    for key in keys
 }
 
 
@@ -119,10 +107,7 @@ def _dump_deliveries(path: str, deliveries) -> None:
         )
         for row in deliveries:
             source = int(row[0]) + 1
-            cells = [str(source)] + [
-                "" if math.isnan(v) else format_number(v) for v in row[1:]
-            ]
-            writer.writerow(cells)
+            writer.writerow([str(source)] + [format_number(v) for v in row[1:]])
 
 
 def _cmd_table(args) -> int:
@@ -134,7 +119,7 @@ def _cmd_table(args) -> int:
             return 1
         report = run(
             spec.system,
-            _single_policy(spec),
+            Policy.of(spec.policies[0], spec.system.theta),
             spec.sim,
             workers=args.workers,
             collect_deliveries=True,
@@ -145,13 +130,6 @@ def _cmd_table(args) -> int:
     n = write_rows(spec.output_path, iter_sweep_rows(spec, workers=args.workers, reports=reports))
     print(f"wrote {n} rows to {spec.output_path}")
     return 0
-
-
-def _single_policy(spec) -> Policy:
-    kind = spec.policies[0]
-    if kind is PolicyKind.PROBABILISTIC:
-        return Policy.probabilistic(spec.system.theta)
-    return Policy(kind)
 
 
 def _cmd_validate(args) -> int:

@@ -38,20 +38,22 @@ from .analytic import SystemConfig
 from .service import parse_distribution
 from .sim import InvalidConfig, PolicyKind, SimConfig
 
-__all__ = ["ExperimentSpec", "ParseError", "ValidationError", "parse_spec", "load_raw", "build_spec"]
+__all__ = [
+    "ExperimentSpec",
+    "ParseError",
+    "ValidationError",
+    "SPEC_KEYS",
+    "parse_spec",
+    "load_raw",
+    "build_spec",
+]
 
-_SECTIONS = {
-    "system": {"arrival_rates", "theta", "service"},
-    "sweep": {"axis", "start", "stop", "points", "policies", "mode"},
-    "simulation": {
-        "horizon",
-        "delivered",
-        "warmup_fraction",
-        "seed",
-        "replications",
-        "batches",
-    },
-    "output": {"path"},
+# section -> its keys, in the order of the module docstring
+SPEC_KEYS = {
+    "system": ("arrival_rates", "theta", "service"),
+    "sweep": ("axis", "start", "stop", "points", "policies", "mode"),
+    "simulation": ("horizon", "delivered", "warmup_fraction", "seed", "replications", "batches"),
+    "output": ("path",),
 }
 
 _AXES = ("theta", "lambda1", "none")
@@ -88,16 +90,16 @@ def load_raw(text: str) -> dict[str, dict[str, str]]:
         raise ParseError(str(exc)) from exc
     raw: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in SPEC_KEYS:
             raise ParseError(
-                f"unknown section [{section}]; expected one of {sorted(_SECTIONS)}"
+                f"unknown section [{section}]; expected one of {sorted(SPEC_KEYS)}"
             )
         raw[section] = {}
         for key, value in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if key not in SPEC_KEYS[section]:
                 raise ParseError(
                     f"unknown key {key!r} in section [{section}]; "
-                    f"expected one of {sorted(_SECTIONS[section])}"
+                    f"expected one of {sorted(SPEC_KEYS[section])}"
                 )
             raw[section][key] = value
     return raw

@@ -127,7 +127,7 @@ class ServiceDistribution:
 
     def mgf_point(self, t: float) -> float:
         """E[exp(t*U)]; exactly 1 at t = 0."""
-        raise NotImplementedError
+        return 1.0 if t == 0.0 else self.mgf_jet(t, 1).coeffs[0]
 
     def mgf_jet(self, t0: float, order: int = DEFAULT_ORDER) -> Jet:
         """Jet of the MGF at t0: coeffs[k] = E[U^k exp(t0*U)] / k!."""
@@ -195,12 +195,6 @@ class Exponential(ServiceDistribution):
                 f"exponential MGF diverges at t={t} (rate {self.rate})"
             )
 
-    def mgf_point(self, t):
-        if t == 0.0:
-            return 1.0
-        self._check_domain(t)
-        return self.rate / (self.rate - t)
-
     def mgf_jet(self, t0, order=DEFAULT_ORDER):
         self._check_domain(t0)
         # M(t) = r/(r-t): the k-th normalized coefficient at t0 is
@@ -253,12 +247,6 @@ class Gamma(ServiceDistribution):
         if t + _POLE_MARGIN * self.rate >= self.rate:
             raise MgfDomainError(f"gamma MGF diverges at t={t} (rate {self.rate})")
 
-    def mgf_point(self, t):
-        if t == 0.0:
-            return 1.0
-        self._check_domain(t)
-        return (self.rate / (self.rate - t)) ** self.shape
-
     def mgf_jet(self, t0, order=DEFAULT_ORDER):
         self._check_domain(t0)
         # M(t) = (r/(r-t))^k; successive normalized coefficients follow the
@@ -301,9 +289,6 @@ class Deterministic(ServiceDistribution):
 
     def cdf(self, t):
         return 1.0 if t >= self.value else 0.0
-
-    def mgf_point(self, t):
-        return math.exp(t * self.value) if t != 0.0 else 1.0
 
     def mgf_jet(self, t0, order=DEFAULT_ORDER):
         # M(t) = exp(t*d): coefficients exp(t0*d) * d^k / k!.
@@ -366,7 +351,11 @@ class LogNormal(ServiceDistribution):
             coeffs.append(float(np.sum(terms)) / SQRT_PI)
         return coeffs
 
-    def _exp_weighted_coeffs(self, t0: float, order: int) -> list[float]:
+    def _check_domain(self, t):
+        if t > 0:
+            raise MgfDomainError(f"log-normal MGF diverges for t > 0 (got t={t})")
+
+    def mgf_jet(self, t0, order=DEFAULT_ORDER):
         """E[U^k exp(t0*U)] / k! for k = 0..order, by Gauss-Hermite.
 
         With U = exp(loc + scale*Z) the integrand in the standard-normal
@@ -377,23 +366,11 @@ class LogNormal(ServiceDistribution):
         weight underflows or U^k overflows individually while the product
         stays negligible.
         """
-        return _until_stable(
+        self._check_domain(t0)
+        coeffs = _until_stable(
             lambda n: self._quadrature_coeffs(t0, order, n), "MGF", t0, order
         )
-
-    def _check_domain(self, t):
-        if t > 0:
-            raise MgfDomainError(f"log-normal MGF diverges for t > 0 (got t={t})")
-
-    def mgf_point(self, t):
-        if t == 0.0:
-            return 1.0
-        self._check_domain(t)
-        return self._exp_weighted_coeffs(t, 0)[0]
-
-    def mgf_jet(self, t0, order=DEFAULT_ORDER):
-        self._check_domain(t0)
-        return Jet(t0, tuple(self._exp_weighted_coeffs(t0, order)))
+        return Jet(t0, tuple(coeffs))
 
     def _tail_prob_coeffs(self, t0: float, order: int, nodes: int) -> list[float]:
         c = -t0

@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -52,7 +52,6 @@ from .service import (
     Deterministic,
     Exponential,
     Gamma,
-    UnsupportedDensity,
     substream,
 )
 
@@ -71,6 +70,7 @@ __all__ = [
     "empirical_aoi_mgf",
     "CheckResult",
     "CheckSummary",
+    "verdict",
 ]
 
 RESERVOIR_CAPACITY = 100_000
@@ -129,6 +129,11 @@ class Policy:
     @classmethod
     def globally_preemptive(cls) -> "Policy":
         return cls(PolicyKind.GLOBALLY_PREEMPTIVE)
+
+    @classmethod
+    def of(cls, kind: PolicyKind, theta: float) -> "Policy":
+        """The policy of ``kind``; only the probabilistic one takes ``theta``."""
+        return cls.probabilistic(theta) if kind is PolicyKind.PROBABILISTIC else cls(kind)
 
     @property
     def effective_theta(self) -> float | None:
@@ -587,7 +592,7 @@ def _halfwidth(values: np.ndarray) -> float:
     if m < 2:
         return math.nan
     sd = float(np.std(vals, ddof=1))
-    return float(sps.t.ppf(0.975, m - 1)) * sd / math.sqrt(m)
+    return float(special.stdtrit(m - 1, 0.975)) * sd / math.sqrt(m)
 
 
 def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
@@ -724,13 +729,19 @@ def empirical_aoi_mgf(records: np.ndarray, s: float, groups: int = 20) -> tuple[
 class CheckResult:
     name: str
     status: str  # pass | fail | skip
-    statistic: float
-    threshold: float
-    detail: str
+    discrepancy: float
+    tolerance: float
+    detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
+
+
+def verdict(name: str, discrepancy: float, tolerance: float, detail: str = "") -> CheckResult:
+    """Pass iff ``discrepancy <= tolerance``; a NaN discrepancy fails."""
+    status = "pass" if discrepancy <= tolerance else "fail"
+    return CheckResult(name, status, discrepancy, tolerance, detail)
 
 
 @dataclass(frozen=True)
@@ -756,7 +767,7 @@ def _tilted_quantiles(dist, rate: float, n_bins: int) -> np.ndarray:
     if isinstance(dist, Exponential):
         return -np.log1p(-qs) / (dist.rate + rate)
     if isinstance(dist, Gamma):
-        return sps.gamma.ppf(qs, dist.shape, scale=1.0 / (dist.rate + rate))
+        return special.gammaincinv(dist.shape, qs) * (1.0 / (dist.rate + rate))
     if rate == 0.0:
         cdf = dist.cdf  # no tilt: invert the plain CDF
     else:
@@ -775,16 +786,12 @@ def _tilted_quantiles(dist, rate: float, n_bins: int) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _z_check(name: str, z: float, detail: str) -> CheckResult:
-    return CheckResult(name, "pass" if z <= 3.0 else "fail", z, 3.0, detail)
-
-
 def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
     """z-test of the share hits / n against p_expect."""
     p_hat = hits / n
     se = math.sqrt(p_expect * (1.0 - p_expect) / n)
     z = abs(p_hat - p_expect) / se if se > 0 else 0.0
-    return _z_check(name, z, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
+    return verdict(name, z, 3.0, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
 
 
 def empirical_checks(
@@ -830,30 +837,20 @@ def empirical_checks(
                 f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
             )
         else:
-            try:
-                edges = _tilted_quantiles(cfg.service, preempt_rate, n_bins)
-            except UnsupportedDensity:
-                edges = None
-            if edges is None:
-                results.append(
-                    CheckResult(name, "skip", math.nan, math.nan, "no density")
+            edges = _tilted_quantiles(cfg.service, preempt_rate, n_bins)
+            counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
+            expected = samples.size / n_bins
+            stat = float(np.sum((counts - expected) ** 2) / expected)
+            pval = float(special.chdtrc(n_bins - 1, stat))
+            results.append(
+                CheckResult(
+                    name,
+                    "pass" if pval > 1e-3 else "fail",
+                    pval,
+                    1e-3,
+                    f"chi2={stat:.1f} over {n_bins} bins, n={samples.size}",
                 )
-            else:
-                counts = np.bincount(
-                    np.searchsorted(edges, samples), minlength=n_bins
-                )
-                expected = samples.size / n_bins
-                stat = float(np.sum((counts - expected) ** 2) / expected)
-                pval = float(sps.chi2.sf(stat, n_bins - 1))
-                results.append(
-                    CheckResult(
-                        name,
-                        "pass" if pval > 1e-3 else "fail",
-                        pval,
-                        1e-3,
-                        f"chi2={stat:.1f} over {n_bins} bins, n={samples.size}",
-                    )
-                )
+            )
 
         # (ii) delivery probability
         name = f"source{c}:delivery_probability"
@@ -875,12 +872,9 @@ def empirical_checks(
         # (iv) preemption rate over in-service exposure
         name = f"source{c}:preemption_rate"
         if preempt_rate == 0.0:
-            status = "pass" if stats_c.preempted == 0 else "fail"
             results.append(
-                CheckResult(
-                    name, status, float(stats_c.preempted), 0.0,
-                    "no preemption expected at theta*rate = 0",
-                )
+                verdict(name, float(stats_c.preempted), 0.0,
+                        "no preemption expected at theta*rate = 0")
             )
         else:
             expect = preempt_rate * stats_c.busy_time
@@ -895,5 +889,5 @@ def empirical_checks(
                 z = abs(stats_c.preempted - expect) / math.sqrt(expect)
                 detail = (f"{stats_c.preempted} preemptions vs {expect:.1f} expected "
                           f"over exposure {stats_c.busy_time:.1f}")
-                results.append(_z_check(name, z, detail))
+                results.append(verdict(name, z, 3.0, detail))
     return CheckSummary(tuple(results))

@@ -179,8 +179,7 @@ def iter_sweep_rows(
     for value in grid_values(spec):
         cfg = _config_at(spec, value)
         axis_value = "" if value is None else value
-        policies = {kind: Policy.probabilistic(cfg.theta) if kind is PolicyKind.PROBABILISTIC
-                    else Policy(kind) for kind in spec.policies}
+        policies = {kind: Policy.of(kind, cfg.theta) for kind in spec.policies}
         keys = {kind: _system_key(cfg, policy) for kind, policy in policies.items()}
 
         if do_analytic:

@@ -10,33 +10,20 @@ with its measured discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analytic, semimarkov
 from .analytic import SystemConfig, moments_both_routes
 from .config import ExperimentSpec
 from .jets import Jet
-from .sim import InsufficientSamples, Policy, empirical_checks, run
+from .sim import CheckResult, InsufficientSamples, Policy, empirical_checks, run, verdict
 
-__all__ = ["ValidationCheck", "ValidationReport", "validation_suite"]
-
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    status: str  # pass | fail | skip
-    discrepancy: float
-    tolerance: float
-    detail: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
+__all__ = ["ValidationReport", "validation_suite"]
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -50,13 +37,7 @@ def _rel_gap(a: Jet, b: Jet, orders: int) -> float:
     return gap
 
 
-def _verdict(name, gap, tol, detail="") -> ValidationCheck:
-    return ValidationCheck(
-        name, "pass" if gap <= tol else "fail", gap, tol, detail
-    )
-
-
-def _check_normalization(cfg: SystemConfig) -> list[ValidationCheck]:
+def _check_normalization(cfg: SystemConfig) -> list[CheckResult]:
     out = []
     for c in range(cfg.num_sources):
         t_jet = analytic.system_time_mgf_jet(cfg, c)
@@ -64,21 +45,21 @@ def _check_normalization(cfg: SystemConfig) -> list[ValidationCheck]:
         p_jet = analytic.paoi_mgf_jet(cfg, c)
         a_jet = analytic.aoi_mgf_jet(cfg, c)
         gap = max(abs(j.coeffs[0] - 1.0) for j in (t_jet, y_jet, p_jet))
-        out.append(_verdict(f"normalization:source{c}", gap, 1e-10))
+        out.append(verdict(f"normalization:source{c}", gap, 1e-10))
         out.append(
-            _verdict(f"normalization_aoi:source{c}", abs(a_jet.coeffs[0] - 1.0), 1e-8)
+            verdict(f"normalization_aoi:source{c}", abs(a_jet.coeffs[0] - 1.0), 1e-8)
         )
     return out
 
 
-def _check_graph(cfg: SystemConfig) -> list[ValidationCheck]:
+def _check_graph(cfg: SystemConfig) -> list[CheckResult]:
     out = []
     for c in range(cfg.num_sources):
         closed = analytic.interdeparture_mgf_jet(cfg, c)
         graph = semimarkov.build_interdeparture_graph(cfg, c)
         solved = semimarkov.transfer_functions(graph)["delivered"]
         out.append(
-            _verdict(
+            verdict(
                 f"closed_form_vs_graph:source{c}",
                 _rel_gap(closed, solved, 8),
                 1e-9,
@@ -88,20 +69,20 @@ def _check_graph(cfg: SystemConfig) -> list[ValidationCheck]:
     return out
 
 
-def _check_moment_routes(cfg: SystemConfig) -> list[ValidationCheck]:
+def _check_moment_routes(cfg: SystemConfig) -> list[CheckResult]:
     out = []
     for c in range(cfg.num_sources):
         _, _, gap = moments_both_routes(cfg, c, 4)
-        out.append(_verdict(f"moment_routes:source{c}", gap, 1e-8, "orders 1..4"))
+        out.append(verdict(f"moment_routes:source{c}", gap, 1e-8, "orders 1..4"))
     return out
 
 
-def _check_sojourn(cfg: SystemConfig) -> list[ValidationCheck]:
+def _check_sojourn(cfg: SystemConfig) -> list[CheckResult]:
     kit = semimarkov.sojourn_kit(cfg)
     gap = abs(sum(kit.race) - 1.0)
     for d, p in zip(kit.delivery, kit.preempt):
         gap = max(gap, abs(d + p - 1.0))
-    out = [_verdict("sojourn:probabilities", gap, 1e-12)]
+    out = [verdict("sojourn:probabilities", gap, 1e-12)]
     gain_gap = 0.0
     for c in range(cfg.num_sources):
         order = kit.delivered_mgf[c].order
@@ -113,7 +94,7 @@ def _check_sojourn(cfg: SystemConfig) -> list[ValidationCheck]:
             gain_gap, _rel_gap(exit_via_kit, service, order), _rel_gap(loop_via_kit, loop, order)
         )
     out.append(
-        _verdict(
+        verdict(
             "sojourn:gain_identities",
             gain_gap,
             1e-12,
@@ -123,9 +104,10 @@ def _check_sojourn(cfg: SystemConfig) -> list[ValidationCheck]:
     return out
 
 
-def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[ValidationCheck]:
+def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[CheckResult]:
     cfg = spec.system
-    report = run(cfg, Policy.probabilistic(cfg.theta), spec.sim, workers=workers)
+    policy = Policy.probabilistic(cfg.theta)
+    report = run(cfg, policy, spec.sim, workers=workers)
     per_source = [analytic.moments(cfg, c, 2) for c in range(cfg.num_sources)]
     out = []
     for c, m in enumerate(per_source):
@@ -135,12 +117,10 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[Valida
             ("paoi", s.paoi_mean, m.mean_paoi, s.paoi_ci_halfwidth),
         ):
             band = max(0.02 * ana_val, hw if not math.isnan(hw) else 0.0)
-            gap = abs(sim_val - ana_val)
             out.append(
-                ValidationCheck(
+                verdict(
                     f"analytic_vs_sim:{label}:source{c}",
-                    "pass" if gap <= band else "fail",
-                    gap,
+                    abs(sim_val - ana_val),
                     band,
                     f"simulated {sim_val:.6g} vs analytic {ana_val:.6g}",
                 )
@@ -151,33 +131,24 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[Valida
         want = (2.0 * ey * ey - ey2) / (2.0 * ey)
         got = m.mean_paoi - m.mean_aoi
         out.append(
-            _verdict(
+            verdict(
                 f"peak_mean_gap_identity:source{c}",
                 abs(got - want) / max(1.0, abs(want)),
                 1e-8,
                 "peak-minus-mean AoI equals (mean(Y)^2 - Var(Y)) / (2 mean(Y))",
             )
         )
-    checks = []
     try:
-        summary = empirical_checks(report, cfg, Policy.probabilistic(cfg.theta))
-        for r in summary.results:
-            checks.append(
-                ValidationCheck(
-                    f"distribution_fit:{r.name}", r.status, r.statistic, r.threshold, r.detail
-                )
-            )
+        summary = empirical_checks(report, cfg, policy)
     except InsufficientSamples as exc:
-        checks.append(
-            ValidationCheck("distribution_fit", "skip", math.nan, math.nan, str(exc))
-        )
-    return out + checks
+        return out + [CheckResult("distribution_fit", "skip", math.nan, math.nan, str(exc))]
+    return out + [replace(r, name=f"distribution_fit:{r.name}") for r in summary.results]
 
 
 def validation_suite(spec: ExperimentSpec, workers: int = 1) -> ValidationReport:
     """Run every cross-check for the spec's system configuration."""
     cfg = spec.system
-    checks: list[ValidationCheck] = []
+    checks: list[CheckResult] = []
     checks += _check_normalization(cfg)
     checks += _check_graph(cfg)
     checks += _check_moment_routes(cfg)

@@ -216,9 +216,9 @@ def criterion_6(seed):
     )
     return (
         ok,
-        f"1e5 delivered packets: tilted-density chi-square p={fit.statistic:.4f} "
-        f"(>0.001); delivery-probability z={deliv.statistic:.2f} (<=3); "
-        f"race-frequency z={race.statistic:.2f} (<=3); {elapsed:.0f}s (<120s)",
+        f"1e5 delivered packets: tilted-density chi-square p={fit.discrepancy:.4f} "
+        f"(>0.001); delivery-probability z={deliv.discrepancy:.2f} (<=3); "
+        f"race-frequency z={race.discrepancy:.2f} (<=3); {elapsed:.0f}s (<120s)",
     )
 
 

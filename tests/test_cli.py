@@ -139,29 +139,54 @@ class TestExitCodes:
 
     def test_validation_failure_exit_two(self, tmp_path, monkeypatch):
         import aoiq.cli as cli_mod
-        from aoiq.validate import ValidationCheck, ValidationReport
+        from aoiq.sim import CheckResult
+        from aoiq.validate import ValidationReport
 
         spec, _ = write_spec(tmp_path, POINT_SPEC)
-        fake = ValidationReport(
-            (ValidationCheck("always_bad", "fail", 1.0, 0.0, ""),)
-        )
+        fake = ValidationReport((CheckResult("always_bad", "fail", 1.0, 0.0),))
         monkeypatch.setattr(cli_mod, "validation_suite", lambda s, workers=1: fake)
         assert main(["validate", "-c", spec]) == 2
 
     def test_summary_counts_skips_apart(self, tmp_path, monkeypatch, capsys):
         import aoiq.cli as cli_mod
-        from aoiq.validate import ValidationCheck, ValidationReport
+        from aoiq.sim import CheckResult
+        from aoiq.validate import ValidationReport
 
         spec, _ = write_spec(tmp_path, POINT_SPEC)
         fake = ValidationReport(
             (
-                ValidationCheck("good", "pass", 0.0, 1.0, ""),
-                ValidationCheck("too_few_samples", "skip", float("nan"), float("nan"), ""),
+                CheckResult("good", "pass", 0.0, 1.0),
+                CheckResult("too_few_samples", "skip", float("nan"), float("nan")),
             )
         )
         monkeypatch.setattr(cli_mod, "validation_suite", lambda s, workers=1: fake)
         assert main(["validate", "-c", spec]) == 0
         assert "1/2 checks passed, 1 skipped, 0 failed" in capsys.readouterr().out
+
+    def test_validate_lines(self, tmp_path, monkeypatch, capsys):
+        # a NaN discrepancy prints no numbers; a detail follows in parentheses
+        import aoiq.cli as cli_mod
+        from aoiq.sim import CheckResult, verdict
+        from aoiq.validate import ValidationReport
+
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+        fake = ValidationReport(
+            (
+                verdict("moment_routes:source0", 2.5e-13, 1e-8, "orders 1..4"),
+                CheckResult("distribution_fit", "skip", float("nan"), float("nan"), "too few"),
+                verdict("gap", float("nan"), 1.0),
+                verdict("peak", 0.1234567, 0.01),
+            )
+        )
+        monkeypatch.setattr(cli_mod, "validation_suite", lambda s, workers=1: fake)
+        assert main(["validate", "-c", spec]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS moment_routes:source0  discrepancy=2.5e-13 tol=1e-08  (orders 1..4)",
+            "SKIP distribution_fit       (too few)",
+            "FAIL gap" + " " * 18,  # the name padded to the longest one
+            "FAIL peak                   discrepancy=0.123 tol=0.01",
+            "1/4 checks passed, 1 skipped, 2 failed",
+        ]
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
         import aoiq.sweep as sweep_mod

@@ -211,3 +211,21 @@ def test_moments_on_shared_service_jets(rates, theta):
         aoi, paoi = _mp_moments_on_float_jets(cfg, source, 2)
         for got, want in zip(m.aoi_moments + m.paoi_moments, aoi + paoi):
             assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+
+@pytest.mark.parametrize(
+    "dist, t",
+    [(LogNormal(0.0, 2.0), -0.001), (LogNormal(-1.0, 1.0), -0.28 * 6.0)],
+    ids=["wide_near_zero", "paper_law_source1"],
+)
+def test_lognormal_mgf_point(dist, t):
+    # the wide law near t = 0 is where an order-0 node doubling stopped
+    # 1.1e-13 off; the paper's law at source 1's shift (theta 0.28, rate 6)
+    loc, scale, shift = (mp.mpf(repr(x)) for x in (dist.loc, dist.scale, t))
+
+    def weighted(z):
+        return mp.exp(shift * mp.exp(loc + scale * z) - z * z / 2)
+
+    exact = mp.quad(weighted, [-12, -8, -4, -2, 0, 1, 2, 3, 4, 5, 6, 8, 12]) / mp.sqrt(2 * mp.pi)
+    assert dist.mgf_point(t) == pytest.approx(float(exact), rel=1e-14, abs=0.0)

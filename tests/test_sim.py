@@ -96,6 +96,21 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             Policy(PolicyKind.NON_PREEMPTIVE, theta=0.5)
 
+    @pytest.mark.parametrize(
+        "kind, theta",
+        [
+            (PolicyKind.PROBABILISTIC, 0.3),
+            (PolicyKind.NON_PREEMPTIVE, 0.0),
+            (PolicyKind.SELF_PREEMPTIVE, 1.0),
+            (PolicyKind.GLOBALLY_PREEMPTIVE, None),
+        ],
+    )
+    def test_policy_of_kind(self, kind, theta):
+        # only the probabilistic policy takes the spec's theta
+        policy = Policy.of(kind, 0.3)
+        assert policy.kind is kind
+        assert policy.effective_theta == theta
+
 
 class TestCounters:
     @pytest.mark.parametrize(

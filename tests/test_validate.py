@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 import aoiq.validate as validate_mod
 from aoiq.config import parse_spec
 from aoiq.jets import Jet
+from aoiq.sim import Policy, empirical_checks, run
 from aoiq.validate import validation_suite
 
 EXP_SPEC = parse_spec(
@@ -42,6 +45,22 @@ class TestSuite:
             "peak_mean_gap_identity",
             "distribution_fit",
         }
+
+    def test_distribution_fit_is_empirical_checks(self):
+        # the suite reports the simulator's checks as they are, under a
+        # prefix; at this horizon every source has enough samples to check
+        spec = replace(EXP_SPEC, sim=replace(EXP_SPEC.sim, horizon=50_000.0))
+        cfg = spec.system
+        policy = Policy.probabilistic(cfg.theta)
+        want = empirical_checks(run(cfg, policy, spec.sim), cfg, policy).results
+        prefix = "distribution_fit:"
+        got = [
+            replace(c, name=c.name[len(prefix):])
+            for c in validate_mod._check_against_simulation(spec, workers=1)
+            if c.name.startswith(prefix)
+        ]
+        assert len(got) == 4 * cfg.num_sources
+        assert got == list(want)
 
 
 class TestMutationSensitivity:
