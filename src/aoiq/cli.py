@@ -14,9 +14,10 @@ Flags override config-file keys (flag > file > default). Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 from .analytic import ConsistencyError, OutsideConvergenceRegion
 from .config import SPEC_KEYS, ParseError, ValidationError, build_spec, load_raw
@@ -24,7 +25,7 @@ from .jets import DivisionBySingularJet
 from .semimarkov import SingularSystem
 from .service import ConvergenceError, MgfDomainError
 from .sim import InvalidConfig, Policy, run
-from .sweep import format_number, iter_sweep_rows, write_rows
+from .sweep import iter_sweep_rows, write_rows
 from .validate import validation_suite
 
 _NUMERICAL_ERRORS = (
@@ -99,35 +100,32 @@ def _spec_from_args(args) -> "ExperimentSpec":
 
 
 def _dump_deliveries(path: str, deliveries) -> None:
+    # cells as format_number prints them: a NaN (no earlier delivery) is empty
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["source", "generation_time", "delivery_time", "system_time",
-             "interdeparture", "paoi"]
+        fh.write("source,generation_time,delivery_time,system_time,interdeparture,paoi\n")
+        fh.writelines(
+            f"{int(c) + 1},{g:.12g},{d:.12g},{t:.12g},{y:.12g},{a:.12g}\n".replace("nan", "")
+            for c, g, d, t, y, a in deliveries.tolist()
         )
-        for row in deliveries:
-            source = int(row[0]) + 1
-            writer.writerow([str(source)] + [format_number(v) for v in row[1:]])
 
 
 def _cmd_table(args) -> int:
     spec = _spec_from_args(args)
     reports = []
-    if args.command == "simulate" and getattr(args, "dump_samples", None):
-        if spec.axis != "none":
-            print("--dump-samples needs a single-point spec (axis = none)", file=sys.stderr)
-            return 1
-        report = run(
-            spec.system,
-            Policy.of(spec.policies[0], spec.system.theta),
-            spec.sim,
-            workers=args.workers,
-            collect_deliveries=True,
-        )
-        _dump_deliveries(args.dump_samples, report.deliveries)
-        # collecting deliveries leaves the statistics unchanged: the table reuses them
-        reports.append(report)
-    n = write_rows(spec.output_path, iter_sweep_rows(spec, workers=args.workers, reports=reports))
+    dump = args.command == "simulate" and getattr(args, "dump_samples", None)
+    if dump and spec.axis != "none":
+        print("--dump-samples needs a single-point spec (axis = none)", file=sys.stderr)
+        return 1
+    # one pool serves every run of the command; it starts no process until used
+    with ProcessPoolExecutor(args.workers) if args.workers > 1 else contextlib.nullcontext() as pool:
+        if dump:
+            policy = Policy.of(spec.policies[0], spec.system.theta)
+            report = run(spec.system, policy, spec.sim, args.workers, True, executor=pool)
+            _dump_deliveries(args.dump_samples, report.deliveries)
+            # collecting deliveries leaves the statistics unchanged: the table reuses them
+            reports.append(report)
+        rows = iter_sweep_rows(spec, args.workers, reports=reports, executor=pool)
+        n = write_rows(spec.output_path, rows)
     print(f"wrote {n} rows to {spec.output_path}")
     return 0
 

@@ -35,25 +35,19 @@ bit-identical under shared seeds.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .analytic import SystemConfig
-from .service import (
-    Deterministic,
-    Exponential,
-    Gamma,
-    substream,
-)
+from .service import UnsupportedDensity, substream
 
 __all__ = [
     "Policy",
@@ -662,20 +656,22 @@ def run(
     sim: SimConfig,
     workers: int = 1,
     collect_deliveries: bool = False,
+    executor: Executor | None = None,
 ) -> SimReport:
     """Simulate and merge all replications.
 
+    They run on ``executor`` if given, else on a pool of ``workers`` > 1.
     Replications own disjoint substreams and merge in index order, so the
     report is bit-identical no matter how many workers execute them.
     """
     if not isinstance(policy, Policy):
         raise InvalidConfig(f"not a policy: {policy!r}")
     args = [(cfg, policy, sim, rep, collect_deliveries) for rep in range(sim.replications)]
-    if workers > 1 and sim.replications > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_simulate_once, *zip(*args)))
-    else:
-        reps = [_simulate_once(*a) for a in args]
+    with contextlib.ExitStack() as stack:
+        if executor is None and workers > 1 and sim.replications > 1:
+            executor = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        mapper = map if executor is None or sim.replications == 1 else executor.map
+        reps = list(mapper(_simulate_once, *zip(*args)))
     return _merge(cfg, policy, sim, reps)
 
 
@@ -756,36 +752,6 @@ class CheckSummary:
         return [r for r in self.results if r.status == "fail"]
 
 
-def _tilted_quantiles(dist, rate: float, n_bins: int) -> np.ndarray:
-    """Inner bin edges of the exponentially tilted service law.
-
-    The tilted density f_U(t) * exp(-rate * t) / M_U(-rate) is the system
-    time of a delivered packet. Exponential and gamma tilts stay in
-    family; other laws go through numeric CDF inversion.
-    """
-    qs = np.arange(1, n_bins) / n_bins
-    if isinstance(dist, Exponential):
-        return -np.log1p(-qs) / (dist.rate + rate)
-    if isinstance(dist, Gamma):
-        return special.gammaincinv(dist.shape, qs) * (1.0 / (dist.rate + rate))
-    if rate == 0.0:
-        cdf = dist.cdf  # no tilt: invert the plain CDF
-    else:
-        norm = dist.mgf_point(-rate)
-
-        def cdf(t: float) -> float:
-            val, _ = quad(lambda u: dist.pdf(u) * math.exp(-rate * u), 0.0, t, limit=200)
-            return val / norm
-
-    edges = []
-    hi = dist.mean()
-    for q in qs:
-        while cdf(hi) < q:
-            hi *= 2.0
-        edges.append(brentq(lambda t: cdf(t) - q, 1e-12, hi, xtol=1e-12))
-    return np.asarray(edges)
-
-
 def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
     """z-test of the share hits / n against p_expect."""
     p_hat = hits / n
@@ -828,16 +794,17 @@ def empirical_checks(
         # (i) system-time fit
         name = f"source{c}:system_time_fit"
         samples = stats_c.system_times
-        if isinstance(cfg.service, Deterministic):
+        try:
+            edges = cfg.service.tilted_quantiles(preempt_rate, np.arange(1, n_bins) / n_bins)
+        except UnsupportedDensity:
             results.append(
                 CheckResult(name, "skip", math.nan, math.nan, "point-mass service has no density")
             )
-        elif samples.size < min_samples:
-            raise InsufficientSamples(
-                f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
-            )
         else:
-            edges = _tilted_quantiles(cfg.service, preempt_rate, n_bins)
+            if samples.size < min_samples:
+                raise InsufficientSamples(
+                    f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
+                )
             counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
             expected = samples.size / n_bins
             stat = float(np.sum((counts - expected) ** 2) / expected)

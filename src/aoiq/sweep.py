@@ -12,8 +12,10 @@ the probabilistic policy at the same grid point and mode:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -155,7 +157,8 @@ def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[d
 
 
 def iter_sweep_rows(
-    spec: ExperimentSpec, workers: int = 1, *, reports: Iterable[SimReport] = ()
+    spec: ExperimentSpec, workers: int = 1, *, reports: Iterable[SimReport] = (),
+    executor: Executor | None = None,
 ) -> Iterator[dict]:
     """Yield CSV rows in deterministic grid/mode/policy/source order.
 
@@ -165,7 +168,8 @@ def iter_sweep_rows(
     that covers the theta-independent policies and the probabilistic
     policy at theta 0 and 1. ``reports`` are runs already made with the
     spec's simulation settings (say, with deliveries collected); their
-    systems are not simulated again.
+    systems are not simulated again. ``workers`` and ``executor`` go to
+    ``run`` as they are.
     """
     do_analytic = spec.mode in ("analytic", "both")
     do_simulate = spec.mode in ("simulate", "both")
@@ -192,15 +196,17 @@ def iter_sweep_rows(
         if do_simulate:
             for kind in _unseen(keys, simulated):
                 simulated[keys[kind]] = _simulated_block(
-                    run(cfg, policies[kind], spec.sim, workers=workers)
+                    run(cfg, policies[kind], spec.sim, workers=workers, executor=executor)
                 )
             blocks = {kind: simulated[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "simulate", blocks)
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
-    """All sweep rows as a list (see iter_sweep_rows for streaming)."""
-    return list(iter_sweep_rows(spec, workers=workers))
+    """All sweep rows as a list (see iter_sweep_rows for streaming); with
+    ``workers`` > 1 every simulation runs on one shared pool."""
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        return list(iter_sweep_rows(spec, workers=workers, executor=pool))
 
 
 def write_rows(path: str, rows: Iterable[dict]) -> int:

@@ -1,11 +1,17 @@
 import csv
 import hashlib
+import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aoiq.cli as cli_mod
+import aoiq.sim as sim_mod
+from aoiq import Exponential, Policy, SimConfig, SystemConfig, run
 from aoiq.cli import main
+from aoiq.sweep import format_number
+from test_sweep import count_pools
 
 POINT_SPEC = """
 [system]
@@ -105,6 +111,34 @@ class TestSubcommands:
         assert main(argv) == 0
         assert len(calls) == runs
         assert out.read_bytes() == plain.read_bytes()
+
+    def test_one_pool_per_command(self, tmp_path, monkeypatch):
+        # the dump's run and the table's other policy share the command's pool
+        spec, out = write_spec(tmp_path, POINT_SPEC)
+        argv = ["simulate", "-c", spec, "--policies", "probabilistic, non_preemptive",
+                "--replications", "3"]
+        plain = tmp_path / "plain.csv"
+        assert main(argv + ["-o", str(plain)]) == 0
+        pools = count_pools(monkeypatch, cli_mod, sim_mod)
+        dump = str(tmp_path / "samples.csv")
+        assert main(argv + ["--workers", "2", "--dump-samples", dump]) == 0
+        assert len(pools) == 1
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_dump_bytes_match_per_cell_format(self, tmp_path):
+        cfg = SystemConfig((1.0, 2.0), 0.5, Exponential(1.5))
+        sim = SimConfig(seed=7, horizon=2000.0, replications=2)
+        deliveries = run(cfg, Policy.probabilistic(0.5), sim, collect_deliveries=True).deliveries
+        assert np.isnan(deliveries).any()  # each replication's first delivery per source
+        path = tmp_path / "samples.csv"
+        cli_mod._dump_deliveries(str(path), deliveries)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["source", "generation_time", "delivery_time", "system_time",
+                         "interdeparture", "paoi"])
+        for row in deliveries:
+            writer.writerow([str(int(row[0]) + 1)] + [format_number(v) for v in row[1:]])
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_validate_passes(self, tmp_path, capsys):
         spec, _ = write_spec(tmp_path, POINT_SPEC)

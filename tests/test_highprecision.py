@@ -10,7 +10,9 @@ the cancellation-free form the package evaluates."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy import special
 
 from aoiq import (
     Deterministic,
@@ -229,3 +231,81 @@ def test_lognormal_mgf_point(dist, t):
 
     exact = mp.quad(weighted, [-12, -8, -4, -2, 0, 1, 2, 3, 4, 5, 6, 8, 12]) / mp.sqrt(2 * mp.pi)
     assert dist.mgf_point(t) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+# (loc, scale, tilt rate): no tilt, the paper's law at moderate and heavy
+# tilt, a wide law from nearly untilted to a tilt of 1e6, a far-right law
+# and a nearly deterministic one
+LOGNORMAL_TILTS = [
+    (-1.0, 1.0, 0.0),
+    (-1.0, 1.0, 0.56),
+    (-1.0, 1.0, 30.0),
+    (0.0, 2.0, 0.01),
+    (0.0, 2.0, 3.0),
+    (0.0, 2.0, 1e6),
+    (3.0, 2.5, 50.0),
+    (0.0, 0.05, 2.0),
+]
+TILT_RATES = sorted({rate for _, _, rate in LOGNORMAL_TILTS})
+LEVELS = np.arange(1, 50) / 50
+
+
+def _mp_tilted_cdf(dist, rate):
+    """CDF of f_U(t) exp(-rate t) / M_U(-rate), by mpmath alone."""
+    r = mp.mpf(repr(rate))
+    if isinstance(dist, Exponential):
+        a = mp.mpf(repr(dist.rate)) + r
+        return lambda t: -mp.expm1(-a * t)
+    if isinstance(dist, Gamma):
+        k, a = mp.mpf(repr(dist.shape)), mp.mpf(repr(dist.rate)) + r
+        return lambda t: mp.gammainc(k, 0, a * t, regularized=True)
+    loc, scale = mp.mpf(repr(dist.loc)), mp.mpf(repr(dist.scale))
+
+    def g(z):  # the tilted density in z = (ln t - loc)/scale, unnormalized
+        return mp.exp(-z * z / 2 - r * mp.exp(loc + scale * z))
+
+    mode = -mp.lambertw(r * scale**2 * mp.exp(loc)).real / scale
+    breaks = [mode + k for k in range(-14, 15)]
+    # prefix[i]: the mass below breaks[i]; beyond mode +- 14 it is < e^-98
+    prefix = [mp.mpf(0)]
+    for a, b in zip(breaks, breaks[1:]):
+        prefix.append(prefix[-1] + mp.quad(g, [a, b]))
+
+    def cdf(t):
+        z = (mp.log(t) - loc) / scale
+        i = max(i for i, b in enumerate(breaks) if b < z)
+        return (prefix[i] + mp.quad(g, [breaks[i], z])) / prefix[-1]
+
+    return cdf
+
+
+def _assert_inverts(dist, rate, edges):
+    assert np.all(np.diff(edges) > 0)
+    with mp.workdps(25):
+        cdf = _mp_tilted_cdf(dist, rate)
+        for q, t in zip(LEVELS, edges):
+            assert abs(float(cdf(mp.mpf(float(t))) - mp.mpf(float(q)))) <= 1e-13
+
+
+@pytest.mark.parametrize("loc, scale, rate", LOGNORMAL_TILTS)
+def test_lognormal_tilted_quantiles(loc, scale, rate):
+    dist = LogNormal(loc, scale)
+    _assert_inverts(dist, rate, dist.tilted_quantiles(rate, LEVELS))
+
+
+@pytest.mark.parametrize("rate", TILT_RATES)
+@pytest.mark.parametrize(
+    "dist, closed_form",
+    [
+        (Exponential(2.0), lambda d, r: -np.log1p(-LEVELS) / (d.rate + r)),
+        (Gamma(2.0, 4.0), lambda d, r: special.gammaincinv(d.shape, LEVELS) * (1.0 / (d.rate + r))),
+        (Gamma(0.5, 1.3), lambda d, r: special.gammaincinv(d.shape, LEVELS) * (1.0 / (d.rate + r))),
+    ],
+    ids=["exponential", "gamma", "gamma_shape_half"],
+)
+def test_in_family_tilted_quantiles(dist, closed_form, rate):
+    # the tilt keeps these laws in family; the edges are the closed forms
+    # the chi-square check has always used, bit for bit
+    edges = dist.tilted_quantiles(rate, LEVELS)
+    assert edges.tobytes() == closed_form(dist, rate).tobytes()
+    _assert_inverts(dist, rate, edges)

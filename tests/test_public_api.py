@@ -2,7 +2,10 @@
 must resolve, so trimming the package's re-exports cannot break them."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,15 @@ def test_imports_found():
 
 def test_all_names_exist():
     assert all(hasattr(aoiq, name) for name in aoiq.__all__)
+
+
+def test_import_loads_no_integrate_or_optimize():
+    # together they cost about a quarter second of every run's start-up
+    code = (
+        "import sys, aoiq, aoiq.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -81,6 +81,8 @@ class TestDensities:
     def test_deterministic_density_unsupported(self):
         with pytest.raises(UnsupportedDensity):
             Deterministic(1.0).pdf(1.0)
+        with pytest.raises(UnsupportedDensity):
+            Deterministic(1.0).tilted_quantiles(0.5, np.array([0.5]))
 
     def test_deterministic_cdf_step(self):
         d = Deterministic(1.0)

@@ -1,7 +1,9 @@
 import csv
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import aoiq.sim as sim_mod
 import aoiq.sweep as sweep_mod
 from aoiq import Policy, PolicyKind, SystemConfig, moments, run
 from aoiq.config import parse_spec
@@ -36,6 +38,40 @@ mode = both
 horizon = 3000
 seed = 5
 """
+
+SIM_SWEEP = """
+[system]
+arrival_rates = 1, 2
+theta = 0.5
+service = exponential(rate=1.5)
+
+[sweep]
+axis = theta
+start = 0.0
+stop = 1.0
+points = 3
+policies = probabilistic, non_preemptive, globally_preemptive
+mode = simulate
+
+[simulation]
+horizon = 500
+replications = 3
+seed = 5
+"""
+
+
+def count_pools(monkeypatch, *modules) -> list:
+    """Every ProcessPoolExecutor that ``modules`` create from now on."""
+    pools = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "ProcessPoolExecutor", Counting)
+    return pools
 
 
 class TestAnalyticSweep:
@@ -154,6 +190,17 @@ class TestModeBoth:
                 assert r["ci_halfwidth"] is not None and r["ci_halfwidth"] > 0
             else:
                 assert r["ci_halfwidth"] is None
+
+
+class TestSharedPool:
+    def test_one_pool_serves_every_run(self, monkeypatch):
+        # four distinct systems: probabilistic at theta 0 (= non-preemptive),
+        # 0.5 and 1, and the globally preemptive one; each used to open a pool
+        spec = parse_spec(SIM_SWEEP)
+        serial = run_sweep(spec)
+        pools = count_pools(monkeypatch, sweep_mod, sim_mod)
+        assert repr(run_sweep(spec, workers=2)) == repr(serial)
+        assert len(pools) == 1
 
 
 class TestCsv:
