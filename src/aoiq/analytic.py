@@ -21,11 +21,13 @@ subtraction, so a small delivery probability M_c(0) or rate share costs
 no digits, and theta = 0 needs no special case. One term builder
 assembles them in jet arithmetic at an expansion point: at 0 it gives
 exact derivatives, at s the pointwise values; all sources' jets come from
-one memoized service pass per configuration, K_c from prefix and suffix sums.
+one memoized service pass per configuration, one M/H pair per distinct
+shift s - r_c, and K_c from prefix and suffix sums.
 
-Moments are additionally computed a second, independent way from binomial
-combinations of the T and Y moments; the two routes share nothing past
-the T/Y jets, so their agreement is a strong transcription check.
+``moments`` differentiates the AoI and peak-age jets at the order asked
+for. ``moments_both_routes`` also combines T and Y moments binomially, a
+second route that shares nothing past the T/Y jets; ``aoiq validate``
+and the tests read the gap between the two as a transcription check.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "SystemConfig",
     "AoiMetrics",
     "Transform",
-    "ConsistencyError",
     "OutsideConvergenceRegion",
     "system_time_mgf_jet",
     "interdeparture_mgf_jet",
@@ -52,14 +53,6 @@ __all__ = [
     "moments_both_routes",
     "mgf_point_eval",
 ]
-
-# The two moment routes are algebraically identical, so any disagreement
-# beyond rounding means a formula transcription bug.
-_ROUTE_RTOL = 1e-8
-
-class ConsistencyError(RuntimeError):
-    """The binomial-moment route and the jet route disagree."""
-
 
 class OutsideConvergenceRegion(ValueError):
     """Pointwise MGF evaluation outside the transform's convergence region."""
@@ -142,9 +135,14 @@ def _system_terms(cfg: SystemConfig, s0: float, order: int):
             f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
         )
     s = Jet.variable(order, s0)
-    service = [_service_jet(cfg, c, s0, order) for c in range(cfg.num_sources)]
-    survival = [_survival_jet(cfg, c, s0, order) for c in range(cfg.num_sources)]
-    loop_free = [m - s * h for m, h in zip(service, survival)]  # 1 - h_c
+    shifts = [s0 - cfg.theta * rate for rate in cfg.arrival_rates]
+    pairs = {}  # shift -> (M_c, H_c, 1 - h_c), shared by the sources at that shift
+    for shift in shifts:
+        if shift not in pairs:
+            m = cfg.service.mgf_jet(shift, order).recenter(s0)
+            h = cfg.service.survival_mgf_jet(shift, order).recenter(s0)
+            pairs[shift] = m, h, m - s * h
+    service, survival, loop_free = zip(*(pairs[shift] for shift in shifts))
     for c, factor in enumerate(loop_free):
         if factor.coeffs[0] <= 0.0:
             raise OutsideConvergenceRegion(f"self-loop gain of source {c} reaches 1 at s={s0}")
@@ -214,6 +212,25 @@ def _moments_from_jet(jet: Jet, max_order: int) -> tuple[float, ...]:
     return tuple(jet.derivative_value(m) for m in range(1, max_order + 1))
 
 
+def _direct_moments(cfg: SystemConfig, source: int, max_order: int, order: int):
+    """Jets of order ``order`` at 0 of T and Y, and the moments 1..max_order read
+    off the assembled AoI and peak-age jets."""
+    if max_order < 1:
+        raise ValueError("moment order must be >= 1")
+    cfg._check_source(source)
+    service, y_jet, excess = _terms(cfg, source, 0.0, order)
+    t_jet = service * (1.0 / service.coeffs[0])
+    mean_y = y_jet.derivative_value(1)
+    metrics = AoiMetrics(
+        source,
+        _moments_from_jet(t_jet * excess * (1.0 / mean_y), max_order),
+        _moments_from_jet(t_jet * y_jet, max_order),
+        t_jet.derivative_value(1),
+        mean_y,
+    )
+    return t_jet, y_jet, metrics
+
+
 def moments_both_routes(
     cfg: SystemConfig, source: int, max_order: int
 ) -> tuple[AoiMetrics, AoiMetrics, float]:
@@ -221,16 +238,12 @@ def moments_both_routes(
 
     Route one combines T and Y moments binomially (T and Y of a delivery
     cycle are independent); route two differentiates the assembled AoI and
-    peak-age jets directly. Returns (binomial, jet, max relative gap).
+    peak-age jets directly, as ``moments`` does. Returns (binomial, jet,
+    max relative gap).
     """
-    if max_order < 1:
-        raise ValueError("moment order must be >= 1")
-    cfg._check_source(source)
-    order = max_order + 3
-    service, y_jet, excess = _terms(cfg, source, 0.0, order)
-    t_jet = service * (1.0 / service.coeffs[0])
-    t_moms = [t_jet.derivative_value(i) for i in range(order + 1)]
-    y_moms = [y_jet.derivative_value(i) for i in range(order + 1)]
+    t_jet, y_jet, direct = _direct_moments(cfg, source, max_order, max_order + 1)
+    t_moms = [t_jet.derivative_value(i) for i in range(max_order + 2)]
+    y_moms = [y_jet.derivative_value(i) for i in range(max_order + 2)]
     mean_y = y_moms[1]
 
     def peak_moment(m: int) -> float:
@@ -243,16 +256,6 @@ def moments_both_routes(
     )
     binom = AoiMetrics(source, aoi_binom, paoi_binom, t_moms[1], mean_y)
 
-    paoi = t_jet * y_jet
-    aoi = t_jet * excess * (1.0 / mean_y)
-    direct = AoiMetrics(
-        source,
-        _moments_from_jet(aoi, max_order),
-        _moments_from_jet(paoi, max_order),
-        t_moms[1],
-        mean_y,
-    )
-
     gap = 0.0
     for a, b in zip(
         binom.aoi_moments + binom.paoi_moments,
@@ -263,18 +266,9 @@ def moments_both_routes(
 
 
 def moments(cfg: SystemConfig, source: int, max_order: int = 2) -> AoiMetrics:
-    """AoI and peak-age moments 1..max_order for one source.
-
-    Computed by two independent routes that must agree; disagreement is a
-    fatal internal error, not a warning.
-    """
-    binom, direct, gap = moments_both_routes(cfg, source, max_order)
-    if gap > _ROUTE_RTOL:
-        raise ConsistencyError(
-            f"moment routes disagree by relative {gap:.3e} "
-            f"(source {source}, orders up to {max_order})"
-        )
-    return direct
+    """AoI and peak-age moments 1..max_order for one source, read off jets of
+    order max_order."""
+    return _direct_moments(cfg, source, max_order, max_order)[2]
 
 
 def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -> float:

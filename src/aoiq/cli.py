@@ -19,7 +19,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .analytic import ConsistencyError, OutsideConvergenceRegion
+from .analytic import OutsideConvergenceRegion
 from .config import SPEC_KEYS, ParseError, ValidationError, build_spec, load_raw
 from .jets import DivisionBySingularJet
 from .semimarkov import SingularSystem
@@ -33,7 +33,6 @@ _NUMERICAL_ERRORS = (
     MgfDomainError,
     DivisionBySingularJet,
     SingularSystem,
-    ConsistencyError,
     OutsideConvergenceRegion,
 )
 

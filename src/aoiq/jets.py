@@ -52,8 +52,8 @@ class Jet:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("a jet needs order >= 1 (at least two coefficients)")
+        if not self.coeffs:
+            raise ValueError("a jet needs at least one coefficient")
         if not math.isfinite(self.center):
             raise ValueError("jet center must be finite")
         if not all(math.isfinite(c) for c in self.coeffs):

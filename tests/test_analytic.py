@@ -206,22 +206,6 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(ANCHOR, 1, 2)
 
-    def test_route_disagreement_is_fatal(self, monkeypatch):
-        # the two moment routes share nothing past the T/Y jets; corrupt
-        # the jet route and the cross-check must raise, not warn
-        import aoiq.analytic as analytic_mod
-        from aoiq.analytic import ConsistencyError
-
-        original = analytic_mod._moments_from_jet
-
-        def skewed(jet, max_order):
-            return tuple(v * 1.001 for v in original(jet, max_order))
-
-        monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
-        with pytest.raises(ConsistencyError):
-            moments(ANCHOR, 0, 2)
-
-
     def test_singular_loop_factor_fails_only_its_readers(self):
         # delivery probability e^-30 puts the middle source's 1 - h below the
         # jet division floor: the others' K reads its term, its own K does not

@@ -302,11 +302,11 @@ class TestOverridesAndReproducibility:
 # moves a cell on purpose updates the digest and says which cells moved
 SHIPPED_ANALYTIC_SHA256 = {
     "sweep_lambda1_theta_02": "0e07bc3af6520a23fe599519f582f9337e147908b7c0efef927d7812d08fb542",
-    "sweep_lambda1_theta_06": "f2a36fd9824afa64ecbdb8361a440a609025b9a5b8e739b18fd812053c7f736e",
+    "sweep_lambda1_theta_06": "a68b100b0d1649053ae960f6ab5c7ca3d337fd9d10a2c2c6d6c8490ef2950346",
     "sweep_lambda1_theta_09": "313e10d703fa19a4d3d3d1b48e8eadc3e8138316f753f7140f3e1fd107f9a752",
-    "sweep_theta_lambda1_2": "f44685f0f1782558f5158e90b2112efccfa90d29f9a12dd8709a385af3f970ff",
-    "sweep_theta_lambda1_4": "6eba36e8b15347ee9a3eeb16819dca74d460d7b589999e5f0f52a530edd83012",
-    "sweep_theta_lambda1_5": "bf9d5ef40b1b7ee0c29ba2a11edfc22f97c4daf8a4f69e14d27331f8151711aa",
+    "sweep_theta_lambda1_2": "6b1b4be804122e00d58b4bead5c59eeea7521308f4199af6593d7b338aa400e3",
+    "sweep_theta_lambda1_4": "84b0720b7312ae7464b81228d941b0194e27edb077cfe8af47448b1feda2c9f5",
+    "sweep_theta_lambda1_5": "15a6c59d84f49415a77c4bad57423420a0b37c5f61045bcb20ca4f064092b29c",
 }
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -7,6 +7,7 @@ of the closed form (through gain over 1 - self-loop gain, detour factor
 1 - sum of the other sources' ratios), which shares no identity with
 the cancellation-free form the package evaluates."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -28,7 +29,56 @@ from aoiq.analytic import Transform, mgf_point_eval, system_time_mgf_jet
 mp.mp.dps = 40
 
 
-def _mp_service_mgf(dist):
+def _mp_lognormal_coeffs(loc, scale, t0, order):
+    """E[U^k exp(t0 U)] / k! for k = 0..order, by tanh-sinh quadrature in
+    z = (ln u - loc)/scale; the breakpoints step geometrically out from the
+    integrand's mode, to 16 units left and 16 curvature widths right. Float
+    arguments are taken at their exact binary values."""
+    loc, scale, t0 = mp.mpf(loc), mp.mpf(scale), mp.mpf(t0)
+    out = []
+    for k in range(order + 1):
+        w = mp.lambertw(-t0 * scale**2 * mp.exp(loc + k * scale**2)).real
+        mode, width = k * scale - w / scale, 1 / mp.sqrt(1 + w)
+        reach = [width * 2**j for j in range(-1, 5)]
+        left = sorted({mode - x for x in [1, 2, 4, 8, 16] + reach})
+        weight = lambda z, k=k: mp.exp(-z * z / 2 + k * (loc + scale * z) + t0 * mp.exp(loc + scale * z))
+        total = mp.quad(weight, left + [mode] + [mode + x for x in reach])
+        out.append(total / (mp.sqrt(2 * mp.pi) * mp.factorial(k)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_lognormal_jets(loc, scale, t0, order):
+    """MGF and survival-transform coefficients at t0 <= 0. The survival ones
+    follow from the MGF's by H_0 = (1 - M_0)/c, H_k = (H_(k-1) - M_k)/c with
+    c = -t0, which cancels about (k+1) log10(1/c) digits; the MGF is computed
+    with that many extra."""
+    c = -mp.mpf(t0)
+    if c == 0:
+        m = _mp_lognormal_coeffs(loc, scale, t0, order + 1)
+        return m[:-1], m[1:]
+    with mp.workdps(mp.mp.dps + 10 + int((order + 1) * max(0, -mp.log10(c)))):
+        m = _mp_lognormal_coeffs(loc, scale, t0, order)
+        h = [(1 - m[0]) / c]
+        for k in range(1, order + 1):
+            h.append((h[-1] - m[k]) / c)
+    return [+x for x in m], [+x for x in h]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_service_mgf(cfg):
+    dist = cfg.service
+    if isinstance(dist, LogNormal):
+        # near each shift -theta * rate_c, its Taylor polynomial of degree 10
+        # with 40-digit coefficients; mp.diff steps about 1e-43 from the shift
+        shifts = [mp.mpf(repr(cfg.theta)) * mp.mpf(repr(r)) for r in cfg.arrival_rates]
+        series = {-x: _mp_lognormal_coeffs(dist.loc, dist.scale, -x, 10)[::-1] for x in shifts}
+
+        def mgf(t):
+            center = min(series, key=lambda x: abs(t - x))
+            return mp.polyval(series[center], t - center)
+
+        return mgf
     if isinstance(dist, Exponential):
         rate = mp.mpf(repr(dist.rate))
         return lambda t: rate / (rate - t)
@@ -41,13 +91,13 @@ def _mp_service_mgf(dist):
 
 
 def _mp_system_time(cfg, source, s):
-    M = _mp_service_mgf(cfg.service)
+    M = _mp_service_mgf(cfg)
     shift = mp.mpf(repr(cfg.theta)) * mp.mpf(repr(cfg.arrival_rates[source]))
     return M(s - shift) / M(-shift)
 
 
 def _mp_interdeparture(cfg, source, s):
-    M = _mp_service_mgf(cfg.service)
+    M = _mp_service_mgf(cfg)
     theta = mp.mpf(repr(cfg.theta))
     rates = [mp.mpf(repr(r)) for r in cfg.arrival_rates]
     lam = mp.fsum(rates)
@@ -84,6 +134,8 @@ CASES = [
     # a lone source at delivery probability e^-31: its 1 - h_c is below
     # the jet division floor, and no other source's term divides by it
     SystemConfig((62.0,), 1.0, Deterministic(0.5)),
+    # the paper's system on the law every shipped config uses
+    SystemConfig((2.0, 6.0), 0.28, LogNormal(-1.0, 1.0)),
 ]
 
 
@@ -158,7 +210,7 @@ def _mp_moments_on_float_jets(cfg, source, max_order):
     identities: fed inexact jets, algebraically equal forms differ by the
     jets' own error, which this test does not measure.
     """
-    order = max_order + 3
+    order = max_order
     n = order + 1
     with mp.workdps(50):
         rates = [mp.mpf(r) for r in cfg.arrival_rates]
@@ -231,6 +283,50 @@ def test_lognormal_mgf_point(dist, t):
 
     exact = mp.quad(weighted, [-12, -8, -4, -2, 0, 1, 2, 3, 4, 5, 6, 8, 12]) / mp.sqrt(2 * mp.pi)
     assert dist.mgf_point(t) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+# (loc, scale, shift): the paper's law untilted, nearly untilted, at both
+# sources' shifts (theta 0.28, rates 2 and 6) and under heavy tilt; a wide
+# law nearly untilted and under a tilt of 1e6; a far-right law; a nearly
+# deterministic one
+LOGNORMAL_SHIFTS = [
+    (-1.0, 1.0, 0.0),
+    (-1.0, 1.0, -1e-6),
+    (-1.0, 1.0, -0.56),
+    (-1.0, 1.0, -1.68),
+    (-1.0, 1.0, -30.0),
+    (0.0, 2.0, -1e-6),
+    (0.0, 2.0, -1e6),
+    (3.0, 2.5, -50.0),
+    (0.0, 0.05, -2.0),
+]
+# the stated precision of both log-normal jets: the panel rule truncates
+# below e^-72, and what is left is mostly the rounding of the integrand's
+# exponent, which grows with its size (up to about 100 here)
+LOGNORMAL_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("loc, scale, shift", LOGNORMAL_SHIFTS)
+def test_lognormal_jets_against_quadrature(loc, scale, shift):
+    dist = LogNormal(loc, scale)
+    m_exact, h_exact = _mp_lognormal_jets(loc, scale, shift, 5)
+    for jet, exact in (
+        (dist.mgf_jet(shift, 5), m_exact),
+        (dist.survival_mgf_jet(shift, 5), h_exact),
+    ):
+        for got, want in zip(jet.coeffs, exact):
+            assert got == pytest.approx(float(want), rel=LOGNORMAL_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("loc, scale, shift", LOGNORMAL_SHIFTS)
+def test_lognormal_coefficients_do_not_depend_on_order(loc, scale, shift):
+    # every coefficient has its own window, so asking for more of them
+    # leaves the first ones bit for bit as they were
+    dist = LogNormal(loc, scale)
+    for jet_at in (dist.mgf_jet, dist.survival_mgf_jet):
+        full = jet_at(shift, 8).coeffs
+        for order in range(8):
+            assert jet_at(shift, order).coeffs == full[: order + 1]
 
 
 # (loc, scale, tilt rate): no tilt, the paper's law at moderate and heavy

@@ -8,6 +8,9 @@ from aoiq.jets import Jet
 from aoiq.sim import Policy, empirical_checks, run
 from aoiq.validate import validation_suite
 
+# horizon 40000 gives source 0 (rate 1) about 12,500 delivered system times
+# and the run about 40,000 idle-server races: the distribution-fit checks
+# need 10,000 of each, so they run instead of being skipped
 EXP_SPEC = parse_spec(
     """
     [system]
@@ -16,7 +19,7 @@ EXP_SPEC = parse_spec(
     service = exponential(rate=1.5)
 
     [simulation]
-    horizon = 20000
+    horizon = 40000
     seed = 42
     warmup_fraction = 0.05
     """
@@ -45,6 +48,8 @@ class TestSuite:
             "peak_mean_gap_identity",
             "distribution_fit",
         }
+        fits = [c for c in suite_report.checks if c.name.startswith("distribution_fit")]
+        assert any(c.status != "skip" for c in fits), fits
 
     def test_distribution_fit_is_empirical_checks(self):
         # the suite reports the simulator's checks as they are, under a
@@ -64,6 +69,21 @@ class TestSuite:
 
 
 class TestMutationSensitivity:
+    def test_route_disagreement_fails_the_check(self, monkeypatch):
+        # the two moment routes share nothing past the T/Y jets; skew the
+        # jet route and every source's moment_routes check must fail
+        import aoiq.analytic as analytic_mod
+
+        original = analytic_mod._moments_from_jet
+
+        def skewed(jet, max_order):
+            return tuple(v * 1.001 for v in original(jet, max_order))
+
+        monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
+        checks = validate_mod._check_moment_routes(EXP_SPEC.system)
+        assert [c.name for c in checks] == ["moment_routes:source0", "moment_routes:source1"]
+        assert all(c.status == "fail" for c in checks)
+
     def test_corrupted_closed_form_detected(self, monkeypatch):
         # flip the sign of one Taylor coefficient of the closed-form
         # interdeparture transform: the graph cross-check must fail
