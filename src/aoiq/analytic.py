@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,10 +122,20 @@ def _service_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
     return cfg.service.mgf_jet(shift, order).recenter(s0)
 
 
-def _survival_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
-    """Jet at s0 of H_c(s) = H(s - r_c) = (1 - M_c(s)) / (r_c - s)."""
-    shift = s0 - cfg.theta * cfg.arrival_rates[c]
-    return cfg.service.survival_mgf_jet(shift, order).recenter(s0)
+_shared_jets: dict | None = None
+
+
+@contextmanager
+def sharing_service_jets(memo: dict) -> Iterator[None]:
+    """Within the block, systems that share a law and a shift theta * rate_c take
+    its M and H jets from ``memo``, which keeps those built: the systems of one
+    sweep repeat shifts. The caller owns ``memo``, so nothing outlives its command."""
+    global _shared_jets
+    outer, _shared_jets = _shared_jets, memo
+    try:
+        yield
+    finally:
+        _shared_jets = outer
 
 
 @lru_cache(maxsize=8)
@@ -136,11 +148,15 @@ def _system_terms(cfg: SystemConfig, s0: float, order: int):
         )
     s = Jet.variable(order, s0)
     shifts = [s0 - cfg.theta * rate for rate in cfg.arrival_rates]
+    law_jets = {} if _shared_jets is None else _shared_jets  # (law, shift, order) -> (M, H)
     pairs = {}  # shift -> (M_c, H_c, 1 - h_c), shared by the sources at that shift
     for shift in shifts:
         if shift not in pairs:
-            m = cfg.service.mgf_jet(shift, order).recenter(s0)
-            h = cfg.service.survival_mgf_jet(shift, order).recenter(s0)
+            key = (cfg.service, shift, order)
+            if key not in law_jets:
+                law_jets[key] = (cfg.service.mgf_jet(shift, order),
+                                 cfg.service.survival_mgf_jet(shift, order))
+            m, h = (jet.recenter(s0) for jet in law_jets[key])
             pairs[shift] = m, h, m - s * h
     service, survival, loop_free = zip(*(pairs[shift] for shift in shifts))
     for c, factor in enumerate(loop_free):
@@ -185,7 +201,7 @@ def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORD
     the service law by the thinned preemption rate.
     """
     cfg._check_source(source)
-    service = _service_jet(cfg, source, 0.0, order)
+    service = _system_terms(cfg, 0.0, order)[1][source]
     return service * (1.0 / service.coeffs[0])
 
 

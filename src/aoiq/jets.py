@@ -14,6 +14,7 @@ conversion back to raw derivatives happens only in ``derivative_value``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -56,7 +57,7 @@ class Jet:
             raise ValueError("a jet needs at least one coefficient")
         if not math.isfinite(self.center):
             raise ValueError("jet center must be finite")
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not all(map(math.isfinite, self.coeffs)):
             raise ValueError(f"non-finite jet coefficients: {self.coeffs}")
 
     # -- constructors ------------------------------------------------------
@@ -88,7 +89,7 @@ class Jet:
         return math.factorial(k) * self.coeffs[k]
 
     def _check_compatible(self, other: "Jet") -> None:
-        if self.center != other.center or self.order != other.order:
+        if self.center != other.center or len(self.coeffs) != len(other.coeffs):
             raise JetMismatchError(
                 f"jets differ in center/order: ({self.center}, {self.order}) "
                 f"vs ({other.center}, {other.order})"
@@ -104,25 +105,24 @@ class Jet:
     def __add__(self, other) -> "Jet":
         other = self._lift(other)
         self._check_compatible(other)
-        return Jet(self.center, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet(self.center, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
         other = self._lift(other)
         self._check_compatible(other)
-        return Jet(self.center, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet(self.center, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other) -> "Jet":
         return self._lift(other).__sub__(self)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.center, tuple(-a for a in self.coeffs))
+        return Jet(self.center, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            k = float(other)
-            return Jet(self.center, tuple(a * k for a in self.coeffs))
+            return Jet(self.center, tuple(map(float(other).__mul__, self.coeffs)))
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
         n = len(a)

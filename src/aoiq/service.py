@@ -23,8 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betainc, erfcx, gammainc, gammaincinv, gammaln, wrightomega
-
+from ._special import (
+    ConvergenceError, beta_orders, erfcx, gamma_p_inv, gamma_p_orders, log_factorials, wright_omega,
+)
 from .jets import DEFAULT_ORDER, Jet
 
 __all__ = [
@@ -66,10 +67,6 @@ class MgfDomainError(ValueError):
 
 class UnsupportedDensity(ValueError):
     """The distribution has no density (deterministic point mass)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative inversion failed to converge."""
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -227,11 +224,11 @@ class Gamma(ServiceDistribution):
         # G1 <= (c/rate) G2 has probability I_x(k+1, shape), x = c/(c+rate).
         c = -t0
         x = c / (c + self.rate)
-        coeffs = [float(betainc(k + 1, self.shape, x)) / c ** (k + 1) for k in range(order + 1)]
-        return Jet(t0, tuple(coeffs))
+        coeffs = beta_orders(order + 1, self.shape, x) / c ** np.arange(1.0, order + 2.0)
+        return Jet(t0, tuple(coeffs.tolist()))
 
     def tilted_quantiles(self, rate, qs):
-        return gammaincinv(self.shape, qs) * (1.0 / (self.rate + rate))  # Gamma(shape, rate + tilt)
+        return gamma_p_inv(self.shape, qs) * (1.0 / (self.rate + rate))  # Gamma(shape, rate + tilt)
 
     def label(self):
         return f"gamma(shape={self.shape:g}, rate={self.rate:g})"
@@ -258,10 +255,8 @@ class Deterministic(ServiceDistribution):
 
     def _survival_jet_neg(self, t0, order):
         c = -t0
-        coeffs = [
-            float(gammainc(k + 1, c * self.value)) / c ** (k + 1) for k in range(order + 1)
-        ]
-        return Jet(t0, tuple(coeffs))
+        coeffs = gamma_p_orders(order + 1, c * self.value) / c ** np.arange(1.0, order + 2.0)
+        return Jet(t0, tuple(coeffs.tolist()))
 
     def tilted_quantiles(self, rate, qs):
         raise UnsupportedDensity("a point mass has no density")
@@ -293,10 +288,12 @@ class LogNormal(ServiceDistribution):
         at most -(1 + w) right of the mode, where it falls by 72 within 12/sqrt(1 + w)."""
         s = self.scale
         with np.errstate(divide="ignore"):  # t0 = 0: w = W(0) = 0
-            w = wrightomega(np.log(-t0 * s * s) + self.loc + k * s * s)  # W(-t0 s^2 e^(loc + k s^2))
+            # W(-t0 s^2 e^(loc + k s^2))
+            w = wright_omega(np.log(-t0 * s * s) + self.loc + k * s * s)
 
         def log_weight(z):
-            return -0.5 * z * z + k * (self.loc + s * z) + t0 * np.exp(self.loc + s * z)
+            u = self.loc + s * z  # ln of the service time
+            return -0.5 * z * z + k * u + t0 * np.exp(u)
 
         return log_weight, k * s - w / s, w
 
@@ -311,7 +308,7 @@ class LogNormal(ServiceDistribution):
         log_peak = log_weight(mode)
         z, weights = _gauss_legendre(mode - _REACH, mode + _REACH / np.sqrt(1.0 + w))
         mass = np.sum(np.exp(log_weight(z) - log_peak) * weights, axis=-1)
-        coeffs = mass * np.exp(log_peak[:, 0] - gammaln(k[:, 0] + 1.0)) / SQRT_2PI
+        coeffs = mass * np.exp(log_peak[:, 0] - log_factorials(order + 1)) / SQRT_2PI
         return Jet(t0, tuple(coeffs.tolist()))
 
     def _survival_jet_neg(self, t0, order):
@@ -327,8 +324,9 @@ class LogNormal(ServiceDistribution):
         log_peak = log_weight(mode)
         z, weights = _gauss_legendre(-_REACH, np.maximum(mode + _REACH / np.sqrt(1.0 + w), -_REACH))
         mass = np.sum(np.exp(log_weight(z) - log_peak) * erfcx(z / SQRT2) * weights, axis=-1)
-        head = gammainc(k + 1.0, c * math.exp(self.loc - _REACH * self.scale)) / c ** (k + 1.0)
-        coeffs = head + 0.5 * self.scale * mass * np.exp(log_peak[:, 0] - gammaln(k + 1.0))
+        head = gamma_p_orders(order + 1, c * math.exp(self.loc - _REACH * self.scale))
+        head /= c ** (k + 1.0)
+        coeffs = head + 0.5 * self.scale * mass * np.exp(log_peak[:, 0] - log_factorials(order + 1))
         return Jet(t0, tuple(coeffs.tolist()))
 
     def tilted_quantiles(self, rate, qs):

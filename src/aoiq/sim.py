@@ -44,8 +44,8 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
+from ._special import gamma_pq, t_quantile
 from .analytic import SystemConfig
 from .service import UnsupportedDensity, substream
 
@@ -586,7 +586,7 @@ def _halfwidth(values: np.ndarray) -> float:
     if m < 2:
         return math.nan
     sd = float(np.std(vals, ddof=1))
-    return float(special.stdtrit(m - 1, 0.975)) * sd / math.sqrt(m)
+    return t_quantile(m - 1, 0.975) * sd / math.sqrt(m)
 
 
 def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
@@ -808,7 +808,7 @@ def empirical_checks(
             counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
             expected = samples.size / n_bins
             stat = float(np.sum((counts - expected) ** 2) / expected)
-            pval = float(special.chdtrc(n_bins - 1, stat))
+            pval = float(gamma_pq(0.5 * (n_bins - 1), 0.5 * stat)[1])  # chi-square tail
             results.append(
                 CheckResult(
                     name,

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analytic import SystemConfig, moments
+from .analytic import SystemConfig, moments, sharing_service_jets
 from .config import ExperimentSpec
 from .sim import Policy, PolicyKind, SimReport, run
 
@@ -135,6 +135,26 @@ def _unseen(keys: dict, memo: dict) -> list[PolicyKind]:
     return list(first.values())
 
 
+# relative precision of a summed mean AoI: that pinned for the closed forms
+_SUM_RTOL = 1e-14
+
+
+def _diff_ratio_pct(total: float, prob_sum: float) -> float:
+    """(total - prob_sum) / prob_sum * 100, rounded to the decimal place at or
+    above 100 * _SUM_RTOL * (|total| + |prob_sum|) / |prob_sum|, the error the
+    subtraction can carry: digits below it are noise. Where the CSV's 12
+    significant digits end above that place, it is left as it is, so that it
+    is not rounded twice."""
+    ratio = (total - prob_sum) / prob_sum * 100.0
+    noise = 100.0 * _SUM_RTOL * (abs(total) + abs(prob_sum)) / abs(prob_sum)
+    if ratio == 0.0 or not (math.isfinite(ratio) and math.isfinite(noise)):
+        return ratio
+    decimals = -math.ceil(math.log10(noise))
+    if decimals >= 11 - math.floor(math.log10(abs(ratio))):
+        return ratio
+    return round(ratio, decimals)
+
+
 def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[dict]:
     """The rows of one grid point and mode, in policy/source order."""
     baseline = blocks.get(PolicyKind.PROBABILISTIC)
@@ -142,7 +162,7 @@ def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[d
     for kind, (per_source, total) in blocks.items():
         ratio = None
         if total is not None and prob_sum is not None:
-            ratio = (total - prob_sum) / prob_sum * 100.0
+            ratio = _diff_ratio_pct(total, prob_sum)
         for c, values in enumerate(per_source):
             yield {
                 "axis_value": axis_value,
@@ -174,6 +194,7 @@ def iter_sweep_rows(
     do_analytic = spec.mode in ("analytic", "both")
     do_simulate = spec.mode in ("simulate", "both")
     solved: dict[tuple, _Block] = {}
+    service_jets: dict = {}  # systems at different grid points share shifts
     simulated: dict[tuple, _Block] = {
         _system_key(r.system, r.policy): _simulated_block(r)
         for r in reports
@@ -187,9 +208,10 @@ def iter_sweep_rows(
         keys = {kind: _system_key(cfg, policy) for kind, policy in policies.items()}
 
         if do_analytic:
-            for kind in _unseen(keys, solved):
-                metrics = _analytic_block(cfg, policies[kind])
-                solved[keys[kind]] = _closed_form_block(metrics, cfg.num_sources)
+            with sharing_service_jets(service_jets):
+                for kind in _unseen(keys, solved):
+                    metrics = _analytic_block(cfg, policies[kind])
+                    solved[keys[kind]] = _closed_form_block(metrics, cfg.num_sources)
             blocks = {kind: solved[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "analytic", blocks)
 

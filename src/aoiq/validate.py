@@ -86,8 +86,9 @@ def _check_sojourn(cfg: SystemConfig) -> list[CheckResult]:
     gain_gap = 0.0
     for c in range(cfg.num_sources):
         order = kit.delivered_mgf[c].order
-        service = analytic._service_jet(cfg, c, 0.0, order)
-        loop = analytic._survival_jet(cfg, c, 0.0, order) * (cfg.theta * cfg.arrival_rates[c])
+        _, services, survivals, *_ = analytic._system_terms(cfg, 0.0, order)
+        service = services[c]
+        loop = survivals[c] * (cfg.theta * cfg.arrival_rates[c])
         exit_via_kit = kit.delivered_mgf[c] * kit.delivery[c]
         loop_via_kit = kit.preempted_mgf[c] * kit.preempt[c]
         gain_gap = max(

@@ -27,9 +27,9 @@ import math
 import operator
 
 import numpy as np
-from scipy import stats as sps
 
 from aoiq import sim as sim_mod
+from aoiq._special import t_quantile
 from aoiq.service import substream
 from aoiq.sim import PolicyKind
 
@@ -327,7 +327,7 @@ def halfwidth(values):
     if m < 2:
         return math.nan
     sd = float(np.std(vals, ddof=1))
-    return float(sps.t.ppf(0.975, m - 1)) * sd / math.sqrt(m)
+    return t_quantile(m - 1, 0.975) * sd / math.sqrt(m)
 
 
 def merge(cfg, policy, sim, reps):

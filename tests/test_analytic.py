@@ -266,6 +266,24 @@ class TestOneServicePass:
         assert counts["mgf_jet"] == 3 * (2 * maxsize + 2)
         assert counts["survival_mgf_jet"] == counts["mgf_jet"]
 
+    def test_sweep_memo_shares_shifts_within_its_block(self, monkeypatch):
+        from aoiq.analytic import sharing_service_jets
+
+        counts = self._count_requests(monkeypatch)
+        # theta * rate = 0.28 * 2.0 in both systems; 0.28 * 3.0 and 0.28 * 5.0 once each
+        first = SystemConfig((2.0, 3.0), 0.28, Gamma(2.0, 4.0))
+        second = SystemConfig((2.0, 5.0), 0.28, Gamma(2.0, 4.0))
+        memo: dict = {}
+        with sharing_service_jets(memo):
+            moments(first, 0, 2)
+            moments(second, 0, 2)
+        assert counts == {"mgf_jet": 3, "survival_mgf_jet": 3}
+        assert len(memo) == 3
+        # outside the block nothing is kept: a third system at a held shift builds it again
+        moments(SystemConfig((2.0, 7.0), 0.28, Gamma(2.0, 4.0)), 0, 2)
+        assert counts == {"mgf_jet": 5, "survival_mgf_jet": 5}
+        assert len(memo) == 3
+
 
 class TestPointEval:
     def test_normalization(self):

@@ -302,11 +302,11 @@ class TestOverridesAndReproducibility:
 # moves a cell on purpose updates the digest and says which cells moved
 SHIPPED_ANALYTIC_SHA256 = {
     "sweep_lambda1_theta_02": "0e07bc3af6520a23fe599519f582f9337e147908b7c0efef927d7812d08fb542",
-    "sweep_lambda1_theta_06": "a68b100b0d1649053ae960f6ab5c7ca3d337fd9d10a2c2c6d6c8490ef2950346",
-    "sweep_lambda1_theta_09": "313e10d703fa19a4d3d3d1b48e8eadc3e8138316f753f7140f3e1fd107f9a752",
-    "sweep_theta_lambda1_2": "6b1b4be804122e00d58b4bead5c59eeea7521308f4199af6593d7b338aa400e3",
-    "sweep_theta_lambda1_4": "84b0720b7312ae7464b81228d941b0194e27edb077cfe8af47448b1feda2c9f5",
-    "sweep_theta_lambda1_5": "15a6c59d84f49415a77c4bad57423420a0b37c5f61045bcb20ca4f064092b29c",
+    "sweep_lambda1_theta_06": "e21d60e473598337d6a4df39620eff293586e863b4ce239d6b497bbe4dd8b63a",
+    "sweep_lambda1_theta_09": "e5255e55eb8dae31866ceac025824ffd5429fc3e1bc80ad2e2eb760c47a8d91a",
+    "sweep_theta_lambda1_2": "8f0cd07065850112c2c3f7ee26b4592b9c0e3095844600c2aba0533bd3b26dc8",
+    "sweep_theta_lambda1_4": "9b85f3b9e4a4aeb00894d2779c60ab5aa2853a9a9ee59e4e2f64d6ba0bed054a",
+    "sweep_theta_lambda1_5": "9ec5db18a6bea910b04b2a1d4a4f4294bf79bc84c17b3d3900732a24b511847a",
 }
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -24,6 +24,9 @@ from aoiq import (
     interdeparture_mgf_jet,
     moments,
 )
+from aoiq._special import (
+    beta_orders, erfcx, gamma_p_orders, gamma_pq, log_factorials, t_quantile, wright_omega,
+)
 from aoiq.analytic import Transform, mgf_point_eval, system_time_mgf_jet
 
 mp.mp.dps = 40
@@ -389,19 +392,153 @@ def test_lognormal_tilted_quantiles(loc, scale, rate):
     _assert_inverts(dist, rate, dist.tilted_quantiles(rate, LEVELS))
 
 
+def _mp_gamma_edges(dist, rate):
+    """The tilted gamma law's quantiles, x_q / (rate of the law + tilt), with
+    x_q the root of the regularized lower incomplete gamma function at q."""
+    k, scale = mp.mpf(repr(dist.shape)), mp.mpf(repr(dist.rate)) + mp.mpf(repr(rate))
+    with mp.workdps(40):
+        return [
+            mp.findroot(lambda x: mp.gammainc(k, 0, x, regularized=True) - mp.mpf(float(q)),
+                        (mp.mpf(0), 4 * k + 40), solver="illinois") / scale
+            for q in LEVELS
+        ]
+
+
 @pytest.mark.parametrize("rate", TILT_RATES)
 @pytest.mark.parametrize(
-    "dist, closed_form",
+    "dist, closed_form, ulps",
     [
-        (Exponential(2.0), lambda d, r: -np.log1p(-LEVELS) / (d.rate + r)),
-        (Gamma(2.0, 4.0), lambda d, r: special.gammaincinv(d.shape, LEVELS) * (1.0 / (d.rate + r))),
-        (Gamma(0.5, 1.3), lambda d, r: special.gammaincinv(d.shape, LEVELS) * (1.0 / (d.rate + r))),
+        (Exponential(2.0), lambda d, r: -np.log1p(-LEVELS) / (d.rate + r), 0),
+        (Gamma(2.0, 4.0), _mp_gamma_edges, 3),
+        (Gamma(0.5, 1.3), _mp_gamma_edges, 6),
     ],
     ids=["exponential", "gamma", "gamma_shape_half"],
 )
-def test_in_family_tilted_quantiles(dist, closed_form, rate):
-    # the tilt keeps these laws in family; the edges are the closed forms
-    # the chi-square check has always used, bit for bit
+def test_in_family_tilted_quantiles(dist, closed_form, ulps, rate):
+    # the tilt keeps these laws in family, Exp(rate + tilt) and Gamma(shape,
+    # rate + tilt). The exponential edges are the chi-square check's closed
+    # form bit for bit; the gamma edges are checked against that law's
+    # 40-digit quantiles (scipy's gammaincinv, which they once equalled bit
+    # for bit, is 106 ulps off at shape 1/2, q = 0.86). The bounds are the
+    # worst edges seen, 2.4 ulps at shape 2 and 5.6 at shape 1/2, rounded up:
+    # at shape 1/2, x f(x) falls to min(q, 1 - q) / 2.3, so each ulp of
+    # error in P or Q moves the edge by up to 2.3 ulps
     edges = dist.tilted_quantiles(rate, LEVELS)
-    assert edges.tobytes() == closed_form(dist, rate).tobytes()
+    for got, want in zip(edges, closed_form(dist, rate)):
+        assert abs(mp.mpf(float(got)) - want) <= ulps * np.spacing(float(want))
     _assert_inverts(dist, rate, edges)
+
+
+# --- the special functions of aoiq._special, on the domains aoiq calls them on
+
+
+def _max_rel_err(got, exact):
+    return max(abs(mp.mpf(float(g)) - e) / abs(e) for g, e in zip(got, exact))
+
+
+def test_erfcx_against_mpmath():
+    # the log-normal survival jet reads erfcx(z / sqrt 2) for z from -12 up
+    x = np.concatenate([np.linspace(-8.5, 50.0, 997), [-0.46875, 0.46875, 4.0, -4.0, 0.0]])
+    with mp.workdps(30):
+        exact = [mp.erfc(mp.mpf(v)) * mp.exp(mp.mpf(v) ** 2) for v in x]
+        ours, theirs = _max_rel_err(erfcx(x), exact), _max_rel_err(special.erfcx(x), exact)
+    assert ours <= 2 * theirs
+    assert ours <= 1e-15
+
+
+def _omega_arguments():
+    """The z = log(-t0 scale^2) + loc + k scale^2 at which ``LogNormal._laplace``
+    takes omega: every law and shift pinned above, k = 0..9 (the survival jet
+    of order 8 reads k + 1), and a dense grid over their span."""
+    z = [
+        math.log(-t0 * scale**2) + loc + k * scale**2
+        for loc, scale, t0 in LOGNORMAL_SHIFTS + [(l, s, -r) for l, s, r in LOGNORMAL_TILTS]
+        if t0 < 0
+        for k in range(10)
+    ]
+    return np.concatenate([z, np.linspace(min(z), max(z), 601)])
+
+
+def test_wright_omega_against_mpmath():
+    z = _omega_arguments()
+    with mp.workdps(30):
+        exact = [mp.lambertw(mp.exp(mp.mpf(v))).real for v in z]
+        ours = _max_rel_err(wright_omega(z), exact)
+        theirs = _max_rel_err(special.wrightomega(z), exact)
+    assert ours <= 2 * theirs
+    assert ours <= 1e-15
+    # t0 = 0: log(0) = -inf, omega(-inf) = 0, the untilted mode
+    assert wright_omega(np.array([-np.inf, -800.0])).tolist() == [0.0, 0.0]
+
+
+def test_log_factorials_are_rounded_exact_logs():
+    with mp.workdps(30):
+        assert log_factorials(30).tolist() == [float(mp.log(mp.factorial(k))) for k in range(30)]
+
+
+SPECIAL_RTOL = 1e-14
+
+
+def test_lower_gamma_at_integer_order_against_mpmath():
+    # P(n, x) feeds the deterministic survival jet and the log-normal head,
+    # where x = c exp(loc - 12 scale) is tiny and so is P
+    x = np.concatenate([np.geomspace(1e-12, 1e4, 97), np.arange(1.0, 12.0)])
+    with mp.workdps(30):
+        for v in x:
+            exact = [mp.gammainc(n, 0, mp.mpf(v), regularized=True) for n in range(1, 11)]
+            assert _max_rel_err(gamma_p_orders(10, v), exact) <= SPECIAL_RTOL
+            # the same values elementwise, as the chi-square check and the gamma
+            # quantiles call them
+            assert _max_rel_err(gamma_pq(np.arange(1.0, 11.0), v)[0], exact) <= SPECIAL_RTOL
+
+
+def test_chi_square_tail_against_mpmath():
+    # the chi-square check's p-value at 49 degrees of freedom: Q(24.5, stat / 2)
+    x = np.concatenate([np.geomspace(1e-3, 600.0, 151), np.linspace(20.0, 30.0, 21)])
+    with mp.workdps(30):
+        exact = [mp.gammainc(mp.mpf(24.5), mp.mpf(v), mp.inf, regularized=True) for v in x]
+        assert _max_rel_err(gamma_pq(24.5, x)[1], exact) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.3, 1.7, 3.7])
+def test_incomplete_gamma_at_other_orders_against_mpmath(a):
+    # a gamma law of any shape takes the series and the continued fraction;
+    # its tilted quantiles invert them
+    x = np.concatenate([np.geomspace(1e-6, 60.0, 61), [a + 1.0]])
+    p, q = gamma_pq(a, x)
+    with mp.workdps(30):
+        lower = [mp.gammainc(a, 0, mp.mpf(v), regularized=True) for v in x]
+        upper = [mp.gammainc(a, mp.mpf(v), mp.inf, regularized=True) for v in x]
+        assert _max_rel_err(p, lower) <= SPECIAL_RTOL
+        assert _max_rel_err(q, upper) <= SPECIAL_RTOL
+        edges = Gamma(a, 1.0).tilted_quantiles(0.0, LEVELS)
+        assert np.all(np.diff(edges) > 0)
+        for level, edge in zip(LEVELS, edges):
+            got = mp.gammainc(a, 0, mp.mpf(float(edge)), regularized=True)
+            assert abs(got - mp.mpf(float(level))) <= 1e-15
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0, 7.3])
+def test_incomplete_beta_at_integer_order_against_mpmath(b):
+    # I_x(n, b) feeds the gamma survival jet at x = c / (c + rate)
+    x = np.concatenate([np.geomspace(1e-12, 0.5, 31), 1.0 - np.geomspace(1e-9, 0.5, 31)])
+    with mp.workdps(30):
+        for v in x:
+            exact = [mp.betainc(n, b, 0, mp.mpf(v), regularized=True) for n in range(1, 11)]
+            assert _max_rel_err(beta_orders(10, b, v), exact) <= SPECIAL_RTOL
+
+
+def test_t_quantile_against_mpmath():
+    # the CI half-width's quantile at p = double(0.975), df = batches - 1;
+    # scipy's stdtrit is 17 ulps off at df = 6
+    p = 0.975
+    with mp.workdps(40):
+        for df in range(1, 200):
+            got = t_quantile(df, p)
+            nu = mp.mpf(df)
+            exact = mp.findroot(
+                lambda t: 1 - mp.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2
+                - mp.mpf(p),
+                mp.mpf(got),
+            )
+            assert abs(mp.mpf(got) - exact) <= 4 * np.spacing(float(exact)), df

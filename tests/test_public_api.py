@@ -57,12 +57,22 @@ def test_all_names_exist():
     assert all(hasattr(aoiq, name) for name in aoiq.__all__)
 
 
-def test_import_loads_no_integrate_or_optimize():
-    # together they cost about a quarter second of every run's start-up
-    code = (
-        "import sys, aoiq, aoiq.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
-    )
+def test_import_loads_no_scipy():
+    # scipy.special alone cost more than half of every run's start-up; the
+    # package's special functions are numpy and math, so no call loads it
+    code = """
+import sys, aoiq, aoiq.cli
+from aoiq import Deterministic, Gamma, LogNormal, Policy, SimConfig, SystemConfig
+from aoiq import empirical_checks, moments, run
+for law in (LogNormal(-1.0, 1.0), Gamma(2.0, 4.0), Deterministic(0.5)):
+    moments(SystemConfig((1.0, 1.5), 0.5, law), 0, 2)
+for law in (Gamma(2.0, 4.0), LogNormal(-1.0, 1.0)):
+    cfg = SystemConfig((1.0, 1.5), 0.5, law)
+    policy = Policy.probabilistic(0.5)
+    report = run(cfg, policy, SimConfig(seed=3, horizon=1e4, batches=10))
+    empirical_checks(report, cfg, policy, min_samples=1000)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)

@@ -143,12 +143,12 @@ class TestSojournKit:
         # preempt probability times the preempted-sojourn MGF equals the
         # closed form's self-loop gain r_c * H_c, coefficient by
         # coefficient; at theta = 0 both sides are the zero jet
-        from aoiq.analytic import _survival_jet
+        from aoiq.analytic import _system_terms
 
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
             for c in range(cfg.num_sources):
-                loop = _survival_jet(cfg, c, 0.0, 8) * (cfg.theta * cfg.arrival_rates[c])
+                loop = _system_terms(cfg, 0.0, 8)[2][c] * (cfg.theta * cfg.arrival_rates[c])
                 via_kit = kit.preempted_mgf[c] * kit.preempt[c]
                 for x, y in zip(via_kit.coeffs, loop.coeffs):
                     assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)

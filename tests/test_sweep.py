@@ -5,7 +5,7 @@ import pytest
 
 import aoiq.sim as sim_mod
 import aoiq.sweep as sweep_mod
-from aoiq import Policy, PolicyKind, SystemConfig, moments, run
+from aoiq import LogNormal, Policy, PolicyKind, SystemConfig, moments, run
 from aoiq.config import parse_spec
 from aoiq.sweep import CSV_COLUMNS, format_number, grid_values, run_sweep, write_rows
 
@@ -103,6 +103,20 @@ class TestAnalyticSweep:
         for r in run_sweep(spec):
             if r["policy"] == "probabilistic":
                 assert r["diff_ratio_pct"] == 0.0
+
+    def test_diff_ratio_prints_only_the_digits_the_sums_keep(self):
+        # at (4, 4), theta 0.5 the self-preemptive sum is 5e-5 below the
+        # probabilistic one; the exact ratio is -0.00530321639481552 %. Sums
+        # good to 1e-14 relative fix it to about 2e-12 percentage points, so
+        # it is printed to 11 decimals, not to 12 significant digits
+        law = LogNormal(-1.0, 1.0)
+        prob, self_pre = (
+            sum(moments(SystemConfig((4.0, 4.0), theta, law), c, 2).mean_aoi for c in range(2))
+            for theta in (0.5, 1.0)
+        )
+        assert format_number(sweep_mod._diff_ratio_pct(self_pre, prob)) == "-0.00530321639"
+        # where 12 significant digits end above that place the ratio is left as it is
+        assert sweep_mod._diff_ratio_pct(13.0, 10.0) == (13.0 - 10.0) / 10.0 * 100.0
 
     def test_baseline_policies_flat_across_theta(self):
         spec = parse_spec(ANALYTIC_SWEEP)
@@ -392,6 +406,24 @@ class TestEachSystemOnce:
         # 4 distinct effective theta values (0 and 1 shared with the
         # baselines) times 2 sources
         assert len(calls["moments"]) == len(set(calls["moments"])) == 8
+
+    def test_one_service_jet_per_shift(self, monkeypatch):
+        from aoiq import Exponential
+        from aoiq.analytic import _system_terms
+
+        _system_terms.cache_clear()  # systems solved by earlier tests would request nothing
+        requested = []
+        original = Exponential.mgf_jet
+
+        def counted(self, t0, order):
+            requested.append((t0, order))
+            return original(self, t0, order)
+
+        monkeypatch.setattr(Exponential, "mgf_jet", counted)
+        run_sweep(parse_spec(THETA_BOTH.replace("mode = both", "mode = analytic")))
+        # theta 1/3 at rate 2 and theta 2/3 at rate 1 share the shift -2/3
+        assert (-2.0 / 3.0, 2) in requested
+        assert len(requested) == len(set(requested))
 
     @pytest.mark.parametrize("text", [THETA_BOTH, LAMBDA_BOTH], ids=["theta", "lambda1"])
     def test_rows_match_direct_calls(self, text):
