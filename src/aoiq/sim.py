@@ -223,6 +223,7 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
     outcome) arrays, up to the first event after ``limit``. ``theta`` is
     None under global preemption."""
     n, total = cfg.num_sources, cfg.total_rate
+    narrow = np.min_scalar_type(n - 1)  # source keys this narrow sort by radix
     shares = np.cumsum(cfg.arrival_rates)  # source c wins iff shares[c-1] <= u * Lambda < shares[c]
     waits, winners, global_gaps = (substream(seed, rep, n, k) for k in range(3))
     services = [substream(seed, rep, c, 1) for c in range(n)]
@@ -272,7 +273,7 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
         hi[key], hi[base + found] = ends, off + sizes - 1
         # each win's rank within its source: episodes up to the first whose
         # source lacks its delivery, that one in part
-        order, first = np.argsort(v, kind="stable"), np.cumsum(need) - need
+        order, first = np.argsort(v.astype(narrow), kind="stable"), np.cumsum(need) - need
         rank = np.empty_like(order)
         rank[order] = np.arange(len(v)) - first[v[order]]
         complete = rank < found[v]
@@ -290,22 +291,6 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
         if size[-1] and not complete[m]:  # the episode resumes without its wait
             w[m] = 0.0
         w, v = w[m + complete[m]:], v[m + complete[m]:]
-
-
-def _add_in_order(total: np.ndarray, keys, values) -> None:
-    """total.flat[k] += v for each (k, v) pair, one after another: bincount
-    adds its weights in input order, after each bin's running total."""
-    m = total.size
-    keys, values = np.concatenate((np.arange(m), keys)), np.concatenate((total.ravel(), values))
-    total.flat[:] = np.bincount(keys, values, m)
-
-
-def _columns(base, step, columns):
-    """Keys and values for ``_add_in_order``: the i-th (mask, values) pair
-    adds values[mask] at base[mask] + i * step."""
-    keys = [base[m] + i * step for i, (m, _) in enumerate(columns)]
-    values = [np.broadcast_to(v, base.shape)[m] for m, v in columns]
-    return np.concatenate(keys), np.concatenate(values)
 
 
 def _sawtooth(prev, prev_t, lo, t):
@@ -362,12 +347,19 @@ class _Tally:
         else:
             self.warm = int(round(sim.warmup_fraction * sim.delivered_per_source))
             self.opens_at = max(self.warm, 1)
-        for name in _COUNTS + _TIMES:  # arrivals and discards are known at the end
-            setattr(self, name, np.zeros(n_src, np.int64 if name in _COUNTS else float))
+        for name in _COUNTS:  # arrivals and discards are known at the end
+            setattr(self, name, np.zeros(n_src, np.int64))
         self.measure_from, self.first_delivery, self.last_delivery = np.full((3, n_src), _INF)
-        self.sums = np.zeros((n_src, 6))  # T count and sum; Y/A count, Y, A and A^2 sums
-        # per source and batch: T sum and count, Y and A sums and count, area, duration
-        self.batch = np.zeros((n_src, 7, self.b))
+        self.last_system_time = np.zeros(n_src)
+        # per source: busy time, AoI area and its square; T count and sum, Y/A count, Y, A
+        # and A^2 sums; per batch, T sum and count, Y and A sums and count, area, duration.
+        # A block adds to them in one bincount, in input order after each bin's total: keys
+        # and values lead with arange(len(flat)) and flat; they persist, as fresh pages fault
+        self.flat = np.zeros(n_src * (9 + 7 * self.b))
+        self.busy_time, self.aoi_area, self.aoi_area_sq = self.flat[: 3 * n_src].reshape(3, -1)
+        self.sums = self.flat[3 * n_src : 9 * n_src].reshape(n_src, 6)
+        self.batch = self.flat[9 * n_src :].reshape(n_src, 7, self.b)
+        self.keys, self.values = np.arange(len(self.flat)), np.empty(len(self.flat))
         self.reservoirs = [_Reservoir(substream(sim.seed, rep, c, 3)) for c in range(n_src)]
         self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
@@ -388,19 +380,30 @@ class _Tally:
             return stop
         self.blocks += 1
         delivered = outcome == _DELIVERED
-        count = lambda mask: np.bincount(src[mask], minlength=self.n)
-        self.entered_service += count(slice(None))
-        self.race_entries += count(np.concatenate(([self.after_delivery], delivered[:-1])))
+        after = np.concatenate(([self.after_delivery], delivered[:-1]))
         self.after_delivery = bool(delivered[-1])
-        self.preempted += count(outcome == _PREEMPTED)
-        self.in_flight += count(outcome == _IN_FLIGHT)
-        _add_in_order(self.busy_time, src, end - start)
+        # per source, the attempts by (after a delivery, outcome)
+        kinds = np.bincount(src * 6 + 3 * after + outcome, minlength=6 * self.n).reshape(-1, 2, 3)
+        self.entered_service += kinds.sum(axis=(1, 2))
+        self.race_entries += kinds[:, 1].sum(axis=1)
+        self.preempted += kinds[:, :, _PREEMPTED].sum(axis=1)
+        self.in_flight += kinds[:, :, _IN_FLIGHT].sum(axis=1)
+        m, na = len(self.flat), len(src)
+        size = m + na + (15 if self.b else 8) * np.count_nonzero(delivered)
+        if len(self.keys) < size:
+            self.keys, self.values = np.arange(size + _BLOCK), np.empty(size + _BLOCK)
+        keys, values = self.keys[:size], self.values[:size]
+        values[:m], keys[m : m + na], values[m : m + na] = self.flat, src, end - start  # busy time
         if delivered.any():
-            self._deliveries(src[delivered], start[delivered], end[delivered])
+            pos = np.flatnonzero(delivered)  # faster than a mask where deliveries are sparse
+            self._deliveries(src[pos], start[pos], end[pos], keys[m + na :], values[m + na :])
+        self.flat[:] = np.bincount(keys, values, m)
         return stop
 
-    def _deliveries(self, src, gen, t):
-        order = np.argsort(src, kind="stable")  # by source, in event order within each
+    def _deliveries(self, src, gen, t, keys, values):
+        """Account a block's deliveries; their sums go to ``keys`` and ``values``, a row each."""
+        n, b = self.n, self.b
+        order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")  # by source
         src, gen, t = src[order], gen[order], t[order]
         sys_t = t - gen
         counts = np.bincount(src, minlength=self.n)
@@ -423,25 +426,28 @@ class _Tally:
             self.measure_from[src[opens]] = t[opens]
         # the exact sawtooth over [prev, t], clipped to the measuring window
         lo = np.maximum(prev, np.where(idx > self.opens_at, self.measure_from[src], _INF))
-        seg = t > lo
-        area, area_sq, dt = np.zeros((3, len(t)))
-        area[seg], area_sq[seg], dt[seg] = _sawtooth(prev[seg], prev_t[seg], lo[seg], t[seg])
-        _add_in_order(self.aoi_area, src[seg], area[seg])
-        _add_in_order(self.aoi_area_sq, src[seg], area_sq[seg])
-        both = counted & later
-        _add_in_order(self.sums, *_columns(src * 6, 1, [
-            (counted, 1.0), (counted, sys_t), (both, 1.0), (both, y), (both, a), (both, a * a)]))
-        if self.b:
-            b = self.b
+        seg, both = t > lo, counted & later
+        # +0.0, which leaves a sum as it is, where a row's mask is off; there
+        # y, a and the sawtooth may be inf or NaN, so no row multiplies by a mask
+        keys, x = keys.reshape(-1, len(t)), values.reshape(-1, len(t))
+        x[:] = 0.0
+        x[0, seg], x[1, seg], dt = _sawtooth(prev[seg], prev_t[seg], lo[seg], t[seg])
+        for row, (mask, value) in zip(x[2:13], [
+                (counted, 1.0), (counted, sys_t), (both, 1.0), (both, y), (both, a), (both, a * a),
+                (counted, sys_t), (counted, 1.0), (both, y), (both, a), (both, 1.0)]):
+            np.copyto(row, value, where=mask)
+        np.add([[n], [2 * n]], src, out=keys[:2])
+        np.add(3 * n + np.arange(6)[:, None], 6 * src, out=keys[2:8])
+        if b:
+            x[13], x[14, seg] = x[0], dt
             if self.sim.horizon is not None:
                 k = ((t - self.warmup) / self.width).astype(np.intp)
             else:
                 counted_target = max(self.sim.delivered_per_source - self.warm, 1)
                 k = ((idx - self.warm - 1) * b) // counted_target
-            # a counted delivery, or one that ends a segment, has k >= 0
-            _add_in_order(self.batch, *_columns(src * 7 * b + np.minimum(k, b - 1), b, [
-                (counted, sys_t), (counted, 1.0), (both, y), (both, a), (both, 1.0),
-                (seg, area), (seg, dt)]))
+            # k < 0 before the warm-up, where the batch rows hold +0.0
+            k = 9 * n + 7 * b * src + np.clip(k, 0, b - 1)
+            np.add(b * np.arange(7)[:, None], k, out=keys[8:])
         for c in np.flatnonzero(counts):
             rows = slice(first[c], first[c] + counts[c])
             self.reservoirs[c].add(sys_t[rows][counted[rows]])
@@ -461,14 +467,14 @@ class _Tally:
         seg = np.flatnonzero(end_time > lo)  # lo is inf until a source's window opens
         prev, prev_t = self.last_delivery[seg], self.last_system_time[seg]
         area, area_sq, dt = _sawtooth(prev, prev_t, lo[seg], end_time)
-        _add_in_order(self.aoi_area, seg, area)
-        _add_in_order(self.aoi_area_sq, seg, area_sq)
-        b = self.b
+        n, b, m = self.n, self.b, len(self.flat)
+        keys, values = [np.arange(m), n + seg, 2 * n + seg], [self.flat, area, area_sq]
         if b:
             # the end falls in the last batch: under the time rule,
             # (end - warmup) / width is the batch count to within an ulp
-            last = seg * 7 * b + b - 1
-            _add_in_order(self.batch, np.r_[last + 5 * b, last + 6 * b], np.r_[area, dt])
+            last = 9 * n + seg * 7 * b + b - 1
+            keys, values = keys + [last + 5 * b, last + 6 * b], values + [area, dt]
+        self.flat[:] = np.bincount(np.concatenate(keys), np.concatenate(values), m)
         self.arrivals, self.discarded = self.entered_service + discarded, discarded
         return _Replication(
             end_time,
@@ -492,9 +498,12 @@ def _simulate_once(
     limit = sim.horizon if sim.horizon is not None else _INF
     theta = policy.effective_theta
     tally = _Tally(cfg.num_sources, sim, rep, collect_deliveries)
-    end_time = limit
+    # sample_s and tally_s: the seconds spent in the sampler and in the tally
+    end_time, sample_s, tally_s, lap = limit, 0.0, 0.0, time.perf_counter()
     for block in _attempts(cfg, sim.seed, rep, theta, limit):
+        sample_s += (sampled := time.perf_counter()) - lap
         stop = tally.add(*block)
+        tally_s += (lap := time.perf_counter()) - sampled
         if stop is not None:
             end_time = stop
             break
@@ -507,10 +516,11 @@ def _simulate_once(
     seconds = time.perf_counter() - clock
     info = dict(replication=rep, arrivals=int(tally.arrivals.sum()),
                 attempts=int(tally.entered_service.sum()), deliveries=int(tally.delivered.sum()),
-                blocks=tally.blocks, seconds=seconds)
+                blocks=tally.blocks, seconds=seconds, sample_s=sample_s, tally_s=tally_s)
     _log.debug(
         "replication %(replication)d: %(arrivals)d arrivals, %(attempts)d service attempts, "
-        "%(deliveries)d deliveries, %(blocks)d blocks, %(seconds).3f s, %(rate).0f arrivals/s",
+        "%(deliveries)d deliveries, %(blocks)d blocks, %(seconds).3f s (sampler %(sample_s).3f s, "
+        "tally %(tally_s).3f s), %(rate).0f arrivals/s",
         dict(info, rate=info["arrivals"] / seconds if seconds > 0 else math.inf), extra=info)
     return stats
 
@@ -760,6 +770,13 @@ def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
     return verdict(name, z, 3.0, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
 
 
+def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The samples in each bin (e_{i-1}, e_i] of the increasing ``edges``, the
+    first and last bins open-ended, as ``bincount(searchsorted(edges, x))``."""
+    at = np.searchsorted(np.sort(samples), edges, "right")  # the samples up to each edge
+    return np.diff(at, prepend=0, append=len(samples))
+
+
 def empirical_checks(
     report: SimReport,
     cfg: SystemConfig,
@@ -788,6 +805,7 @@ def empirical_checks(
             f"need >= {min_samples} idle-server races, got {total_races}"
         )
 
+    edges_at, qs = {}, np.arange(1, n_bins) / n_bins  # the bin edges per preemption rate
     for c, stats_c in enumerate(report.per_source):
         preempt_rate = theta * cfg.arrival_rates[c]
 
@@ -795,7 +813,9 @@ def empirical_checks(
         name = f"source{c}:system_time_fit"
         samples = stats_c.system_times
         try:
-            edges = cfg.service.tilted_quantiles(preempt_rate, np.arange(1, n_bins) / n_bins)
+            if preempt_rate not in edges_at:
+                edges_at[preempt_rate] = cfg.service.tilted_quantiles(preempt_rate, qs)
+            edges = edges_at[preempt_rate]
         except UnsupportedDensity:
             results.append(
                 CheckResult(name, "skip", math.nan, math.nan, "point-mass service has no density")
@@ -805,7 +825,7 @@ def empirical_checks(
                 raise InsufficientSamples(
                     f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
                 )
-            counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
+            counts = _bin_counts(samples, edges)
             expected = samples.size / n_bins
             stat = float(np.sum((counts - expected) ** 2) / expected)
             pval = float(gamma_pq(0.5 * (n_bins - 1), 0.5 * stat)[1])  # chi-square tail

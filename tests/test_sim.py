@@ -569,6 +569,25 @@ class TestEmpiricalChecks:
         assert all(r.status == "skip" for r in fits)
         assert summary.all_passed
 
+    def test_bins_are_right_closed(self):
+        # samples on the edges, some repeated: bin i is (e_{i-1}, e_i], as
+        # bincount(searchsorted(edges, x)) counts them
+        edges = np.array([1.0, 2.0, 3.0])
+        samples = np.array([3.0, 0.5, 1.0, 2.0, 1.0, 1.5, 3.0, 3.5, 2.0, 1.0, 3.0])
+        assert np.bincount(np.searchsorted(edges, samples), minlength=4).tolist() == [4, 3, 3, 1]
+        assert sim_mod._bin_counts(samples, edges).tolist() == [4, 3, 3, 1]
+
+    def test_bin_edges_once_per_preemption_rate(self, monkeypatch):
+        cfg = SystemConfig((1.0, 1.0, 2.0), 0.5, Exponential(1.5))
+        sim = SimConfig(seed=24, delivered_per_source=12_000, warmup_fraction=0.0)
+        rep = run(cfg, Policy.probabilistic(0.5), sim)
+        rates, quantiles = [], Exponential.tilted_quantiles
+        monkeypatch.setattr(Exponential, "tilted_quantiles",
+                            lambda law, rate, qs: rates.append(rate) or quantiles(law, rate, qs))
+        summary = empirical_checks(rep, cfg, Policy.probabilistic(0.5))
+        assert sorted(rates) == [0.5, 1.0]
+        assert sum("system_time_fit" in r.name for r in summary.results) == 3
+
     def test_theta_zero_tilt_reduces_to_plain_law(self):
         # no preemption: system times are plain service draws
         cfg = SystemConfig((1.0, 1.0), 0.0, LogNormal(-0.5, 0.7))
@@ -624,6 +643,17 @@ class TestAgainstReference:
         assert got.stats_identical(want)
         for s in got.per_source:
             assert s.arrivals == s.delivered + s.preempted + s.discarded + s.in_flight
+
+    @pytest.mark.parametrize(
+        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=lambda p: p.label()
+    )
+    def test_bit_identical_past_one_byte_of_sources(self, monkeypatch, policy):
+        # from 257 sources on, the sorts key the sources as uint16, not uint8
+        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
+        cfg, stop = SystemConfig((0.01,) * 300, 0.4, Exponential(1.0)), REFERENCE_RUNS["horizon"]
+        got = run(cfg, policy, stop, collect_deliveries=True)
+        assert got.stats_identical(reference_run(cfg, policy, stop, collect_deliveries=True))
+        assert max(got.deliveries[:, 0]) > 255
 
     def test_past_capacity_reached(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
@@ -726,4 +756,5 @@ class TestRunLog:
         assert sum(r.deliveries for r in records) == sum(s.delivered for s in report.per_source)
         for r in records:
             assert r.blocks >= 1 and r.seconds > 0
+            assert r.sample_s >= 0 and r.tally_s >= 0 and r.sample_s + r.tally_s <= r.seconds
             assert "arrivals/s" in r.getMessage()
