@@ -18,9 +18,18 @@ global preemption G ~ Exp(Lambda) and every attempt's source is a fresh
 winner. Given the busy times, source c's discards are Poisson with mean
 lambda_c (others' busy time) + (1 - theta) lambda_c (own busy time), one
 draw at the end. Each piece has its exact law, so reports are exact in
-distribution, the counter identity holds by construction, and blocks of
-about ``_BLOCK`` episodes give the reports of a one-attempt-at-a-time
-loop over the same substreams, bit for bit.
+distribution and the counter identity holds by construction.
+
+Every policy runs through one pooled layout. Attempts are drawn ahead
+into pools of (source, duration, delivered), and each episode, an idle
+wait and then attempts up to a delivery, takes the attempts of its pool
+up to that pool's next delivery. Under the probabilistic policy there is
+a pool per source, which the episode's winner picks; under global
+preemption one system pool serves every episode. A block lays out the
+waiting episodes up to the first whose pool lacks its delivery: up to
+``_BLOCK`` episodes, or about ``_BLOCK`` attempts where deliveries are
+rare, as under global preemption. Blocks give the reports of a
+one-attempt-at-a-time loop over the same substreams, bit for bit.
 
 Substreams: ``substream(seed, rep, c, k)`` serves source c with k = 0
 its discards, 1 service times, 2 unit-exponential preemption gaps
@@ -57,18 +66,15 @@ __all__ = [
     "SimReport",
     "InvalidConfig",
     "InsufficientSamples",
-    "PositiveExponentRejected",
     "run",
     "empirical_checks",
-    "empirical_mgf",
-    "empirical_aoi_mgf",
     "CheckResult",
     "CheckSummary",
     "verdict",
 ]
 
 RESERVOIR_CAPACITY = 100_000
-_BLOCK = 8192  # episodes per block; a source draws its share of a block at a time
+_BLOCK = 8192  # episodes waiting per block; a pool draws its share at a time, to _BLOCK attempts
 _INF = float("inf")
 _PREEMPTED, _DELIVERED, _IN_FLIGHT = 0, 1, 2  # how a service attempt ends
 
@@ -81,10 +87,6 @@ class InvalidConfig(ValueError):
 
 class InsufficientSamples(ValueError):
     """Too few samples for the requested statistic."""
-
-
-class PositiveExponentRejected(ValueError):
-    """Empirical MGF requested at s > 0, where summands are unbounded."""
 
 
 class PolicyKind(enum.Enum):
@@ -220,77 +222,101 @@ def _lay_out(t: float, src, wait, dur, delivered, limit: float):
 
 def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
     """Service attempts in event order, as blocks of (source, start, end,
-    outcome) arrays, up to the first event after ``limit``. ``theta`` is
-    None under global preemption."""
+    outcome) arrays, up to the first event after ``limit``. An episode takes
+    the attempts of its pool up to and with the pool's next delivery: given
+    ``theta``, the pool of the source that wins the episode; under global
+    preemption (``theta`` None), the one system pool, whose every attempt
+    has a winner of its own."""
     n, total = cfg.num_sources, cfg.total_rate
-    narrow = np.min_scalar_type(n - 1)  # source keys this narrow sort by radix
-    shares = np.cumsum(cfg.arrival_rates)  # source c wins iff shares[c-1] <= u * Lambda < shares[c]
+    rates = np.asarray(cfg.arrival_rates)
+    narrow = np.min_scalar_type(n - 1)  # source and pool keys this narrow sort by radix
+    shares = np.cumsum(rates)  # source c wins iff shares[c-1] <= u * Lambda < shares[c]
     waits, winners, global_gaps = (substream(seed, rep, n, k) for k in range(3))
     services = [substream(seed, rep, c, 1) for c in range(n)]
     wait = lambda k: waits.exponential(1 / total, k)
-    winner = lambda k: np.searchsorted(shares, winners.random(k) * shares[-1], "right")
+    # winner(k) is searchsorted(shares, u * Lambda, "right") for k uniforms u, mostly
+    # without its branches: u * cells is exact for a power of two and u * Lambda rises
+    # with u, so least[u * cells] is at most the winner, and is it unless shares[least]
+    # <= u * Lambda; only those draws, under one in eight on average, are searched
+    cells = 1 << (4 * n - 1).bit_length()
+    least = np.searchsorted(shares, np.arange(cells) / cells * shares[-1], "right")
+
+    def winner(k):
+        u = winners.random(k)
+        x, c = u * shares[-1], least[(u * cells).astype(np.intp)]
+        up = np.flatnonzero(x >= shares[c])
+        c[up] = np.searchsorted(shares, x[up], "right")
+        return c
+
+    if theta is None:
+        pool_rates, pool_of = np.array([total]), lambda k: np.zeros(k, np.intp)
+
+        def draw(p, k):  # k attempts of pool p: source, service time, preemption gap
+            src = winner(k)
+            svc, count = np.empty(k), np.bincount(src, minlength=n)
+            # each source's service times go to its attempts in order
+            svc[np.argsort(src.astype(narrow), kind="stable")] = np.concatenate(
+                [cfg.service.sample_n(services[c], count[c]) for c in range(n)])
+            return src, svc, global_gaps.exponential(1 / total, k)
+    else:
+        gaps = [substream(seed, rep, c, 2) for c in range(n)]
+        pool_rates, pool_of = rates, winner
+
+        def draw(p, k):
+            gap = gaps[p].standard_exponential(k) / (theta * rates[p]) if theta else _INF
+            return np.full(k, p), cfg.service.sample_n(services[p], k), gap
+    npool = len(pool_rates)
+    chunks = np.ceil(_BLOCK / total * pool_rates).astype(np.intp)  # a pool's share of a block
+    # per pool, the attempts drawn but not laid out, in pieces of (source, duration,
+    # delivered); their number and deliveries, and the episodes that wait for them
+    pools = [[] for _ in range(npool)]
+    sizes, found, need = np.zeros((3, npool), np.intp)
+    v, begun = np.empty(0, np.intp), False  # the episodes not laid out, by pool; has v[0] begun
     t = 0.0
-    if theta is None:  # every arrival preempts: each attempt's source is a fresh winner
-        idle = True  # the next attempt follows a delivery, after a wait
-        while t is not None:
-            src, gap, svc = winner(_BLOCK), global_gaps.exponential(1 / total, _BLOCK), np.empty(_BLOCK)
-            for c in range(n):
-                svc[src == c] = cfg.service.sample_n(services[c], np.count_nonzero(src == c))
-            ok = svc <= gap
-            after = np.concatenate(([idle], ok[:-1]))
-            w = np.zeros(_BLOCK)
-            w[after] = wait(np.count_nonzero(after))
-            idle = bool(ok[-1])
-            block, t = _lay_out(t, src, w, np.minimum(svc, gap), ok, limit)
-            yield block
-        return
-    gaps = [substream(seed, rep, c, 2) for c in range(n)]
-    rates = np.asarray(cfg.arrival_rates)
-    chunks = np.ceil(_BLOCK / total * rates).astype(np.intp)  # a source's share of a block
-    # per source, the attempts drawn but not laid out: duration, delivered
-    pools = [(np.empty(0), np.empty(0, bool))] * n
-    w, v = np.empty(0), np.empty(0, np.intp)  # the episodes not laid out: wait, winner
     while t is not None:
-        w, v = np.concatenate((w, wait(_BLOCK - len(v)))), np.concatenate((v, winner(_BLOCK - len(v))))
-        need = np.bincount(v, minlength=n)
-        for c in np.flatnonzero(need):  # a pool stays under two blocks
-            dur, ok = pools[c]
-            while np.count_nonzero(ok) < need[c] and len(ok) < _BLOCK:
-                k = max(chunks[c], len(ok))  # the pool at least doubles
-                svc = cfg.service.sample_n(services[c], k)
-                gap = gaps[c].standard_exponential(k) / (theta * rates[c]) if theta else _INF
-                dur, ok = np.concatenate((dur, np.minimum(svc, gap))), np.concatenate((ok, svc <= gap))
-            pools[c] = dur, ok
-        sizes, found = np.array([(len(ok), np.count_nonzero(ok)) for _, ok in pools]).T
-        dur, ok = (np.concatenate(x) for x in zip(*pools))
-        off, base = np.cumsum(sizes) - sizes, np.cumsum(found) - found + np.arange(n)
-        # source c's r-th episode spans pool positions lo[base[c] + r] to hi[base[c] + r];
-        # at r = found[c], what follows its last delivery, which ends no episode
-        ends = np.flatnonzero(ok)  # the deliveries, source by source
-        key = np.arange(len(ends)) + np.repeat(np.arange(n), found)
-        lo, hi = np.empty(len(ends) + n + 1, np.intp), np.empty(len(ends) + n, np.intp)
-        lo[key + 1], lo[base], lo[-1] = ends + 1, off, len(ok)
-        hi[key], hi[base + found] = ends, off + sizes - 1
-        # each win's rank within its source: episodes up to the first whose
-        # source lacks its delivery, that one in part
-        order, first = np.argsort(v.astype(narrow), kind="stable"), np.cumsum(need) - need
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(v)) - first[v[order]]
-        complete = rank < found[v]
-        m = len(v) - 1 if complete.all() else int(np.argmin(complete))
-        e = base[v[: m + 1]] + rank[: m + 1]
-        size = hi[e] + 1 - lo[e]
-        heads = np.cumsum(size) - size
+        fresh = pool_of(_BLOCK - len(v))
+        v = np.concatenate((v, fresh))
+        need += np.bincount(fresh, minlength=npool)
+        for p in np.flatnonzero(found < need):  # a pool stays under two blocks
+            while found[p] < need[p] and sizes[p] < _BLOCK:
+                src, svc, gap = draw(p, max(chunks[p], sizes[p]))  # the pool at least doubles
+                ok = svc <= gap
+                pools[p].append((src, np.minimum(svc, gap), ok))
+                sizes[p] += len(ok)
+                found[p] += np.count_nonzero(ok)
+        src, dur, ok = (np.concatenate(x) for x in zip(*(piece for pool in pools for piece in pool)))
+        off, base = sizes.cumsum() - sizes, (found + 1).cumsum() - found - 1
+        # pool p's r-th episode runs from attempt lo[base[p] + r] up to lo[base[p] + r + 1];
+        # at r = found[p], what follows its last delivery, which ends no episode
+        ends = np.flatnonzero(ok)  # the deliveries, pool by pool
+        lo = np.empty(len(ends) + npool + 1, np.intp)
+        lo[np.arange(1, len(ends) + 1) + np.repeat(np.arange(npool), found)] = ends + 1
+        lo[base], lo[-1] = off, len(ok)
+        # each episode's slot base[p] + r, r its rank in its pool p: episodes up to the
+        # first whose pool lacks its delivery, that one in part; as no more episodes
+        # complete than the pools hold deliveries, the first found.sum() + 1 decide
+        head = v[: found.sum() + 1]
+        order, count = np.argsort(head.astype(narrow), kind="stable"), np.bincount(head, minlength=npool)
+        e = np.empty_like(order)
+        e[order] = np.arange(len(head)) + (base - count.cumsum() + count)[head[order]]
+        complete = e < (base + found)[head]
+        m = len(head) - 1 if complete.all() else int(np.argmin(complete))
+        e = e[: m + 1]
+        size = lo[e + 1] - lo[e]
+        heads = size.cumsum() - size
         idx = np.repeat(lo[e] - heads, size) + np.arange(heads[-1] + size[-1])
         pause = np.zeros(len(idx))  # each episode's wait, before its first attempt
-        pause[heads[size > 0]] = w[: m + 1][size > 0]
-        block, t = _lay_out(t, np.repeat(v[: m + 1], size), pause, dur[idx], ok[idx], limit)
+        begins = heads[begun : m + bool(size[-1])]
+        pause[begins] = wait(len(begins))
+        block, t = _lay_out(t, src[idx], pause, dur[idx], ok[idx], limit)
         yield block
-        cut = lo[base + np.bincount(v[: m + 1], minlength=n)]  # each pool's first attempt left
-        pools = [(dur[i:j], ok[i:j]) for i, j in zip(cut, off + sizes)]
-        if size[-1] and not complete[m]:  # the episode resumes without its wait
-            w[m] = 0.0
-        w, v = w[m + complete[m]:], v[m + complete[m]:]
+        done = np.bincount(head[: m + 1], minlength=npool)  # the episodes laid out
+        cut = lo[base + done]  # each pool's first attempt left
+        pools = [[(src[i:j], dur[i:j], ok[i:j])] for i, j in zip(cut, off + sizes)]
+        done[v[m]] -= not complete[m]  # an incomplete v[m] waits on, having used no delivery,
+        begun = bool(size[-1]) and not complete[m]  # and resumes without a wait if it began
+        sizes, found, need = off + sizes - cut, found - done, need - done
+        v = v[m + complete[m]:]
 
 
 def _sawtooth(prev, prev_t, lo, t):
@@ -686,49 +712,8 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Empirical statistics and goodness-of-fit checks
+# Goodness-of-fit checks
 # ---------------------------------------------------------------------------
-
-
-def empirical_mgf(samples, s: float) -> tuple[float, float]:
-    """Sample mean and standard error of exp(s * x) for s <= 0."""
-    if s > 0:
-        raise PositiveExponentRejected(f"empirical MGF requires s <= 0, got {s}")
-    x = np.asarray(samples, dtype=float)
-    if x.size < 100:
-        raise InsufficientSamples(f"need >= 100 samples, got {x.size}")
-    vals = np.exp(s * x)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(x.size))
-
-
-def empirical_aoi_mgf(records: np.ndarray, s: float, groups: int = 20) -> tuple[float, float]:
-    """Stationary-AoI MGF estimate from delivery records, plus standard error.
-
-    ``records`` has one row per segment of the sawtooth: the previous
-    delivery's system time, the interdeparture time and the peak age. A
-    source's rows follow from consecutive rows of the delivery dump of
-    ``run(..., collect_deliveries=True)`` within one replication.
-    Over one sawtooth segment the age runs linearly from the previous
-    system time up to the peak, so the time integral of exp(s * age) has a
-    closed form per record; the estimate is a ratio of segment sums and
-    its error comes from grouped batch means.
-    """
-    rec = np.asarray(records, dtype=float)
-    if rec.ndim != 2 or rec.shape[1] != 3:
-        raise ValueError("records must have columns (prev system time, interdep, peak)")
-    if rec.shape[0] < groups * 2:
-        raise InsufficientSamples(f"need >= {groups * 2} records, got {rec.shape[0]}")
-    if s == 0.0:
-        return 1.0, 0.0
-    prev_t, y, peak = rec[:, 0], rec[:, 1], rec[:, 2]
-    vals = (np.exp(s * peak) - np.exp(s * prev_t)) / s
-    est = float(np.sum(vals) / np.sum(y))
-    idx = np.arange(rec.shape[0]) * groups // rec.shape[0]
-    ratios = np.array(
-        [np.sum(vals[idx == g]) / np.sum(y[idx == g]) for g in range(groups)]
-    )
-    se = float(np.std(ratios, ddof=1) / math.sqrt(groups))
-    return est, se
 
 
 @dataclass(frozen=True)

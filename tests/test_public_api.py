@@ -54,7 +54,14 @@ def test_imports_found():
 
 
 def test_all_names_exist():
-    assert all(hasattr(aoiq, name) for name in aoiq.__all__)
+    # the package and each of its modules: a name removed from a module but
+    # left in its __all__ would break ``from aoiq.<module> import *``
+    stems = sorted(p.stem for p in (ROOT / "src" / "aoiq").glob("*.py") if p.stem != "__init__")
+    assert {"sim", "analytic", "service", "_special"} <= set(stems)
+    for name in ["aoiq"] + [f"aoiq.{stem}" for stem in stems]:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ lists {missing}"
 
 
 def test_import_loads_no_scipy():

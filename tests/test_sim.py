@@ -23,15 +23,7 @@ from aoiq import (
 from aoiq import sim as sim_mod
 from aoiq.analytic import Transform, mgf_point_eval
 from aoiq.service import substream
-from aoiq.sim import (
-    RESERVOIR_CAPACITY,
-    InvalidConfig,
-    PositiveExponentRejected,
-    SourceStats,
-    _simulate_once,
-    empirical_aoi_mgf,
-    empirical_mgf,
-)
+from aoiq.sim import RESERVOIR_CAPACITY, InvalidConfig, SourceStats, _simulate_once
 from sim_reference import arrival_loop, reference_run
 
 ANCHOR = SystemConfig((1.0,), 1.0, Exponential(1.0))
@@ -248,6 +240,50 @@ def dump_records(report, c):
         counted = idx > int(round(sim.warmup_fraction * sim.delivered_per_source))
     keep = counted[1:] & ~fresh[1:]
     return np.column_stack((rows[:-1, 3], rows[1:, 4], rows[1:, 5]))[keep]
+
+
+class PositiveExponentRejected(ValueError):
+    """Empirical MGF requested at s > 0, where summands are unbounded."""
+
+
+def empirical_mgf(samples, s: float) -> tuple[float, float]:
+    """Sample mean and standard error of exp(s * x) for s <= 0."""
+    if s > 0:
+        raise PositiveExponentRejected(f"empirical MGF requires s <= 0, got {s}")
+    x = np.asarray(samples, dtype=float)
+    if x.size < 100:
+        raise InsufficientSamples(f"need >= 100 samples, got {x.size}")
+    vals = np.exp(s * x)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(x.size))
+
+
+def empirical_aoi_mgf(records: np.ndarray, s: float, groups: int = 20) -> tuple[float, float]:
+    """Stationary-AoI MGF estimate from delivery records, plus standard error.
+
+    ``records`` has one row per segment of the sawtooth: the previous
+    delivery's system time, the interdeparture time and the peak age, as
+    ``dump_records`` builds them from a delivery dump.
+    Over one sawtooth segment the age runs linearly from the previous
+    system time up to the peak, so the time integral of exp(s * age) has a
+    closed form per record; the estimate is a ratio of segment sums and
+    its error comes from grouped batch means.
+    """
+    rec = np.asarray(records, dtype=float)
+    if rec.ndim != 2 or rec.shape[1] != 3:
+        raise ValueError("records must have columns (prev system time, interdep, peak)")
+    if rec.shape[0] < groups * 2:
+        raise InsufficientSamples(f"need >= {groups * 2} records, got {rec.shape[0]}")
+    if s == 0.0:
+        return 1.0, 0.0
+    prev_t, y, peak = rec[:, 0], rec[:, 1], rec[:, 2]
+    vals = (np.exp(s * peak) - np.exp(s * prev_t)) / s
+    est = float(np.sum(vals) / np.sum(y))
+    idx = np.arange(rec.shape[0]) * groups // rec.shape[0]
+    ratios = np.array(
+        [np.sum(vals[idx == g]) / np.sum(y[idx == g]) for g in range(groups)]
+    )
+    se = float(np.std(ratios, ddof=1) / math.sqrt(groups))
+    return est, se
 
 
 class TestSampleIdentities:
@@ -662,6 +698,22 @@ class TestAgainstReference:
         assert all(s.delivered > 220 for s in report.per_source)
 
 
+class TestWinners:
+    @pytest.mark.parametrize(
+        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=lambda p: p.label()
+    )
+    def test_uneven_rates_bit_identical(self, monkeypatch, policy):
+        # shares 2.2, 2.23 and 2.26 of 5 fall in one of the winner table's 32
+        # cells, so a draw in it may lie up to three shares past the cell's
+        # least winner; the winners must still be the reference loop's
+        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
+        cfg = SystemConfig((0.2, 2.0, 0.03, 0.03, 2.74), 0.4, Exponential(1.0))
+        stop = SimConfig(seed=16, horizon=3000.0)
+        got = run(cfg, policy, stop, collect_deliveries=True)
+        assert got.stats_identical(reference_run(cfg, policy, stop, collect_deliveries=True))
+        assert min(s.race_entries for s in got.per_source) >= 5
+
+
 def route_z_scores(policy, reps=40, horizon=2e3):
     """Welch z of ``run`` against the arrival loop: per source, the
     replication means of the AoI, the peak AoI and the delivered,
@@ -721,7 +773,11 @@ class TestBlockSeams:
 
 
 class TestBoundedDraws:
-    def test_a_source_draws_at_most_a_block_per_block(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "policy", [Policy.probabilistic(1.0), Policy.globally_preemptive()],
+        ids=["probabilistic", "globally_preemptive"],
+    )
+    def test_a_source_draws_at_most_a_block_per_block(self, monkeypatch, policy):
         # one delivery in e^6 ~ 400 attempts, and an episode of ~66 time
         # units outlasts the horizon: drawing each win's attempts up to its
         # delivery would ask for ~400 * _BLOCK ~ 3M service times
@@ -734,7 +790,7 @@ class TestBoundedDraws:
 
         monkeypatch.setattr(Deterministic, "sample_n", counting)
         cfg = SystemConfig((6.0,), 1.0, Deterministic(1.0))
-        s = run(cfg, Policy.probabilistic(1.0), SimConfig(seed=1, horizon=50.0)).per_source[0]
+        s = run(cfg, policy, SimConfig(seed=1, horizon=50.0)).per_source[0]
         assert sum(requested) <= 2 * sim_mod._BLOCK
         assert s.entered_service > 100
         assert s.arrivals == s.delivered + s.preempted + s.discarded + s.in_flight
