@@ -172,9 +172,9 @@ def _system_terms(cfg: SystemConfig, s0: float, order: int):
     return s, service, survival, loop_free, prefix, suffix[::-1]
 
 
-def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet, Jet]:
-    """Jets at s0 of M_c, M_Y and (M_Y - 1)/s, the term builder that every
-    transform of ``source`` reads, with K_c = prefix + suffix of the others.
+def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet]:
+    """Jets at s0 of M_Y and (M_Y - 1)/s, the term builder that every
+    transform of ``source`` but M_T reads, with K_c = prefix + suffix of the others.
     Raises OutsideConvergenceRegion where a denominator is not positive at s0
     (s0 at or beyond the total rate, a factor 1 - h_c, or rate_c - s * K)."""
     s, service, survival, loop_free, prefix, suffix = _system_terms(cfg, s0, order)
@@ -187,7 +187,6 @@ def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, 
         raise OutsideConvergenceRegion(f"detour denominator nonpositive at s={s0}")
     denominator = loop_free[source] * detour
     return (
-        service[source],
         service[source] * rate / denominator,
         (survival[source] * rate + k * loop_free[source]) / denominator,
     )
@@ -208,20 +207,27 @@ def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORD
 def interdeparture_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the interdeparture-time MGF for one source."""
     cfg._check_source(source)
-    return _terms(cfg, source, 0.0, order)[1]
+    return _terms(cfg, source, 0.0, order)[0]
+
+
+def _source_jets(cfg: SystemConfig, source: int, order: int) -> tuple[Jet, Jet, Jet, Jet]:
+    """Jets at 0 of M_T, M_Y, the peak-age MGF M_T * M_Y (system time and
+    interdeparture time of consecutive deliveries are independent) and the AoI
+    MGF M_T * ((M_Y - 1)/s) / mean(Y): every public transform jet and every
+    moment of ``source`` is read off these."""
+    t_jet = system_time_mgf_jet(cfg, source, order)
+    y_jet, excess = _terms(cfg, source, 0.0, order)
+    return t_jet, y_jet, t_jet * y_jet, t_jet * excess * (1.0 / y_jet.derivative_value(1))
 
 
 def paoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet at 0 of the peak-age MGF: system time and interdeparture time
-    of consecutive deliveries are independent, so the MGFs multiply."""
-    return system_time_mgf_jet(cfg, source, order) * interdeparture_mgf_jet(cfg, source, order)
+    """Jet at 0 of the peak-age MGF."""
+    return _source_jets(cfg, source, order)[2]
 
 
 def aoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet at 0 of the stationary AoI MGF, M_T(s) * ((M_Y(s) - 1)/s) / mean(Y)."""
-    cfg._check_source(source)
-    _, y_jet, excess = _terms(cfg, source, 0.0, order)
-    return system_time_mgf_jet(cfg, source, order) * excess * (1.0 / y_jet.derivative_value(1))
+    """Jet at 0 of the stationary AoI MGF."""
+    return _source_jets(cfg, source, order)[3]
 
 
 def _moments_from_jet(jet: Jet, max_order: int) -> tuple[float, ...]:
@@ -230,19 +236,16 @@ def _moments_from_jet(jet: Jet, max_order: int) -> tuple[float, ...]:
 
 def _direct_moments(cfg: SystemConfig, source: int, max_order: int, order: int):
     """Jets of order ``order`` at 0 of T and Y, and the moments 1..max_order read
-    off the assembled AoI and peak-age jets."""
+    off the AoI and peak-age jets."""
     if max_order < 1:
         raise ValueError("moment order must be >= 1")
-    cfg._check_source(source)
-    service, y_jet, excess = _terms(cfg, source, 0.0, order)
-    t_jet = service * (1.0 / service.coeffs[0])
-    mean_y = y_jet.derivative_value(1)
+    t_jet, y_jet, paoi, aoi = _source_jets(cfg, source, order)
     metrics = AoiMetrics(
         source,
-        _moments_from_jet(t_jet * excess * (1.0 / mean_y), max_order),
-        _moments_from_jet(t_jet * y_jet, max_order),
+        _moments_from_jet(aoi, max_order),
+        _moments_from_jet(paoi, max_order),
         t_jet.derivative_value(1),
-        mean_y,
+        y_jet.derivative_value(1),
     )
     return t_jet, y_jet, metrics
 
@@ -305,11 +308,11 @@ def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -
         )
         if which is Transform.SYSTEM_TIME:
             return t_val
-        _, y_jet, excess = _terms(cfg, source, s, 1)
+        y_jet, excess = _terms(cfg, source, s, 1)
     except MgfDomainError as exc:
         raise OutsideConvergenceRegion(f"service transform undefined at s={s}: {exc}") from exc
     if which is Transform.INTERDEPARTURE:
         return y_jet.coeffs[0]
     if which is Transform.PAOI:
         return t_val * y_jet.coeffs[0]
-    return t_val * excess.coeffs[0] / _terms(cfg, source, 0.0, 1)[2].coeffs[0]
+    return t_val * excess.coeffs[0] / _terms(cfg, source, 0.0, 1)[1].coeffs[0]

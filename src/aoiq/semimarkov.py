@@ -157,21 +157,14 @@ def sojourn_kit(cfg: SystemConfig, order: int = DEFAULT_ORDER) -> SojournKit:
         race.append(rate / total)
         wait_jets.append(wait)
         delivered_jets.append(shifted * (1.0 / shifted.coeffs[0]))
-        if preempt_rate == 0.0:
-            # preemption is impossible; the state is unreachable and the
-            # constant-1 jet is the limit convention
-            preempt.append(0.0)
-            delivery.append(1.0)
-            preempted_jets.append(Jet.constant(1.0, order))
-        else:
-            # (1 - M_U(s - r))/(r - s) via the stable survival transform;
-            # its constant term times r is the preemption probability
-            # 1 - M_U(-r), accurate down to vanishing rates
-            survival = cfg.service.survival_mgf_jet(-preempt_rate, order).recenter(0.0)
-            p_preempt = preempt_rate * survival.coeffs[0]
-            preempt.append(p_preempt)
-            delivery.append(1.0 - p_preempt)
-            preempted_jets.append(survival * (1.0 / survival.coeffs[0]))
+        # (1 - M_U(s - r))/(r - s) via the stable survival transform; its
+        # constant term times r is the preemption probability 1 - M_U(-r),
+        # accurate down to vanishing rates and exactly 0 at r = 0
+        survival = cfg.service.survival_mgf_jet(-preempt_rate, order).recenter(0.0)
+        p_preempt = preempt_rate * survival.coeffs[0]
+        preempt.append(p_preempt)
+        delivery.append(1.0 - p_preempt)
+        preempted_jets.append(survival * (1.0 / survival.coeffs[0]))
     return SojournKit(
         race=tuple(race),
         delivery=tuple(delivery),

@@ -95,9 +95,6 @@ def _gauss_legendre(lo, hi, panels: int = _PANELS) -> tuple[np.ndarray, np.ndarr
 class ServiceDistribution:
     """Common interface; concrete laws are the frozen dataclasses below."""
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_n(rng, 1)[0])
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -146,17 +143,14 @@ class ServiceDistribution:
         the system time of a delivered packet when preemptions come at ``rate``."""
         raise NotImplementedError
 
-    def label(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"exponential rate must be positive finite, got {self.rate}")
 
     def sample_n(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
@@ -188,9 +182,6 @@ class Exponential(ServiceDistribution):
     def tilted_quantiles(self, rate, qs):
         return -np.log1p(-qs) / (self.rate + rate)  # Exp(rate + tilt)
 
-    def label(self):
-        return f"exponential(rate={self.rate:g})"
-
 
 @dataclass(frozen=True)
 class Gamma(ServiceDistribution):
@@ -198,8 +189,8 @@ class Gamma(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError(f"gamma shape/rate must be positive, got {self}")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError(f"gamma shape/rate must be positive finite, got {self}")
 
     def sample_n(self, rng, n):
         return rng.gamma(self.shape, 1.0 / self.rate, n)
@@ -230,17 +221,14 @@ class Gamma(ServiceDistribution):
     def tilted_quantiles(self, rate, qs):
         return gamma_p_inv(self.shape, qs) * (1.0 / (self.rate + rate))  # Gamma(shape, rate + tilt)
 
-    def label(self):
-        return f"gamma(shape={self.shape:g}, rate={self.rate:g})"
-
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"deterministic duration must be positive, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"deterministic duration must be positive finite, got {self.value}")
 
     def sample_n(self, rng, n):
         return np.full(n, self.value)
@@ -261,9 +249,6 @@ class Deterministic(ServiceDistribution):
     def tilted_quantiles(self, rate, qs):
         raise UnsupportedDensity("a point mass has no density")
 
-    def label(self):
-        return f"deterministic(value={self.value:g})"
-
 
 @dataclass(frozen=True)
 class LogNormal(ServiceDistribution):
@@ -271,8 +256,8 @@ class LogNormal(ServiceDistribution):
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"log-normal scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.loc) and 0 < self.scale < math.inf):
+            raise ValueError(f"log-normal loc must be finite, scale positive finite, got {self}")
 
     def sample_n(self, rng, n):
         return rng.lognormal(self.loc, self.scale, n)
@@ -360,9 +345,6 @@ class LogNormal(ServiceDistribution):
                 return np.exp(self.loc + self.scale * z_next)
             z = z_next
         raise ConvergenceError(f"tilted log-normal quantiles did not converge (rate={rate})")
-
-    def label(self):
-        return f"lognormal(loc={self.loc:g}, scale={self.scale:g})"
 
 
 _DIST_BUILDERS = {

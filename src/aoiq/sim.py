@@ -139,11 +139,6 @@ class Policy:
         return {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0,
                 PolicyKind.GLOBALLY_PREEMPTIVE: None}.get(self.kind, self.theta)
 
-    def label(self) -> str:
-        if self.kind is PolicyKind.PROBABILISTIC:
-            return f"probabilistic(theta={self.theta:g})"
-        return self.kind.value
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -755,6 +750,9 @@ def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
     return verdict(name, z, 3.0, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
 
 
+_FIT_BINS = 50  # equal-probability bins of the system-time fit
+
+
 def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The samples in each bin (e_{i-1}, e_i] of the increasing ``edges``, the
     first and last bins open-ended, as ``bincount(searchsorted(edges, x))``."""
@@ -767,7 +765,6 @@ def empirical_checks(
     cfg: SystemConfig,
     policy: Policy,
     min_samples: int = 10_000,
-    n_bins: int = 50,
 ) -> CheckSummary:
     """Goodness-of-fit of a probabilistic-policy run against the theory.
 
@@ -790,7 +787,7 @@ def empirical_checks(
             f"need >= {min_samples} idle-server races, got {total_races}"
         )
 
-    edges_at, qs = {}, np.arange(1, n_bins) / n_bins  # the bin edges per preemption rate
+    edges_at, qs = {}, np.arange(1, _FIT_BINS) / _FIT_BINS  # the bin edges per preemption rate
     for c, stats_c in enumerate(report.per_source):
         preempt_rate = theta * cfg.arrival_rates[c]
 
@@ -811,16 +808,16 @@ def empirical_checks(
                     f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
                 )
             counts = _bin_counts(samples, edges)
-            expected = samples.size / n_bins
+            expected = samples.size / _FIT_BINS
             stat = float(np.sum((counts - expected) ** 2) / expected)
-            pval = float(gamma_pq(0.5 * (n_bins - 1), 0.5 * stat)[1])  # chi-square tail
+            pval = float(gamma_pq(0.5 * (_FIT_BINS - 1), 0.5 * stat)[1])  # chi-square tail
             results.append(
                 CheckResult(
                     name,
                     "pass" if pval > 1e-3 else "fail",
                     pval,
                     1e-3,
-                    f"chi2={stat:.1f} over {n_bins} bins, n={samples.size}",
+                    f"chi2={stat:.1f} over {_FIT_BINS} bins, n={samples.size}",
                 )
             )
 

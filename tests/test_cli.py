@@ -11,6 +11,7 @@ import aoiq.sim as sim_mod
 from aoiq import Exponential, Policy, SimConfig, SystemConfig, run
 from aoiq.cli import main
 from aoiq.sweep import format_number
+from test_service import NON_FINITE_SPECS
 from test_sweep import count_pools
 
 POINT_SPEC = """
@@ -169,6 +170,14 @@ class TestExitCodes:
         # a run that could never stop is a configuration error, not a hang
         spec, out = write_spec(tmp_path, POINT_SPEC)
         assert main(["simulate", "-c", spec, "--horizon", "inf"]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("service", NON_FINITE_SPECS)
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_non_finite_service_parameter_rejected(self, tmp_path, capsys, command, service):
+        spec, out = write_spec(tmp_path, POINT_SPEC.replace("exponential(rate=1.5)", service))
+        assert main([command, "-c", spec]) == 1
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_validation_failure_exit_two(self, tmp_path, monkeypatch):

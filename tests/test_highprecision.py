@@ -7,6 +7,7 @@ of the closed form (through gain over 1 - self-loop gain, detour factor
 1 - sum of the other sources' ratios), which shares no identity with
 the cancellation-free form the package evaluates."""
 
+import dataclasses
 import functools
 import math
 
@@ -142,7 +143,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cfg", CASES, ids=lambda c: c.service.label())
+def _law_id(cfg):
+    """The service law as a spec, e.g. ``gamma(shape=2, rate=3)``."""
+    law = cfg.service
+    params = ", ".join(f"{f.name}={getattr(law, f.name):g}" for f in dataclasses.fields(law))
+    return f"{type(law).__name__.lower()}({params})"
+
+
+@pytest.mark.parametrize("cfg", CASES, ids=_law_id)
 def test_system_time_coefficients(cfg):
     for source in range(cfg.num_sources):
         jet = system_time_mgf_jet(cfg, source, 8)
@@ -152,7 +160,7 @@ def test_system_time_coefficients(cfg):
             assert jet.coeffs[k] == pytest.approx(exact, rel=1e-11)
 
 
-@pytest.mark.parametrize("cfg", CASES, ids=lambda c: c.service.label())
+@pytest.mark.parametrize("cfg", CASES, ids=_law_id)
 def test_interdeparture_coefficients(cfg):
     # no constant term of the closed form is formed by cancellation, so
     # a vanishing rate share or delivery probability costs no digits

@@ -104,6 +104,12 @@ class TestConfigValidation:
         assert policy.effective_theta == theta
 
 
+def _policy_id(policy):
+    if policy.kind is PolicyKind.PROBABILISTIC:
+        return f"probabilistic(theta={policy.theta:g})"
+    return policy.kind.value
+
+
 class TestCounters:
     @pytest.mark.parametrize(
         "policy",
@@ -113,7 +119,7 @@ class TestCounters:
             Policy.self_preemptive(),
             Policy.globally_preemptive(),
         ],
-        ids=lambda p: p.label(),
+        ids=_policy_id,
     )
     def test_conservation(self, policy):
         report = run(TWO_EXP, policy, small_sim())
@@ -670,7 +676,7 @@ class TestAgainstReference:
     # reservoir and dumped delivery bit for bit. A capacity of 200 sends
     # the reservoirs past capacity
     @pytest.mark.parametrize("stop", REFERENCE_RUNS.values(), ids=REFERENCE_RUNS.keys())
-    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=lambda p: p.label())
+    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=_policy_id)
     @pytest.mark.parametrize("cfg", REFERENCE_SYSTEMS.values(), ids=REFERENCE_SYSTEMS.keys())
     def test_bit_identical(self, monkeypatch, cfg, policy, stop):
         monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
@@ -681,7 +687,7 @@ class TestAgainstReference:
             assert s.arrivals == s.delivered + s.preempted + s.discarded + s.in_flight
 
     @pytest.mark.parametrize(
-        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=lambda p: p.label()
+        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=_policy_id
     )
     def test_bit_identical_past_one_byte_of_sources(self, monkeypatch, policy):
         # from 257 sources on, the sorts key the sources as uint16, not uint8
@@ -700,7 +706,7 @@ class TestAgainstReference:
 
 class TestWinners:
     @pytest.mark.parametrize(
-        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=lambda p: p.label()
+        "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=_policy_id
     )
     def test_uneven_rates_bit_identical(self, monkeypatch, policy):
         # shares 2.2, 2.23 and 2.26 of 5 fall in one of the winner table's 32
@@ -742,7 +748,7 @@ class TestAgainstArrivalLoop:
     # degrees of freedom, 4.33, is a conservative stand-in for the Welch
     # one). Scaling the sampler's preemption rate by 1.1 gives |z| > 10.
     @pytest.mark.parametrize(
-        "policy", [Policy.probabilistic(0.28), Policy.globally_preemptive()], ids=lambda p: p.label()
+        "policy", [Policy.probabilistic(0.28), Policy.globally_preemptive()], ids=_policy_id
     )
     def test_same_distribution_as_the_model(self, policy):
         z = route_z_scores(policy)
@@ -762,7 +768,7 @@ class TestBlockSeams:
         ],
         ids=["horizon", "count"],
     )
-    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=lambda p: p.label())
+    @pytest.mark.parametrize("policy", EVERY_POLICY, ids=_policy_id)
     @pytest.mark.parametrize("block", [7, 1])
     def test_tiny_blocks_change_nothing(self, monkeypatch, block, policy, stop):
         cfg = SystemConfig((0.7, 1.1, 0.4), 0.5, Exponential(2.0))

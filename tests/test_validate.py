@@ -1,10 +1,14 @@
+import inspect
+import sys
 from dataclasses import replace
 
 import pytest
 
+import aoiq.analytic as analytic_mod
 import aoiq.validate as validate_mod
 from aoiq.config import parse_spec
 from aoiq.jets import Jet
+from aoiq.service import ServiceDistribution
 from aoiq.sim import Policy, empirical_checks, run
 from aoiq.validate import validation_suite
 
@@ -25,6 +29,8 @@ EXP_SPEC = parse_spec(
     """
 )
 
+FAMILIES = {"closed_form_vs_graph", "moment_routes", "analytic_vs_sim", "distribution_fit"}
+
 
 @pytest.fixture(scope="module")
 def suite_report():
@@ -38,16 +44,7 @@ class TestSuite:
 
     def test_covers_all_check_families(self, suite_report):
         names = {c.name.split(":")[0] for c in suite_report.checks}
-        assert names >= {
-            "normalization",
-            "normalization_aoi",
-            "closed_form_vs_graph",
-            "moment_routes",
-            "sojourn",
-            "analytic_vs_sim",
-            "peak_mean_gap_identity",
-            "distribution_fit",
-        }
+        assert names == FAMILIES
         fits = [c for c in suite_report.checks if c.name.startswith("distribution_fit")]
         assert any(c.status != "skip" for c in fits), fits
 
@@ -68,35 +65,198 @@ class TestSuite:
         assert got == list(want)
 
 
-class TestMutationSensitivity:
-    def test_route_disagreement_fails_the_check(self, monkeypatch):
-        # the two moment routes share nothing past the T/Y jets; skew the
-        # jet route and every source's moment_routes check must fail
-        import aoiq.analytic as analytic_mod
+# Planted defects. Each slips a sign or a factor into the closed forms, or
+# into a service-law jet they read, as a transcription error would. Every
+# one must fail at least one of the suite's four families, on every system;
+# the table below records which. It is the power study that retired the
+# analytic-only families (jet normalization at s = 0, the sojourn-kit
+# identities, the peak-minus-mean AoI identity): each defect they caught,
+# a retained family catches too.
 
-        original = analytic_mod._moments_from_jet
 
-        def skewed(jet, max_order):
-            return tuple(v * 1.001 for v in original(jet, max_order))
+def _spec(rates, theta, service, horizon):
+    return parse_spec(
+        f"""
+        [system]
+        arrival_rates = {rates}
+        theta = {theta}
+        service = {service}
 
-        monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
-        checks = validate_mod._check_moment_routes(EXP_SPEC.system)
-        assert [c.name for c in checks] == ["moment_routes:source0", "moment_routes:source1"]
-        assert all(c.status == "fail" for c in checks)
+        [simulation]
+        horizon = {horizon}
+        seed = 42
+        warmup_fraction = 0.05
+        """
+    )
 
-    def test_corrupted_closed_form_detected(self, monkeypatch):
-        # flip the sign of one Taylor coefficient of the closed-form
-        # interdeparture transform: the graph cross-check must fail
-        import aoiq.analytic as analytic_mod
 
-        original = analytic_mod.interdeparture_mgf_jet
+# the paper's system, the suite's default one and three gamma sources; each
+# horizon gives every source the 10,000 samples the distribution fit needs
+SYSTEMS = {
+    "paper": _spec("2, 6", 0.28, "lognormal(loc=-1, scale=1)", 40000),
+    "exp": EXP_SPEC,
+    "gamma": _spec("1, 2, 3", 0.7, "gamma(shape=2, rate=4)", 50000),
+}
 
-        def corrupted(cfg, source, order=8):
-            jet = original(cfg, source, order)
+
+def _rewrite(function, old, new):
+    """Plant: ``function``, a module-level function whose source holds ``old``
+    exactly once, with ``old`` rewritten to ``new``."""
+
+    def plant(monkeypatch, cfg):
+        module = sys.modules[function.__module__]
+        source = inspect.getsource(function)
+        assert source.count(old) == 1, (function.__name__, old)
+        namespace = {}
+        exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
+        monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
+
+    return plant
+
+
+def _scale_coefficient(owner, name, k, factor):
+    """Plant: coefficient ``k`` of every jet that ``owner.name`` returns times
+    ``factor``; an owner of None stands for the class of the system's law."""
+
+    def plant(monkeypatch, cfg):
+        target = type(cfg.service) if owner is None else owner
+        original = getattr(target, name)
+
+        def planted(*args, **kwargs):
+            jet = original(*args, **kwargs)
             coeffs = list(jet.coeffs)
-            coeffs[2] = -coeffs[2]
+            if k < len(coeffs):
+                coeffs[k] *= factor
             return Jet.from_coeffs(coeffs, center=jet.center)
 
-        monkeypatch.setattr(validate_mod.analytic, "interdeparture_mgf_jet", corrupted)
-        checks = validate_mod._check_graph(EXP_SPEC.system)
-        assert any(not c.passed for c in checks)
+        monkeypatch.setattr(target, name, planted)
+
+    return plant
+
+
+def _skew_jet_route(monkeypatch, cfg):
+    original = analytic_mod._moments_from_jet
+
+    def skewed(jet, max_order):
+        return tuple(v * 1.001 for v in original(jet, max_order))
+
+    monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
+
+
+GRAPH, ROUTES, SIM = "closed_form_vs_graph", "moment_routes", "analytic_vs_sim"
+
+# name: (plant, the families it fails on every system). A family that fails
+# on some systems only is left out: the M_Y slip moves the mean by 1%, inside
+# the simulation's 2% band, yet fails it on the paper system.
+DEFECTS = {
+    "K_c_prefix_minus_suffix": (
+        _rewrite(analytic_mod._terms, "prefix[source] + suffix[source]",
+                 "prefix[source] - suffix[source]"),
+        {GRAPH, SIM},
+    ),
+    "H_c_times_1.01": (
+        _rewrite(analytic_mod._system_terms, "for jet in law_jets[key])",
+                 "for jet in law_jets[key]); h = h * 1.01"),
+        {GRAPH},
+    ),
+    "AoI_numerator_times_1.01": (
+        _rewrite(analytic_mod._terms, "(survival[source] * rate + k",
+                 "(survival[source] * rate * 1.01 + k"),
+        {ROUTES},
+    ),
+    # moves the mean AoI by 5e-5 of itself, far inside the simulation's band
+    "AoI_numerator_times_1.0001": (
+        _rewrite(analytic_mod._terms, "(survival[source] * rate + k",
+                 "(survival[source] * rate * 1.0001 + k"),
+        {ROUTES},
+    ),
+    "M_T_squared": (
+        _rewrite(analytic_mod._source_jets, "t_jet = system_time_mgf_jet(cfg, source, order)",
+                 "t_jet = system_time_mgf_jet(cfg, source, order); t_jet = t_jet * t_jet"),
+        {SIM},
+    ),
+    "M_Y_numerator_times_1.01": (
+        _rewrite(analytic_mod._terms, "service[source] * rate / denominator",
+                 "service[source] * rate * 1.01 / denominator"),
+        {GRAPH, ROUTES},
+    ),
+    "1-h_c=M_c+s*H_c": (
+        _rewrite(analytic_mod._system_terms, "m - s * h", "m + s * h"),
+        {GRAPH, ROUTES, SIM},
+    ),
+    "AoI_over_E[Y]_times_1.01": (
+        _rewrite(analytic_mod._source_jets, "(1.0 / y_jet.derivative_value(1))",
+                 "(1.01 / y_jet.derivative_value(1))"),
+        {ROUTES},
+    ),
+    "PAoI=T*Y*Y": (
+        _rewrite(analytic_mod._source_jets, "t_jet * y_jet,", "t_jet * y_jet * y_jet,"),
+        {ROUTES, SIM},
+    ),
+    "mgf_jet_coefficient_2_times_1.001": (_scale_coefficient(None, "mgf_jet", 2, 1.001), {GRAPH}),
+    "survival_coefficient_0_times_1.001": (
+        _scale_coefficient(ServiceDistribution, "survival_mgf_jet", 0, 1.001), {GRAPH}
+    ),
+    "survival_coefficient_1_times_1.001": (
+        _scale_coefficient(ServiceDistribution, "survival_mgf_jet", 1, 1.001), {GRAPH}
+    ),
+    "jet_moment_route_times_1.001": (_skew_jet_route, {ROUTES}),
+    "interdeparture_coefficient_2_sign": (
+        _scale_coefficient(analytic_mod, "interdeparture_mgf_jet", 2, -1.0),
+        {GRAPH},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def simulations():
+    """Each system's run, made once: no planted defect reaches the simulator."""
+    return {
+        name: run(spec.system, Policy.probabilistic(spec.system.theta), spec.sim)
+        for name, spec in SYSTEMS.items()
+    }
+
+
+def _suite(monkeypatch, simulations, system):
+    monkeypatch.setattr(validate_mod, "run", lambda *args, **kwargs: simulations[system])
+    return validation_suite(SYSTEMS[system])
+
+
+def _outputs(cfg, c):
+    """Source c's transform jets and moments, as the package gives them."""
+    jets = [getattr(analytic_mod, f"{transform}_mgf_jet")(cfg, c, 4).coeffs
+            for transform in ("system_time", "interdeparture", "paoi", "aoi")]
+    metrics = analytic_mod.moments(cfg, c, 4)
+    return jets, metrics.aoi_moments + metrics.paoi_moments
+
+
+class TestPlantedDefects:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_unmodified_code_passes(self, monkeypatch, simulations, system):
+        report = _suite(monkeypatch, simulations, system)
+        assert {c.name.split(":")[0] for c in report.checks} == FAMILIES
+        assert [c for c in report.checks if c.status != "pass"] == []
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_caught(self, monkeypatch, simulations, defect, system):
+        # every source whose transforms or moments the defect changes fails
+        # each of the defect's families
+        plant, families = DEFECTS[defect]
+        cfg = SYSTEMS[system].system
+        sources = range(cfg.num_sources)
+        clean = [_outputs(cfg, c) for c in sources]
+        try:
+            with monkeypatch.context() as planted:
+                analytic_mod._system_terms.cache_clear()
+                plant(planted, cfg)
+                changed = [c for c in sources if _outputs(cfg, c) != clean[c]]
+                report = _suite(planted, simulations, system)
+        finally:
+            # the cache may hold jets built from a planted service law
+            analytic_mod._system_terms.cache_clear()
+        assert changed
+        failed = {(c.name.split(":")[0], c.name.rsplit(":", 1)[1])
+                  for c in report.checks if not c.passed}
+        missed = [(f, c) for f in sorted(families) for c in changed if (f, f"source{c}") not in failed]
+        assert missed == [], failed
