@@ -118,6 +118,7 @@ def _cmd_table(args) -> int:
     # one pool serves every run of the command; it starts no process until used
     with ProcessPoolExecutor(args.workers) if args.workers > 1 else contextlib.nullcontext() as pool:
         if dump:
+            open(args.dump_samples, "w").close()  # an unwritable path fails before the run
             policy = Policy.of(spec.policies[0], spec.system.theta)
             report = run(spec.system, policy, spec.sim, args.workers, True, executor=pool)
             _dump_deliveries(args.dump_samples, report.deliveries)
@@ -160,6 +161,11 @@ def main(argv=None) -> int:
         return _cmd_table(args)
     except (ParseError, ValidationError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the config is read by then, so a path is an output path
+        if exc.filename is None:  # a broken pipe or a failed fork
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ one-attempt-at-a-time loop over the same substreams, bit for bit.
 
 Substreams: ``substream(seed, rep, c, k)`` serves source c with k = 0
 its discards, 1 service times, 2 unit-exponential preemption gaps
-(divided by theta lambda_c), 3 the system-time reservoir; k = 4 is
-retired, and no new use takes it over. The system key
+(divided by theta lambda_c); k = 3 and 4 are retired, and no new use
+takes them over. The system key
 ``(rep, C, k)``, C the number of sources and so no source index, serves
 k = 0 the idle waits, 1 the winners, 2 the global preemption gaps. The
 non-preemptive and self-preemptive policies run as the probabilistic one
@@ -174,8 +174,8 @@ class SimConfig:
             raise InvalidConfig(f"replications must be >= 1, got {self.replications}")
         if self.batches < 10:
             raise InvalidConfig(f"batch count must be >= 10, got {self.batches}")
-        if not -(2**63) <= int(self.seed) < 2**64:
-            raise InvalidConfig(f"seed must fit in 64 bits, got {self.seed}")
+        if not 0 <= int(self.seed) < 2**64:  # SeedSequence takes no negative entropy
+            raise InvalidConfig(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -184,10 +184,10 @@ class _Replication:
 
     end_time: float
     counts: np.ndarray  # (7, sources): the _COUNTS
-    times: np.ndarray  # (7, sources): the _TIMES
-    sums: np.ndarray  # (sources, 6): T count and sum; Y/A count, Y, A and A^2 sums
-    batch: np.ndarray  # (sources, 7, batches): see _Tally
-    system_times: list  # per source, the chunks of its reservoir of system times
+    times: np.ndarray  # (6, sources): the _TIMES
+    sums: np.ndarray  # (sources, 4): Y/A count, Y, A and A^2 sums
+    batch: np.ndarray  # (sources, 5, batches): see _Tally
+    system_times: list  # per source, the chunks of its first counted system times
     deliveries: np.ndarray | None  # (n, 6): source, generation, delivery, T, Y, A
 
 
@@ -323,42 +323,17 @@ def _sawtooth(prev, prev_t, lo, t):
     return dt * base + 0.5 * dt * dt, (top * top * top - base * base * base) / 3.0, dt
 
 
-class _Reservoir:
-    """Algorithm R: the first ``RESERVOIR_CAPACITY`` samples, then sample ``seen``
-    (from 0) takes slot int(u * (seen + 1)) if below it, u from its own substream."""
-
-    def __init__(self, rng):
-        self._rng, self._cap, self.seen = rng, RESERVOIR_CAPACITY, 0
-        self.chunks = [np.empty(0)]  # joined once the reservoir fills, or by the merge
-
-    def add(self, values: np.ndarray) -> None:
-        room = max(self._cap - self.seen, 0)
-        if room and len(values):
-            self.chunks.append(values[:room])
-        rest = values[room:]
-        if len(rest):
-            if len(self.chunks) > 1:
-                self.chunks = [np.concatenate(self.chunks)]
-            seen = np.arange(self.seen + room, self.seen + len(values))
-            slot = (self._rng.random(len(rest)) * (seen + 1)).astype(np.int64)
-            keep = slot < self._cap
-            # of the samples landing on one slot, the last stays
-            slots, last = np.unique(slot[keep][::-1], return_index=True)
-            self.chunks[0][slots] = rest[keep][::-1][last]
-        self.seen += len(values)
-
-
 # per-source counters and times of a _Tally, the counters in the order of SourceStats
 _COUNTS = ("arrivals", "delivered", "preempted", "discarded", "in_flight", "entered_service",
            "race_entries")
-_TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "first_delivery",
-          "last_delivery", "last_system_time")
+_TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "last_delivery",
+          "last_system_time")
 
 
 class _Tally:
     """One replication's statistics, fed a block of attempts at a time."""
 
-    def __init__(self, n_src: int, sim: SimConfig, rep: int, collect: bool):
+    def __init__(self, n_src: int, sim: SimConfig, collect: bool):
         # batches give a single run its CIs; replications give them otherwise
         self.n, self.sim, self.b = n_src, sim, sim.batches if sim.replications == 1 else 0
         if sim.horizon is not None:
@@ -370,18 +345,19 @@ class _Tally:
             self.opens_at = max(self.warm, 1)
         for name in _COUNTS:  # arrivals and discards are known at the end
             setattr(self, name, np.zeros(n_src, np.int64))
-        self.measure_from, self.first_delivery, self.last_delivery = np.full((3, n_src), _INF)
+        self.measure_from, self.last_delivery = np.full((2, n_src), _INF)
         self.last_system_time = np.zeros(n_src)
-        # per source: busy time, AoI area and its square; T count and sum, Y/A count, Y, A
-        # and A^2 sums; per batch, T sum and count, Y and A sums and count, area, duration.
-        # A block adds to them in one bincount, in input order after each bin's total: keys
-        # and values lead with arange(len(flat)) and flat; they persist, as fresh pages fault
-        self.flat = np.zeros(n_src * (9 + 7 * self.b))
+        # per source: busy time, AoI area and its square; Y/A count, Y, A and A^2 sums;
+        # per batch, Y and A sums and count, area, duration. A block adds to them in one
+        # bincount, in input order after each bin's total: keys and values lead with
+        # arange(len(flat)) and flat; they persist, as fresh pages fault
+        self.flat = np.zeros(n_src * (7 + 5 * self.b))
         self.busy_time, self.aoi_area, self.aoi_area_sq = self.flat[: 3 * n_src].reshape(3, -1)
-        self.sums = self.flat[3 * n_src : 9 * n_src].reshape(n_src, 6)
-        self.batch = self.flat[9 * n_src :].reshape(n_src, 7, self.b)
+        self.sums = self.flat[3 * n_src : 7 * n_src].reshape(n_src, 4)
+        self.batch = self.flat[7 * n_src :].reshape(n_src, 5, self.b)
         self.keys, self.values = np.arange(len(self.flat)), np.empty(len(self.flat))
-        self.reservoirs = [_Reservoir(substream(sim.seed, rep, c, 3)) for c in range(n_src)]
+        self.system_times = [[np.empty(0)] for _ in range(n_src)]  # a source with none: empty
+        self.room = np.full(n_src, RESERVOIR_CAPACITY)
         self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
 
@@ -410,7 +386,7 @@ class _Tally:
         self.preempted += kinds[:, :, _PREEMPTED].sum(axis=1)
         self.in_flight += kinds[:, :, _IN_FLIGHT].sum(axis=1)
         m, na = len(self.flat), len(src)
-        size = m + na + (15 if self.b else 8) * np.count_nonzero(delivered)
+        size = m + na + (11 if self.b else 6) * np.count_nonzero(delivered)
         if len(self.keys) < size:
             self.keys, self.values = np.arange(size + _BLOCK), np.empty(size + _BLOCK)
         keys, values = self.keys[:size], self.values[:size]
@@ -453,31 +429,30 @@ class _Tally:
         keys, x = keys.reshape(-1, len(t)), values.reshape(-1, len(t))
         x[:] = 0.0
         x[0, seg], x[1, seg], dt = _sawtooth(prev[seg], prev_t[seg], lo[seg], t[seg])
-        for row, (mask, value) in zip(x[2:13], [
-                (counted, 1.0), (counted, sys_t), (both, 1.0), (both, y), (both, a), (both, a * a),
-                (counted, sys_t), (counted, 1.0), (both, y), (both, a), (both, 1.0)]):
-            np.copyto(row, value, where=mask)
+        for row, value in zip(x[2:9], [1.0, y, a, a * a, y, a, 1.0]):
+            np.copyto(row, value, where=both)
         np.add([[n], [2 * n]], src, out=keys[:2])
-        np.add(3 * n + np.arange(6)[:, None], 6 * src, out=keys[2:8])
+        np.add(3 * n + np.arange(4)[:, None], 4 * src, out=keys[2:6])
         if b:
-            x[13], x[14, seg] = x[0], dt
+            x[9], x[10, seg] = x[0], dt
             if self.sim.horizon is not None:
                 k = ((t - self.warmup) / self.width).astype(np.intp)
             else:
                 counted_target = max(self.sim.delivered_per_source - self.warm, 1)
                 k = ((idx - self.warm - 1) * b) // counted_target
             # k < 0 before the warm-up, where the batch rows hold +0.0
-            k = 9 * n + 7 * b * src + np.clip(k, 0, b - 1)
-            np.add(b * np.arange(7)[:, None], k, out=keys[8:])
-        for c in np.flatnonzero(counts):
+            k = 7 * n + 5 * b * src + np.clip(k, 0, b - 1)
+            np.add(b * np.arange(5)[:, None], k, out=keys[6:])
+        for c in np.flatnonzero(counts * self.room):
             rows = slice(first[c], first[c] + counts[c])
-            self.reservoirs[c].add(sys_t[rows][counted[rows]])
+            kept = sys_t[rows][counted[rows]][: self.room[c]]
+            self.system_times[c].append(kept)
+            self.room[c] -= len(kept)
         if self.rows is not None:
             dump = np.empty((len(t), 6))
             y[~later] = a[~later] = np.nan
             dump[order] = np.column_stack((src, gen, t, sys_t, y, a))
             self.rows.append(dump)
-        self.first_delivery[src[~later]] = t[~later]
         self.last_delivery[src[last]], self.last_system_time[src[last]] = t[last], sys_t[last]
         self.delivered += counts
 
@@ -493,8 +468,8 @@ class _Tally:
         if b:
             # the end falls in the last batch: under the time rule,
             # (end - warmup) / width is the batch count to within an ulp
-            last = 9 * n + seg * 7 * b + b - 1
-            keys, values = keys + [last + 5 * b, last + 6 * b], values + [area, dt]
+            last = 7 * n + seg * 5 * b + b - 1
+            keys, values = keys + [last + 3 * b, last + 4 * b], values + [area, dt]
         self.flat[:] = np.bincount(np.concatenate(keys), np.concatenate(values), m)
         self.arrivals, self.discarded = self.entered_service + discarded, discarded
         return _Replication(
@@ -503,7 +478,7 @@ class _Tally:
             np.stack([getattr(self, name) for name in _TIMES]),
             self.sums,
             self.batch,
-            [r.chunks for r in self.reservoirs],
+            self.system_times,
             None if self.rows is None else np.concatenate(self.rows),
         )
 
@@ -518,7 +493,7 @@ def _simulate_once(
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
     theta = policy.effective_theta
-    tally = _Tally(cfg.num_sources, sim, rep, collect_deliveries)
+    tally = _Tally(cfg.num_sources, sim, collect_deliveries)
     # sample_s and tally_s: the seconds spent in the sampler and in the tally
     end_time, sample_s, tally_s, lap = limit, 0.0, 0.0, time.perf_counter()
     for block in _attempts(cfg, sim.seed, rep, theta, limit):
@@ -561,15 +536,12 @@ class SourceStats:
     time_avg_aoi: float
     time_avg_aoi_sq: float
     aoi_ci_halfwidth: float
-    system_time_mean: float
-    system_time_ci_halfwidth: float
     interdeparture_mean: float
     interdeparture_ci_halfwidth: float
-    paoi_mean: float
     paoi_moments: tuple[float, float]  # raw moments m1, m2
     paoi_ci_halfwidth: float
     system_times: np.ndarray
-    rep_windows: np.ndarray  # per rep: end, measure_from, area, first/last delivery, last T
+    rep_windows: np.ndarray  # per rep: end, measure_from, area, last delivery, last T
 
 
 @dataclass
@@ -625,32 +597,32 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
     end = np.array([r.end_time for r in reps])[:, None]
     counts, times, sums = (
         np.stack([getattr(r, k) for r in reps]) for k in ("counts", "times", "sums"))
-    busy, area, area_sq, measure_from, first, last, last_t = times.transpose(1, 0, 2)
+    busy, area, area_sq, measure_from, last, last_t = times.transpose(1, 0, 2)
     span = end - measure_from  # -inf until a source's measuring window opens
     rep_aoi = _ratio(area, span)  # (replications, sources)
     measured = _in_order(np.maximum(span, 0.0))
     aoi, aoi_sq = _ratio(_in_order(area), measured), _ratio(_in_order(area_sq), measured)
     tot = _in_order(sums)  # pooled over all replications: raw moments of the counted samples
-    t_mean, (y_mean, a_m1, a_m2) = _ratio(tot[:, 1], tot[:, 0]), _ratio(tot[:, 3:], tot[:, 2:3]).T
-    # CI groups per source, each (AoI, T, Y, peak AoI) x group: the batches of a
+    y_mean, a_m1, a_m2 = _ratio(tot[:, 1:], tot[:, :1]).T
+    # CI groups per source, each (AoI, Y, peak AoI) x group: the batches of a
     # single run, else the replications; across sources the sum-AoI group
     # means add in order per batch, and with numpy's pairwise sum per replication
     if len(reps) == 1:
         b = reps[0].batch
-        groups = _ratio(b[:, [5, 0, 2, 3]], b[:, [6, 1, 4, 4]])
+        groups = _ratio(b[:, [3, 0, 1]], b[:, [4, 2, 2]])
         sum_groups = _in_order(groups[:, 0])
     else:
         groups = np.concatenate(
-            (rep_aoi[..., None], _ratio(sums[..., [1, 3, 4]], sums[..., [0, 2, 2]])), axis=2
+            (rep_aoi[..., None], _ratio(sums[..., 1:3], sums[..., :1])), axis=2
         ).transpose(1, 2, 0)
         sum_groups = np.sum(rep_aoi, axis=1)  # C-ordered: each row as np.sum of the row
-    windows = np.stack(np.broadcast_arrays(end, measure_from, area, first, last, last_t), axis=2)
+    windows = np.stack(np.broadcast_arrays(end, measure_from, area, last, last_t), axis=2)
     counters = _in_order(counts).T.tolist()  # Python ints and floats from here on
-    values = np.column_stack((_in_order(busy), aoi, aoi_sq, t_mean, y_mean, a_m1, a_m2)).tolist()
+    values = np.column_stack((_in_order(busy), aoi, aoi_sq, y_mean, a_m1, a_m2)).tolist()
     per_source = []
     for c in range(cfg.num_sources):
-        busy_c, aoi_c, aoi_sq_c, t_c, y_c, m1, m2 = values[c]
-        hw_aoi, hw_t, hw_y, hw_a = (_halfwidth(g) for g in groups[c])
+        busy_c, aoi_c, aoi_sq_c, y_c, m1, m2 = values[c]
+        hw_aoi, hw_y, hw_a = (_halfwidth(g) for g in groups[c])
         per_source.append(
             SourceStats(
                 **dict(zip(_COUNTS, counters[c])),
@@ -658,11 +630,8 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
                 time_avg_aoi=aoi_c,
                 time_avg_aoi_sq=aoi_sq_c,
                 aoi_ci_halfwidth=hw_aoi,
-                system_time_mean=t_c,
-                system_time_ci_halfwidth=hw_t,
                 interdeparture_mean=y_c,
                 interdeparture_ci_halfwidth=hw_y,
-                paoi_mean=m1,
                 paoi_moments=(m1, m2),
                 paoi_ci_halfwidth=hw_a,
                 system_times=np.concatenate([x for r in reps for x in r.system_times[c]]),

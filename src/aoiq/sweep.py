@@ -119,7 +119,7 @@ def _closed_form_block(metrics: list | None, num_sources: int) -> _Block:
 def _simulated_block(report: SimReport) -> _Block:
     return _Block(
         tuple(
-            (s.time_avg_aoi, s.paoi_mean, s.time_avg_aoi_sq, s.paoi_moments[1], s.aoi_ci_halfwidth)
+            (s.time_avg_aoi, s.paoi_moments[0], s.time_avg_aoi_sq, s.paoi_moments[1], s.aoi_ci_halfwidth)
             for s in report.per_source
         ),
         report.sum_time_avg_aoi,

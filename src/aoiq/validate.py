@@ -75,7 +75,7 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[CheckR
         s = report.per_source[c]
         for label, sim_val, ana_val, hw in (
             ("aoi", s.time_avg_aoi, m.mean_aoi, s.aoi_ci_halfwidth),
-            ("paoi", s.paoi_mean, m.mean_paoi, s.paoi_ci_halfwidth),
+            ("paoi", s.paoi_moments[0], m.mean_paoi, s.paoi_ci_halfwidth),
         ):
             band = max(0.02 * ana_val, hw if not math.isnan(hw) else 0.0)
             out.append(

@@ -52,54 +52,29 @@ class Draws:
         return next(self._values)
 
 
-class Reservoir:
-    """Algorithm R: the first ``cap`` samples, then sample number ``seen``
-    replaces slot int(u * (seen + 1)) if that is below ``cap``."""
-
-    def __init__(self, rng, cap):
-        self.items = []
-        self.seen = 0
-        self._cap = cap
-        self._uniform = Draws(rng, lambda g, n: g.random(n))
-
-    def add(self, item):
-        if self.seen < self._cap:
-            self.items.append(item)
-        else:
-            j = int(self._uniform() * (self.seen + 1))
-            if j < self._cap:
-                self.items[j] = item
-        self.seen += 1
-
-
 class Source:
     """Counters and accumulators of one source in one replication."""
 
-    def __init__(self, seed, rep, c, cap, batches):
-        self.system_times = Reservoir(substream(seed, rep, c, 3), cap)
+    def __init__(self, batches):
+        self.system_times = []  # the first counted ones, up to the capacity
         self.arrivals = self.delivered = self.preempted = self.discarded = 0
         self.entered_service = self.race_entries = 0
         self.busy_time = self.aoi_area = self.aoi_area_sq = 0.0
-        self.measure_from = self.first_delivery = self.last_delivery = INF
+        self.measure_from = self.last_delivery = INF
         self.last_system_time = 0.0
-        self.t_sums = [0, 0.0]
         self.y_sums = [0, 0.0]
         self.a_sums = [0, 0.0, 0.0]
         self.batch_area = [0.0] * batches
         self.batch_dur = [0.0] * batches
-        self.batch_sums = [[0.0] * batches, [0] * batches, [0.0] * batches,
-                           [0.0] * batches, [0] * batches]
+        self.batch_sums = [[0.0] * batches, [0.0] * batches, [0] * batches]
 
 
 class Tally:
     """The statistics of one replication, added up as each event happens."""
 
-    def __init__(self, cfg, sim, rep, track_batches, collect_deliveries):
+    def __init__(self, cfg, sim, track_batches, collect_deliveries):
         self.sim, self.track_batches = sim, track_batches
-        self.sources = [
-            Source(sim.seed, rep, c, sim_mod.RESERVOIR_CAPACITY, sim.batches)
-            for c in range(cfg.num_sources)
-        ]
+        self.sources = [Source(sim.batches) for _ in range(cfg.num_sources)]
         self.deliveries = [] if collect_deliveries else None
         self.reached = 0  # sources at their delivery target
         if sim.horizon is not None:
@@ -142,15 +117,9 @@ class Tally:
         idx = src.delivered
         counted = t > self.warmup_time if horizon is not None else idx > self.warm_count
         k = self.batch_of(t, idx)
-        if counted:
-            src.t_sums[0] += 1
-            src.t_sums[1] += t_sys
-            if track_batches:
-                src.batch_sums[0][k] += t_sys
-                src.batch_sums[1][k] += 1
-            src.system_times.add(t_sys)
+        if counted and len(src.system_times) < sim_mod.RESERVOIR_CAPACITY:
+            src.system_times.append(t_sys)
         if src.last_delivery == INF:
-            src.first_delivery = t
             row = (c, gen_time, t, t_sys, math.nan, math.nan)
         else:
             y = t - src.last_delivery
@@ -162,9 +131,9 @@ class Tally:
                 src.a_sums[1] += a
                 src.a_sums[2] += a * a
                 if track_batches:
-                    src.batch_sums[2][k] += y
-                    src.batch_sums[3][k] += a
-                    src.batch_sums[4][k] += 1
+                    src.batch_sums[0][k] += y
+                    src.batch_sums[1][k] += a
+                    src.batch_sums[2][k] += 1
             self.add_segment(src, t, k)
             row = (c, gen_time, t, t_sys, y, a)
         if self.deliveries is not None:
@@ -215,7 +184,7 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
     service = [Draws(substream(seed, rep, c, 1), cfg.service.sample_n) for c in range(n)]
     unit_gap = [Draws(substream(seed, rep, c, 2), lambda g, k: g.standard_exponential(k))
                 for c in range(n)]
-    tally = Tally(cfg, sim, rep, track_batches, collect_deliveries)
+    tally = Tally(cfg, sim, track_batches, collect_deliveries)
     t, idle, c = 0.0, True, -1
     while True:
         if idle:
@@ -259,7 +228,7 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
 def arrival_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
     """One replication of the model read literally, one event per iteration."""
     seed, horizon = sim.seed, sim.horizon
-    tally = Tally(cfg, sim, rep, track_batches, collect_deliveries)
+    tally = Tally(cfg, sim, track_batches, collect_deliveries)
     sources = tally.sources
     gap = [Draws(substream(seed, rep, c, 0), lambda g, n, r=rate: g.exponential(1.0 / r, n))
            for c, rate in enumerate(cfg.arrival_rates)]
@@ -363,13 +332,11 @@ def merge(cfg, policy, sim, reps):
         if single:
             src = runs[0][1]
             aoi_vals = [ratio(ar, dur) for ar, dur in zip(src.batch_area, src.batch_dur) if dur > 0]
-            t_sum, t_cnt, y_sum, a_sum, cnt = src.batch_sums
-            t_vals = [s / n for s, n in zip(t_sum, t_cnt) if n > 0]
+            y_sum, a_sum, cnt = src.batch_sums
             y_vals = [s / n for s, n in zip(y_sum, cnt) if n > 0]
             a_vals = [s / n for s, n in zip(a_sum, cnt) if n > 0]
         else:
             aoi_vals = list(rep_aoi[:, c])
-            t_vals = [ratio(src.t_sums[1], src.t_sums[0]) for _, src in runs]
             y_vals = [ratio(src.y_sums[1], src.y_sums[0]) for _, src in runs]
             a_vals = [ratio(src.a_sums[1], src.a_sums[0]) for _, src in runs]
 
@@ -386,20 +353,17 @@ def merge(cfg, policy, sim, reps):
                 time_avg_aoi=ratio(area, measured),
                 time_avg_aoi_sq=ratio(area_sq, measured),
                 aoi_ci_halfwidth=halfwidth(aoi_vals),
-                system_time_mean=pooled("t_sums")[0],
-                system_time_ci_halfwidth=halfwidth(t_vals),
                 interdeparture_mean=pooled("y_sums")[0],
                 interdeparture_ci_halfwidth=halfwidth(y_vals),
-                paoi_mean=paoi_moments[0],
                 paoi_moments=paoi_moments,
                 paoi_ci_halfwidth=halfwidth(a_vals),
                 system_times=np.array(
-                    [t for _, src in runs for t in src.system_times.items], dtype=float
+                    [t for _, src in runs for t in src.system_times], dtype=float
                 ),
                 rep_windows=np.array(
                     [
-                        [end, src.measure_from, src.aoi_area, src.first_delivery,
-                         src.last_delivery, src.last_system_time]
+                        [end, src.measure_from, src.aoi_area, src.last_delivery,
+                         src.last_system_time]
                         for end, src in runs
                     ]
                 ),

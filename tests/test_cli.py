@@ -243,6 +243,37 @@ class TestExitCodes:
         monkeypatch.setattr(sweep_mod, "_analytic_block", blow_up)
         assert main(["analytic", "-c", spec]) == 3
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        spec, out = write_spec(tmp_path, POINT_SPEC)
+        assert main(["simulate", "-c", spec, "--seed", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+        bad = tmp_path / "missing" / "x.csv"
+        assert main(["analytic", "-c", spec, "-o", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+
+    def test_unwritable_dump_path_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        spec, out = write_spec(tmp_path, POINT_SPEC)
+        bad = tmp_path / "missing" / "d.csv"
+        monkeypatch.setattr(cli_mod, "run", lambda *args, **kwargs: pytest.fail("ran"))
+        assert main(["simulate", "-c", spec, "--dump-samples", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+        assert not out.exists()
+
+    def test_os_error_without_a_path_propagates(self, tmp_path, monkeypatch):
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+
+        def broken_pipe(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli_mod, "_cmd_table", broken_pipe)
+        with pytest.raises(BrokenPipeError):
+            main(["analytic", "-c", spec])
+
     def test_dump_samples_needs_single_point(self, tmp_path, capsys):
         spec, _ = write_spec(tmp_path, SWEEP_SPEC)
         dump = tmp_path / "d.csv"

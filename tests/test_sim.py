@@ -22,8 +22,7 @@ from aoiq import (
 )
 from aoiq import sim as sim_mod
 from aoiq.analytic import Transform, mgf_point_eval
-from aoiq.service import substream
-from aoiq.sim import RESERVOIR_CAPACITY, InvalidConfig, SourceStats, _simulate_once
+from aoiq.sim import InvalidConfig, SourceStats, _simulate_once
 from sim_reference import arrival_loop, reference_run
 
 ANCHOR = SystemConfig((1.0,), 1.0, Exponential(1.0))
@@ -77,6 +76,16 @@ class TestConfigValidation:
             kw.pop("horizon")
         with pytest.raises(InvalidConfig):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("seed", [-1, -3, -(2**63), 2**64])
+    def test_seed_outside_the_seed_sequence_range(self, seed):
+        # SeedSequence takes entropy in [0, 2**64) here, no negative one
+        with pytest.raises(InvalidConfig, match="seed"):
+            SimConfig(seed=seed, horizon=100.0)
+
+    def test_largest_seed_runs(self):
+        report = run(ANCHOR, Policy.probabilistic(1.0), SimConfig(seed=2**64 - 1, horizon=100.0))
+        assert report.per_source[0].delivered > 0
 
     def test_numpy_integer_counts_accepted(self):
         sim = SimConfig(seed=1, delivered_per_source=np.int64(5), replications=np.int32(2))
@@ -145,7 +154,7 @@ class TestCounters:
     def test_aoi_at_least_system_time(self):
         report = run(TWO_EXP, Policy.probabilistic(0.4), small_sim(horizon=20000.0))
         for s in report.per_source:
-            assert s.time_avg_aoi >= s.system_time_mean
+            assert s.time_avg_aoi >= s.system_times.mean()
 
     def test_four_source_run(self):
         # more sources than the other systems here, each with deliveries
@@ -311,7 +320,7 @@ class TestSampleIdentities:
         s = report.per_source[0]
         rec = dump_records(report, 0)
         want_between = float(np.sum(rec[:, 0] * rec[:, 1] + 0.5 * rec[:, 1] ** 2))
-        end, measure_from, area, first_del, last_del, last_t = s.rep_windows[0]
+        end, measure_from, area, last_del, last_t = s.rep_windows[0]
         tail_dt = end - last_del
         tail = last_t * tail_dt + 0.5 * tail_dt * tail_dt
         assert area - tail == pytest.approx(want_between, rel=1e-9)
@@ -353,9 +362,8 @@ class TestSampleIdentities:
 
 
 class TestAccumulatorsMatchReservoirs:
-    # below the reservoir capacity the reservoir holds every counted system
-    # time, and the dump holds every delivery, so the running sums behind
-    # the reported means and PAoI moments must reproduce the sample
+    # the dump holds every delivery, so the running sums behind the reported
+    # interdeparture mean and PAoI moments must reproduce the sample
     # averages up to summation rounding
     @pytest.mark.parametrize("replications", [1, 3])
     @pytest.mark.parametrize(
@@ -367,57 +375,55 @@ class TestAccumulatorsMatchReservoirs:
         sim = SimConfig(seed=5, replications=replications, **stop)
         report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
         for c, s in enumerate(report.per_source):
-            assert 1000 < s.delivered < RESERVOIR_CAPACITY
+            assert s.delivered > 1000
             rec = dump_records(report, c)
-            assert s.system_times.mean() == pytest.approx(s.system_time_mean, rel=1e-12)
             assert rec[:, 1].mean() == pytest.approx(s.interdeparture_mean, rel=1e-12)
-            assert rec[:, 2].mean() == pytest.approx(s.paoi_mean, rel=1e-12)
+            assert rec[:, 2].mean() == pytest.approx(s.paoi_moments[0], rel=1e-12)
             assert (rec[:, 2] ** 2).mean() == pytest.approx(s.paoi_moments[1], rel=1e-12)
 
 
-def _algorithm_r(samples, cap, rng):
-    """Reservoir of ``cap`` items over ``samples``, one uniform draw per
-    sample past the capacity."""
-    items = list(samples[:cap])
-    draws = rng.random(max(len(samples) - cap, 0))
-    for seen in range(cap, len(samples)):
-        j = int(draws[seen - cap] * (seen + 1))
-        if j < cap:
-            items[j] = samples[seen]
-    return np.array(items, dtype=float)
-
-
-class TestReservoirSubstreams:
-    # the system-time reservoir draws its replacement indices from a
-    # substream of its own, purpose 3, so it is Algorithm R replayed over
-    # the counted system times with that stream
+class TestSystemTimeSample:
+    # each source keeps the first RESERVOIR_CAPACITY counted system times of
+    # each replication, in delivery order, and the replications in order;
+    # blocks of 50 fill a sample over several blocks, and add to a full one
+    @pytest.mark.parametrize("replications", [1, 3])
     @pytest.mark.parametrize(
         "stop",
         [{"horizon": 3000.0}, {"delivered_per_source": 2000}],
         ids=["horizon", "delivered"],
     )
-    def test_each_reservoir_replays_algorithm_r(self, monkeypatch, stop):
+    def test_each_sample_is_the_first_counted_times(self, monkeypatch, stop, replications):
         cap = 200
         monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", cap)
-        sim = SimConfig(seed=7, warmup_fraction=0.1, **stop)
+        monkeypatch.setattr(sim_mod, "_BLOCK", 50)
+        sim = SimConfig(seed=7, warmup_fraction=0.1, replications=replications, **stop)
         report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
         dump = report.deliveries  # source, generation, delivery, T, Y, A
         for c, s in enumerate(report.per_source):
             rows = dump[dump[:, 0] == c]
-            if "horizon" in stop:
-                counted = rows[:, 2] > sim.warmup_fraction * sim.horizon
-            else:
-                counted = np.arange(1, len(rows) + 1) > round(0.1 * sim.delivered_per_source)
-            times = rows[counted, 3]
-            assert len(times) > 4 * cap
-            want_times = _algorithm_r(times, cap, substream(sim.seed, 0, c, 3))
-            assert np.array_equal(s.system_times, want_times)
+            starts = np.flatnonzero(np.isnan(rows[:, 4]))  # each replication's first delivery
+            want = []
+            for r in np.split(rows, starts[1:]):
+                if "horizon" in stop:
+                    counted = r[:, 2] > sim.warmup_fraction * sim.horizon
+                else:
+                    counted = np.arange(1, len(r) + 1) > round(0.1 * sim.delivered_per_source)
+                assert np.count_nonzero(counted) > 4 * cap
+                want.append(r[counted, 3][:cap])
+            assert len(want) == replications
+            assert np.array_equal(s.system_times, np.concatenate(want))
+
+    def test_no_counted_delivery_leaves_an_empty_sample(self):
+        cfg = SystemConfig((1.0, 0.01), 0.5, Exponential(1.5))
+        report = run(cfg, Policy.probabilistic(0.5), small_sim(seed=1, horizon=20.0, replications=2))
+        assert report.per_source[1].delivered == 0
+        assert report.per_source[1].system_times.shape == (0,)
+        assert len(report.per_source[0].system_times) > 0
 
 
 class TestBatchCounts:
-    # with no warmup every delivery counts, a source's first one included;
-    # the within-run batches of T, and of Y and the peak age, must hold
-    # exactly the samples behind the reported means
+    # with no warmup every delivery counts; the within-run batches of Y and
+    # the peak age must hold exactly the samples behind the reported means
     @pytest.mark.parametrize(
         "stop",
         [{"horizon": 4000.0}, {"delivered_per_source": 3000}],
@@ -427,10 +433,8 @@ class TestBatchCounts:
         sim = SimConfig(seed=5, warmup_fraction=0.0, **stop)
         rep = _simulate_once(TWO_EXP, Policy.probabilistic(0.5), sim, 0, False)
         for c in range(TWO_EXP.num_sources):
-            t_sum, t_cnt, y_sum, a_sum, cnt = rep.batch[c, :5].sum(axis=1)
-            t_n, t_total, ya_n, y_total, a_total, _ = rep.sums[c]
-            assert t_cnt == t_n
-            assert t_sum == pytest.approx(t_total, rel=1e-12)
+            y_sum, a_sum, cnt = rep.batch[c, :3].sum(axis=1)
+            ya_n, y_total, a_total, _ = rep.sums[c]
             assert cnt == ya_n
             assert y_sum == pytest.approx(y_total, rel=1e-12)
             assert a_sum == pytest.approx(a_total, rel=1e-12)
@@ -466,7 +470,7 @@ def grid_gate(seed):
             m = moments(cfg, c, 1)
             s = report.per_source[c]
             for what, got, want, hw in (("aoi", s.time_avg_aoi, m.mean_aoi, s.aoi_ci_halfwidth),
-                                        ("paoi", s.paoi_mean, m.mean_paoi, s.paoi_ci_halfwidth)):
+                                        ("paoi", s.paoi_moments[0], m.mean_paoi, s.paoi_ci_halfwidth)):
                 if abs(got - want) > max(0.02 * want, hw):
                     misses.append(f"case {i} source {c} {what}: {got:.4f} vs {want:.4f}")
     return not misses, "; ".join(misses) or "all within band"
@@ -673,8 +677,8 @@ REFERENCE_RUNS = {
 class TestAgainstReference:
     # the attempt-level core and the numpy merge against a plain
     # one-event-at-a-time loop and a plain Python merge: every statistic,
-    # reservoir and dumped delivery bit for bit. A capacity of 200 sends
-    # the reservoirs past capacity
+    # system-time sample and dumped delivery bit for bit. A capacity of 200
+    # fills the samples
     @pytest.mark.parametrize("stop", REFERENCE_RUNS.values(), ids=REFERENCE_RUNS.keys())
     @pytest.mark.parametrize("policy", EVERY_POLICY, ids=_policy_id)
     @pytest.mark.parametrize("cfg", REFERENCE_SYSTEMS.values(), ids=REFERENCE_SYSTEMS.keys())
@@ -730,8 +734,10 @@ def route_z_scores(policy, reps=40, horizon=2e3):
         [reference_run(PAPER, policy, SimConfig(seed=2000 + i, horizon=horizon), loop=arrival_loop)
          for i in range(reps)],
     ]
-    names = ("time_avg_aoi", "paoi_mean", "delivered", "preempted", "discarded")
-    values = np.array([[[[getattr(s, f) for f in names] for s in r.per_source] for r in side]
+    def stats(s):
+        return s.time_avg_aoi, s.paoi_moments[0], s.delivered, s.preempted, s.discarded
+
+    values = np.array([[[stats(s) for s in r.per_source] for r in side]
                        for side in sides], dtype=float)  # side, replication, source, statistic
     mean, var = values.mean(axis=1), values.var(axis=1, ddof=1)
     diff, se = mean[0] - mean[1], np.sqrt((var[0] + var[1]) / reps)

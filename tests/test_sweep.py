@@ -350,7 +350,7 @@ def _direct_rows(spec):
                     report = run(cfg, policy, spec.sim)
                     per_policy[kind] = (
                         [
-                            (s.time_avg_aoi, s.paoi_mean, s.time_avg_aoi_sq,
+                            (s.time_avg_aoi, s.paoi_moments[0], s.time_avg_aoi_sq,
                              s.paoi_moments[1], s.aoi_ci_halfwidth)
                             for s in report.per_source
                         ],
