@@ -1,10 +1,11 @@
 """Closed-form AoI/PAoI transforms and moments.
 
-For each source c of a multi-source M/G/1/1 status-update queue under the
-probabilistically preemptive policy, the MGFs of the system time T, the
-interdeparture time Y, the peak age A and the age delta reduce to algebra
-over M_c(s) = M_U(s - r_c) and the survival transform
-H_c(s) = (1 - M_c(s)) / (r_c - s), where r_c = theta * lambda_c:
+For each source c of a multi-source M/G/1/1 status-update queue, the MGFs
+of the system time T, the interdeparture time Y, the peak age A and the
+age delta reduce to algebra over M_c(s) = M_U(s - r_c) and the survival
+transform H_c(s) = (1 - M_c(s)) / (r_c - s), where r_c is the preemption
+rate of a source-c packet in service: theta * lambda_c, or Lambda under
+global preemption (``GloballyPreemptiveConfig``):
 
     1 - h_c = M_c - s * H_c                  (h_c: self-loop gain)
     K_c     = 1 + sum_{c' != c} lambda_c' * H_c' / (1 - h_c')
@@ -36,14 +37,15 @@ import enum
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .jets import DEFAULT_ORDER, DIVISION_FLOOR, DivisionBySingularJet, Jet
+from .jets import DEFAULT_ORDER, Jet
 from .service import MgfDomainError, ServiceDistribution
 
 __all__ = [
     "SystemConfig",
+    "GloballyPreemptiveConfig",
     "AoiMetrics",
     "Transform",
     "OutsideConvergenceRegion",
@@ -92,9 +94,28 @@ class SystemConfig:
     def total_rate(self) -> float:
         return sum(self.arrival_rates)
 
+    @property
+    def preemption_rates(self) -> tuple[float, ...]:
+        """Each r_c: same-source arrivals preempt with probability theta."""
+        return tuple(self.theta * rate for rate in self.arrival_rates)
+
     def _check_source(self, source: int) -> None:
         if not 0 <= source < self.num_sources:
             raise ValueError(f"source index {source} outside 0..{self.num_sources - 1}")
+
+
+@dataclass(frozen=True)
+class GloballyPreemptiveConfig(SystemConfig):
+    """Global preemption: every arrival preempts; ``theta`` is fixed and unread.
+    The path starts afresh at every delivery, whose source is the last entrant,
+    c with probability lambda_c / Lambda whatever the duration (Najm and Telatar,
+    IEEE INFOCOM Workshops 2018): in law, each packet is preempted at rate Lambda."""
+
+    theta: float = field(default=1.0, init=False)
+
+    @property
+    def preemption_rates(self) -> tuple[float, ...]:
+        return (self.total_rate,) * self.num_sources
 
 
 @dataclass(frozen=True)
@@ -116,18 +137,12 @@ class AoiMetrics:
         return self.paoi_moments[0]
 
 
-def _service_jet(cfg: SystemConfig, c: int, s0: float, order: int) -> Jet:
-    """Jet at s0 of M_c(s) = M_U(s - r_c), with r_c = theta * rate_c."""
-    shift = s0 - cfg.theta * cfg.arrival_rates[c]
-    return cfg.service.mgf_jet(shift, order).recenter(s0)
-
-
 _shared_jets: dict | None = None
 
 
 @contextmanager
 def sharing_service_jets(memo: dict) -> Iterator[None]:
-    """Within the block, systems that share a law and a shift theta * rate_c take
+    """Within the block, systems that share a law and a shift r_c take
     its M and H jets from ``memo``, which keeps those built: the systems of one
     sweep repeat shifts. The caller owns ``memo``, so nothing outlives its command."""
     global _shared_jets
@@ -147,7 +162,7 @@ def _system_terms(cfg: SystemConfig, s0: float, order: int):
             f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
         )
     s = Jet.variable(order, s0)
-    shifts = [s0 - cfg.theta * rate for rate in cfg.arrival_rates]
+    shifts = [s0 - rate for rate in cfg.preemption_rates]
     law_jets = {} if _shared_jets is None else _shared_jets  # (law, shift, order) -> (M, H)
     pairs = {}  # shift -> (M_c, H_c, 1 - h_c), shared by the sources at that shift
     for shift in shifts:
@@ -162,13 +177,11 @@ def _system_terms(cfg: SystemConfig, s0: float, order: int):
     for c, factor in enumerate(loop_free):
         if factor.coeffs[0] <= 0.0:
             raise OutsideConvergenceRegion(f"self-loop gain of source {c} reaches 1 at s={s0}")
-    # a 1 - h_c below the division floor fails only the sources whose K reads g_c
-    g = [h * rate / f if f.coeffs[0] >= DIVISION_FLOOR else None
-         for h, rate, f in zip(survival, cfg.arrival_rates, loop_free)]
+    g = [h * rate / f for h, rate, f in zip(survival, cfg.arrival_rates, loop_free)]
     prefix, suffix = [Jet.constant(1.0, order, s0)], [Jet.constant(0.0, order, s0)]
-    for c in range(cfg.num_sources - 1):  # a sum is None once a term is
-        prefix.append(prefix[-1] and g[c] and prefix[-1] + g[c])
-        suffix.append(g[-1 - c] and suffix[-1] and g[-1 - c] + suffix[-1])
+    for c in range(cfg.num_sources - 1):
+        prefix.append(prefix[-1] + g[c])
+        suffix.append(g[-1 - c] + suffix[-1])
     return s, service, survival, loop_free, prefix, suffix[::-1]
 
 
@@ -178,8 +191,6 @@ def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, 
     Raises OutsideConvergenceRegion where a denominator is not positive at s0
     (s0 at or beyond the total rate, a factor 1 - h_c, or rate_c - s * K)."""
     s, service, survival, loop_free, prefix, suffix = _system_terms(cfg, s0, order)
-    if prefix[source] is None or suffix[source] is None:
-        raise DivisionBySingularJet(f"another source's 1 - h_c is below the floor at s={s0}")
     k = prefix[source] + suffix[source]
     rate = cfg.arrival_rates[source]
     detour = rate - s * k
@@ -193,12 +204,8 @@ def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, 
 
 
 def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet at 0 of the system-time MGF for one source.
-
-    A delivered packet's system time is its service time conditioned on
-    surviving same-source preemption attempts, which exponentially tilts
-    the service law by the thinned preemption rate.
-    """
+    """Jet at 0 of the system-time MGF for one source: the service law tilted
+    by r_c, since a delivered packet's service outlasted its preemption clock."""
     cfg._check_source(source)
     service = _system_terms(cfg, 0.0, order)[1][source]
     return service * (1.0 / service.coeffs[0])
@@ -302,10 +309,8 @@ def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -
     if s == 0.0:
         return 1.0
     try:
-        t_val = (
-            _service_jet(cfg, source, s, 1).coeffs[0]
-            / _service_jet(cfg, source, 0.0, 1).coeffs[0]
-        )
+        rate = cfg.preemption_rates[source]
+        t_val = cfg.service.mgf_jet(s - rate, 1).coeffs[0] / cfg.service.mgf_jet(-rate, 1).coeffs[0]
         if which is Transform.SYSTEM_TIME:
             return t_val
         y_jet, excess = _terms(cfg, source, s, 1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -27,10 +28,10 @@ __all__ = [
 # Supports moments up to m = 6 with two guard coefficients.
 DEFAULT_ORDER = 8
 
-# |denominator constant term| below this raises instead of producing huge
-# coefficients; every legitimate denominator in the AoI formulas has a
-# constant term bounded away from zero.
-DIVISION_FLOOR = 1e-13
+# |denominator constant term| below this (zero or subnormal) raises, as does
+# an overflowing quotient; no higher floor spares legitimate denominators,
+# such as a delivery probability of e^-30 (about 1e-13).
+DIVISION_FLOOR = sys.float_info.min
 
 
 class JetMismatchError(ValueError):
@@ -38,7 +39,8 @@ class JetMismatchError(ValueError):
 
 
 class DivisionBySingularJet(ZeroDivisionError):
-    """Division by a jet whose constant term is (numerically) zero."""
+    """Division by a jet whose constant term is zero or subnormal, or whose
+    quotient overflows."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,10 @@ class Jet:
             for i in range(k):
                 acc -= q[i] * b[k - i]
             q[k] = acc * inv_b0
-        return Jet(self.center, tuple(q))
+        try:
+            return Jet(self.center, tuple(q))
+        except ValueError:  # a non-finite coefficient: the quotient overflowed
+            raise DivisionBySingularJet(f"jet quotient overflows: denominator {b!r}") from None
 
     def __rtruediv__(self, other) -> "Jet":
         return self._lift(other).__truediv__(self)

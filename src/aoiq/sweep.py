@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analytic import SystemConfig, moments, sharing_service_jets
+from .analytic import GloballyPreemptiveConfig, SystemConfig, moments, sharing_service_jets
 from .config import ExperimentSpec
 from .sim import Policy, PolicyKind, SimReport, run
 
@@ -38,10 +38,8 @@ CSV_COLUMNS = [
     "sum_mean_aoi",
     "diff_ratio_pct",
     "mode",
-    "remark",
+    "remark",  # always empty since every policy has a closed form; kept for the layout
 ]
-
-_NO_CLOSED_FORM = "no closed form for the globally preemptive policy; simulate instead"
 
 
 def format_number(value) -> str:
@@ -83,30 +81,24 @@ def _system_key(cfg: SystemConfig, policy: Policy) -> tuple:
     return cfg.arrival_rates, cfg.service, policy.effective_theta
 
 
-def _analytic_block(cfg: SystemConfig, policy: Policy) -> list | None:
-    """Per-source analytic metrics of one policy; None where no closed form."""
-    theta = policy.effective_theta
-    if theta is None:
-        return None
-    eff = SystemConfig(cfg.arrival_rates, theta, cfg.service)
-    return [moments(eff, c, 2) for c in range(cfg.num_sources)]
-
-
 _METRICS = ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "ci_halfwidth")
 
 
 class _Block(NamedTuple):
     """The numbers one policy's rows print at one grid point: per source,
-    the values of ``_METRICS``; and the sum of the mean AoIs, None where
-    there is no closed form."""
+    the values of ``_METRICS``; and the sum of the mean AoIs."""
 
     per_source: tuple[tuple, ...]
-    sum_mean_aoi: float | None
+    sum_mean_aoi: float
 
 
-def _closed_form_block(metrics: list | None, num_sources: int) -> _Block:
-    if metrics is None:
-        return _Block(((None,) * len(_METRICS),) * num_sources, None)
+def _analytic_block(cfg: SystemConfig, policy: Policy) -> _Block:
+    """One policy's closed-form numbers at one grid point."""
+    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:
+        cfg = GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
+    else:
+        cfg = SystemConfig(cfg.arrival_rates, policy.effective_theta, cfg.service)
+    metrics = [moments(cfg, c, 2) for c in range(cfg.num_sources)]
     return _Block(
         tuple(
             (m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1], m.paoi_moments[1], None)
@@ -158,11 +150,8 @@ def _diff_ratio_pct(total: float, prob_sum: float) -> float:
 def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[dict]:
     """The rows of one grid point and mode, in policy/source order."""
     baseline = blocks.get(PolicyKind.PROBABILISTIC)
-    prob_sum = None if baseline is None else baseline.sum_mean_aoi
     for kind, (per_source, total) in blocks.items():
-        ratio = None
-        if total is not None and prob_sum is not None:
-            ratio = _diff_ratio_pct(total, prob_sum)
+        ratio = None if baseline is None else _diff_ratio_pct(total, baseline.sum_mean_aoi)
         for c, values in enumerate(per_source):
             yield {
                 "axis_value": axis_value,
@@ -172,7 +161,7 @@ def _rows(axis_value, mode: str, blocks: dict[PolicyKind, _Block]) -> Iterator[d
                 "sum_mean_aoi": total,
                 "diff_ratio_pct": ratio,
                 "mode": mode,
-                "remark": "" if total is not None else _NO_CLOSED_FORM,
+                "remark": "",
             }
 
 
@@ -210,8 +199,7 @@ def iter_sweep_rows(
         if do_analytic:
             with sharing_service_jets(service_jets):
                 for kind in _unseen(keys, solved):
-                    metrics = _analytic_block(cfg, policies[kind])
-                    solved[keys[kind]] = _closed_form_block(metrics, cfg.num_sources)
+                    solved[keys[kind]] = _analytic_block(cfg, policies[kind])
             blocks = {kind: solved[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "analytic", blocks)
 

@@ -23,13 +23,13 @@ GATES = {
     "criterion_4": acceptance.criterion_4,
     "criterion_6": acceptance.criterion_6,
     "criterion_7": acceptance.criterion_7,
-    "criterion_8": acceptance.criterion_8,
     "analytic_anchor": test_sim.anchor_gate,
     "analytic_grid": test_sim.grid_gate,
     "analytic_m2_two_exp": functools.partial(test_sim.second_moment_gate, test_sim.TWO_EXP),
     "analytic_m2_paper": functools.partial(test_sim.second_moment_gate, test_sim.PAPER),
     "analytic_system_time_mgf": test_sim.system_time_mgf_gate,
     "analytic_aoi_mgf": test_sim.aoi_mgf_gate,
+    "analytic_global": test_sim.global_gate,
 }
 
 

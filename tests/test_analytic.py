@@ -10,6 +10,7 @@ from aoiq import (
     moments,
 )
 from aoiq.analytic import (
+    GloballyPreemptiveConfig,
     OutsideConvergenceRegion,
     Transform,
     aoi_mgf_jet,
@@ -206,16 +207,40 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(ANCHOR, 1, 2)
 
-    def test_singular_loop_factor_fails_only_its_readers(self):
-        # delivery probability e^-30 puts the middle source's 1 - h below the
-        # jet division floor: the others' K reads its term, its own K does not
-        from aoiq.jets import DivisionBySingularJet
 
-        cfg = SystemConfig((1.0, 30.0, 2.0), 1.0, Deterministic(1.0))
-        for source in (0, 2):
-            with pytest.raises(DivisionBySingularJet):
-                moments(cfg, source, 2)
-        assert moments(cfg, 1, 2).mean_aoi == pytest.approx(3.562158193841e11, rel=1e-9)
+class TestGlobalPreemption:
+    """Global preemption is every source preempted at the total rate."""
+
+    @pytest.mark.parametrize("rates, mu", [((1.0, 3.0), 2.0), ((0.5, 1.0, 2.0), 0.7), ((4.0,), 1.5)])
+    def test_mm11_identity(self, rates, mu):
+        # Yates and Kaul, IEEE T-IT 65(3), 2019: M/M/1/1 with preemption in
+        # service gives source c the mean AoI (1/mu)(1 + rho)/rho_c
+        cfg = GloballyPreemptiveConfig(rates, Exponential(mu))
+        rho = sum(rates) / mu
+        for c, rate in enumerate(rates):
+            want = (1.0 + rho) / (rate / mu) / mu
+            assert moments(cfg, c, 2).mean_aoi == pytest.approx(want, rel=1e-13)
+
+    def test_paper_system(self):
+        # the values a 10 x 2e5 simulation at seeds 4 and 5 covered
+        cfg = GloballyPreemptiveConfig((2.0, 6.0), LogNormal(-1.0, 1.0))
+        got = [moments(cfg, c, 2) for c in range(2)]
+        assert [round(m.mean_aoi, 6) for m in got] == [3.486307, 1.162102]
+        assert [round(m.mean_paoi, 6) for m in got] == [3.631234, 1.307030]
+
+    def test_single_source_is_self_preemptive(self):
+        for dist in (Exponential(1.3), Deterministic(0.9), LogNormal(-1.0, 1.0)):
+            glob = GloballyPreemptiveConfig((1.7,), dist)
+            assert moments(glob, 0, 3) == moments(SystemConfig((1.7,), 1.0, dist), 0, 3)
+
+    def test_mean_interdeparture(self):
+        # E[Y_c] = 1 / (lambda_c M_U(-Lambda)): the episodes are i.i.d. and
+        # each delivers source c with probability lambda_c / Lambda
+        law = Gamma(2.0, 3.0)
+        cfg = GloballyPreemptiveConfig((1.0, 2.0, 0.5), law)
+        for c, rate in enumerate(cfg.arrival_rates):
+            want = 1.0 / (rate * law.mgf_point(-3.5))
+            assert moments(cfg, c, 1).mean_interdeparture == pytest.approx(want, rel=1e-13)
 
 
 class TestOneServicePass:

@@ -50,6 +50,20 @@ mode = analytic
 path = {out}
 """
 
+HEAVY_SPEC = """
+[system]
+arrival_rates = 2, 6
+theta = 0.28
+service = deterministic(value=4)
+
+[sweep]
+policies = probabilistic, non_preemptive, self_preemptive, globally_preemptive
+mode = analytic
+
+[output]
+path = {out}
+"""
+
 
 def write_spec(tmp_path, template, name="spec.ini"):
     out = tmp_path / "results.csv"
@@ -243,6 +257,19 @@ class TestExitCodes:
         monkeypatch.setattr(sweep_mod, "_analytic_block", blow_up)
         assert main(["analytic", "-c", spec]) == 3
 
+    def test_near_singular_global_rows_are_finite(self, tmp_path):
+        # M_U(-8) = e^-32 makes the global denominators' constant terms about
+        # 1e-14: legitimate, so the run exits 0 with finite numbers
+        spec, out = write_spec(tmp_path, HEAVY_SPEC)
+        assert main(["analytic", "-c", spec]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        glob = [r for r in rows if r["policy"] == "globally_preemptive"]
+        assert len(rows) == 8 and len(glob) == 2
+        for r in glob:
+            for col in ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "sum_mean_aoi"):
+                assert np.isfinite(float(r[col])) and float(r[col]) > 0
+
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         spec, out = write_spec(tmp_path, POINT_SPEC)
         assert main(["simulate", "-c", spec, "--seed", "-3"]) == 1
@@ -339,14 +366,16 @@ class TestOverridesAndReproducibility:
 
 # sha256 of `aoiq analytic -c configs/<name>.ini`: a refactor of the closed
 # forms must leave every shipped analytic CSV byte-identical; a change that
-# moves a cell on purpose updates the digest and says which cells moved
+# moves a cell on purpose updates the digest and says which cells moved.
+# Last moved: the globally preemptive rows' closed-form cells filled in and
+# their remark emptied; every other row is unchanged
 SHIPPED_ANALYTIC_SHA256 = {
-    "sweep_lambda1_theta_02": "0e07bc3af6520a23fe599519f582f9337e147908b7c0efef927d7812d08fb542",
-    "sweep_lambda1_theta_06": "e21d60e473598337d6a4df39620eff293586e863b4ce239d6b497bbe4dd8b63a",
-    "sweep_lambda1_theta_09": "e5255e55eb8dae31866ceac025824ffd5429fc3e1bc80ad2e2eb760c47a8d91a",
-    "sweep_theta_lambda1_2": "8f0cd07065850112c2c3f7ee26b4592b9c0e3095844600c2aba0533bd3b26dc8",
-    "sweep_theta_lambda1_4": "9b85f3b9e4a4aeb00894d2779c60ab5aa2853a9a9ee59e4e2f64d6ba0bed054a",
-    "sweep_theta_lambda1_5": "9ec5db18a6bea910b04b2a1d4a4f4294bf79bc84c17b3d3900732a24b511847a",
+    "sweep_lambda1_theta_02": "556227c6640864f52d86b4397bf21bd993c5c7d038908414027205aa7ece0a55",
+    "sweep_lambda1_theta_06": "74d6ad9e9533c1862bb7af7feb1be878ab00681b6bceb7051e1b920ab6a3cf52",
+    "sweep_lambda1_theta_09": "07d6f9893a62c8dbd10a01c1bb261931fccda70451ebca45c05d9191497cae3a",
+    "sweep_theta_lambda1_2": "d173d4c43eec40ffdd09e97547450688842cb2abbd49420e9730d6439ad962f0",
+    "sweep_theta_lambda1_4": "ddb7ebcae166775b911092678b5d60154f0f13cac74386c90e63f061f40dc826",
+    "sweep_theta_lambda1_5": "a66d7b8ee67b69a292f56e6821152623175b5397ba7a9b8e7f6e4f11f62137d4",
 }
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

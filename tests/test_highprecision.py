@@ -28,7 +28,9 @@ from aoiq import (
 from aoiq._special import (
     beta_orders, erfcx, gamma_p_orders, gamma_pq, log_factorials, t_quantile, wright_omega,
 )
-from aoiq.analytic import Transform, mgf_point_eval, system_time_mgf_jet
+from aoiq.analytic import (
+    GloballyPreemptiveConfig, Transform, aoi_mgf_jet, mgf_point_eval, system_time_mgf_jet,
+)
 
 mp.mp.dps = 40
 
@@ -135,8 +137,7 @@ CASES = [
     SystemConfig((0.9, 1e-7), 0.9, Exponential(1.2)),
     # near-certain preemption: delivery probability e^-20 for source 0
     SystemConfig((20.0, 1.0), 1.0, Deterministic(1.0)),
-    # a lone source at delivery probability e^-31: its 1 - h_c is below
-    # the jet division floor, and no other source's term divides by it
+    # a lone source at delivery probability e^-31
     SystemConfig((62.0,), 1.0, Deterministic(0.5)),
     # the paper's system on the law every shipped config uses
     SystemConfig((2.0, 6.0), 0.28, LogNormal(-1.0, 1.0)),
@@ -254,6 +255,101 @@ def _mp_moments_on_float_jets(cfg, source, max_order):
             [raw[m] * aoi[m] for m in range(1, max_order + 1)],
             [raw[m] * paoi[m] for m in range(1, max_order + 1)],
         )
+
+
+def _mp_mgf_coeffs(dist, t0, order):
+    """E[U^k exp(t0 U)] / k! for k = 0..order: the service MGF's Taylor
+    coefficients at t0, in closed form but for the log-normal law."""
+    if isinstance(dist, LogNormal):
+        return _mp_lognormal_coeffs(dist.loc, dist.scale, t0, order)
+    ks = range(order + 1)
+    if isinstance(dist, Exponential):
+        rate = mp.mpf(repr(dist.rate))
+        return [rate / (rate - t0) ** (k + 1) for k in ks]
+    if isinstance(dist, Gamma):
+        shape, rate = mp.mpf(repr(dist.shape)), mp.mpf(repr(dist.rate))
+        return [mp.binomial(shape + k - 1, k) * rate**shape / (rate - t0) ** (shape + k) for k in ks]
+    value = mp.mpf(repr(dist.value))
+    return [value**k * mp.exp(t0 * value) / mp.factorial(k) for k in ks]
+
+
+def _mp_textbook_moments(cfg, source, max_order):
+    """AoI and peak-age moments 1..max_order of the probabilistic policy in
+    60-digit series arithmetic: the textbook form of M_Y, T and Y moments
+    from its series and M_T's, and the binomial identities over them."""
+    n = max_order + 2
+    with mp.workdps(60):
+        rates = [mp.mpf(repr(r)) for r in cfg.arrival_rates]
+        theta, lam = mp.mpf(repr(cfg.theta)), mp.fsum(rates)
+        one = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1)
+        wait = [1 / lam ** (k + 1) for k in range(n)]  # 1 / (Lambda - s)
+        m_series, through, loop = [], [], []
+        for rate in rates:
+            r = theta * rate
+            m = _mp_mgf_coeffs(cfg.service, -r, n - 1)
+            h = [(1 - m[0]) / r]  # (1 - M_U(s - r)) / (r - s)
+            for k in range(1, n):
+                h.append((h[-1] - m[k]) / r)
+            m_series.append(m)
+            through.append([rate * x for x in _series_mul(m, wait)])
+            loop.append([r * x for x in h])
+        free = [[a - b for a, b in zip(one, x)] for x in loop]
+        detour = one
+        for c in range(len(rates)):
+            if c != source:
+                detour = [a - b for a, b in zip(detour, _series_div(through[c], free[c]))]
+        y = _series_div(through[source], _series_mul(free[source], detour))
+        t = [x / m_series[source][0] for x in m_series[source]]
+        t_moms = [mp.factorial(k) * t[k] for k in range(n)]
+        y_moms = [mp.factorial(k) * y[k] for k in range(n)]
+        peak = [mp.fsum(mp.binomial(m, i) * t_moms[i] * y_moms[m - i] for i in range(m + 1))
+                for m in range(n)]
+        aoi = [(peak[m + 1] - t_moms[m + 1]) / ((m + 1) * y_moms[1]) for m in range(1, max_order + 1)]
+        return aoi, peak[1 : max_order + 1]
+
+
+def test_near_singular_loop_factor_against_mpmath():
+    # delivery probability e^-30 makes source 1's 1 - h_c about 1e-13, a
+    # constant term that the other sources' K_c divide by to full precision
+    cfg = SystemConfig((1.0, 30.0, 2.0), 1.0, Deterministic(1.0))
+    for source in range(cfg.num_sources):
+        m = moments(cfg, source, 2)
+        aoi, paoi = _mp_textbook_moments(cfg, source, 2)
+        for got, want in zip(m.aoi_moments + m.paoi_moments, aoi + paoi):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+GLOBAL_CASES = [
+    GloballyPreemptiveConfig((1.0, 3.0), Exponential(2.0)),
+    GloballyPreemptiveConfig((1.0, 2.0, 0.5), Gamma(2.0, 3.0)),
+    GloballyPreemptiveConfig((0.7, 1.3), Deterministic(0.9)),
+    GloballyPreemptiveConfig((2.0, 6.0), LogNormal(-1.0, 1.0)),
+    # a vanishing rate share, and a delivery probability M_U(-8) = e^-32
+    GloballyPreemptiveConfig((1.7, 1e-9), Gamma(2.0, 2.5)),
+    GloballyPreemptiveConfig((2.0, 6.0), Deterministic(4.0)),
+]
+
+
+@pytest.mark.parametrize("cfg", GLOBAL_CASES, ids=_law_id)
+def test_global_preemption_direct_forms(cfg):
+    # with M = M_U(s - Lambda): M_T = M / M(0), M_Y = lambda_c M / (lambda_c M - s),
+    # (M_Y - 1)/s = 1 / (lambda_c M - s) and the AoI MGF M_T ((M_Y - 1)/s) / E[Y]
+    order = 8
+    rates = [mp.mpf(repr(r)) for r in cfg.arrival_rates]
+    m = _mp_mgf_coeffs(cfg.service, -mp.fsum(rates), order)
+    for source, rate in enumerate(rates):
+        denominator = [rate * m[0], rate * m[1] - 1] + [rate * x for x in m[2:]]
+        y = _series_div([rate * x for x in m], denominator)
+        excess = _series_div([mp.mpf(1)] + [mp.mpf(0)] * order, denominator)
+        t = [x / m[0] for x in m]
+        aoi = [x / y[1] for x in _series_mul(t, excess)]
+        for jet, want in (
+            (system_time_mgf_jet(cfg, source, order), t),
+            (interdeparture_mgf_jet(cfg, source, order), y),
+            (aoi_mgf_jet(cfg, source, order), aoi),
+        ):
+            for got, exact in zip(jet.coeffs, want):
+                assert got == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 # from three sources on, K_c is a prefix plus a suffix sum of the other

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ class TestDiv:
         # just above the floor still divides
         q = jet(1, 0, 0) / jet(1e-12, 1, 1)
         assert math.isfinite(q.coeffs[0])
+
+    @pytest.mark.parametrize("b0", [-0.0, 5e-324, -sys.float_info.min / 2])
+    def test_zero_or_subnormal_denominator(self, b0):
+        with pytest.raises(DivisionBySingularJet):
+            jet(1, 2, 3) / jet(b0, 1, 1)
+
+    def test_small_normal_denominators_divide(self):
+        # a constant term e^-30 is a legitimate delivery probability
+        q = jet(1, 0, 0) / jet(math.exp(-30.0), 1, 0)
+        assert q.coeffs == pytest.approx((math.exp(30.0), -math.exp(60.0), math.exp(90.0)), rel=1e-15)
+        assert (Jet.from_coeffs([1.0]) / Jet.from_coeffs([sys.float_info.min])).coeffs[0] > 1e307
+
+    @pytest.mark.parametrize("num, den", [((1e300, 0, 0), (1e-10, 0, 0)), ((1, 0, 0), (1e-200, 1, 0))])
+    def test_overflowing_quotient(self, num, den):
+        # a DivisionBySingularJet, not the ValueError of a non-finite jet
+        with pytest.raises(DivisionBySingularJet):
+            jet(*num) / jet(*den)
 
 
 class TestRingLaws:

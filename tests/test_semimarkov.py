@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from aoiq import (
+    Deterministic,
     Exponential,
+    Gamma,
     LogNormal,
     SystemConfig,
     build_interdeparture_graph,
     interdeparture_mgf_jet,
     transfer_functions,
 )
+from aoiq.analytic import GloballyPreemptiveConfig
 from aoiq.jets import Jet
 from aoiq.semimarkov import LabeledDigraph, SingularSystem, sojourn_kit
 from grid_helpers import config_grid
@@ -156,13 +159,13 @@ class TestSojournKit:
     def test_through_gain_identity(self):
         # entry race times delivered sojourn equals the through gain
         # rate_c * M_c / (total rate - s) built on the closed form's M_c
-        from aoiq.analytic import _service_jet
+        from aoiq.analytic import _system_terms
 
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
             lam_minus_s = Jet.from_coeffs((cfg.total_rate, -1.0) + (0.0,) * 7)
             for c in range(cfg.num_sources):
-                through = _service_jet(cfg, c, 0.0, 8) * cfg.arrival_rates[c] / lam_minus_s
+                through = _system_terms(cfg, 0.0, 8)[1][c] * cfg.arrival_rates[c] / lam_minus_s
                 via_kit = (
                     kit.wait_mgf[c] * kit.race[c] * kit.delivered_mgf[c] * kit.delivery[c]
                 )
@@ -212,3 +215,44 @@ class TestInterdepartureGraph:
             for c in range(cfg.num_sources):
                 h = transfer_functions(build_interdeparture_graph(cfg, c))["delivered"]
                 assert h.coeffs[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def global_graph(cfg, source, order=8):
+    """The delivery cycle of ``source`` under global preemption, read off the
+    model: from idle, source c's arrival wins after an Exp(Lambda) wait with
+    probability lambda_c / Lambda; a source-c packet in service is replaced by
+    a source-c' arrival (c' = c too) before its service U ends with transform
+    lambda_c' * E[int_0^U e^{(s - Lambda) t} dt], and is delivered first with
+    transform M_U(s - Lambda)."""
+    total = cfg.total_rate
+    delivered = cfg.service.mgf_jet(-total, order).recenter(0.0)
+    survival = cfg.service.survival_mgf_jet(-total, order).recenter(0.0)
+    wait = Jet.from_coeffs((total, -1.0) + (0.0,) * (order - 1))
+    serving = [f"serving_{c}" for c in range(cfg.num_sources)]
+    edges = []
+    for c, rate in enumerate(cfg.arrival_rates):
+        entry = Jet.constant(rate, order) / wait
+        edges += [("start", serving[c], entry), ("other_done", serving[c], entry)]
+        edges += [(serving[c], serving[d], survival * other)
+                  for d, other in enumerate(cfg.arrival_rates)]
+        edges.append((serving[c], "delivered" if c == source else "other_done", delivered))
+    return LabeledDigraph(("start", *serving, "other_done", "delivered"), "start", tuple(edges))
+
+
+class TestGlobalPreemptionGraph:
+    @pytest.mark.parametrize("sources", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "law",
+        [Exponential(1.3), Gamma(2.0, 3.0), Deterministic(0.9), LogNormal(-1.0, 1.0)],
+        ids=["exponential", "gamma", "deterministic", "lognormal"],
+    )
+    def test_matches_closed_form(self, law, sources):
+        # total rate 3 for every source count: the graph's pivots form
+        # 1 - Lambda * H = M_U(-Lambda) by subtraction, so at M_U(-Lambda) ~ 1e-6
+        # its own error passes 1e-9 (test_highprecision pins that regime)
+        rates = tuple(6.0 * (c + 1) / (sources * (sources + 1)) for c in range(sources))
+        cfg = GloballyPreemptiveConfig(rates, law)
+        for c in range(sources):
+            closed = interdeparture_mgf_jet(cfg, c)
+            h = transfer_functions(global_graph(cfg, c))["delivered"]
+            assert rel_close(closed, h, 1e-9)

@@ -21,7 +21,7 @@ from aoiq import (
     run,
 )
 from aoiq import sim as sim_mod
-from aoiq.analytic import Transform, mgf_point_eval
+from aoiq.analytic import GloballyPreemptiveConfig, Transform, mgf_point_eval
 from aoiq.sim import InvalidConfig, SourceStats, _simulate_once
 from sim_reference import arrival_loop, reference_run
 
@@ -515,6 +515,28 @@ def aoi_mgf_gate(seed):
 PAPER = SystemConfig((2.0, 6.0), 0.28, LogNormal(-1.0, 1.0))
 
 
+def global_gate(seed):
+    """Globally preemptive runs of the paper system and TWO_EXP against the
+    closed form with every source preempted at the total rate: each source's
+    mean AoI and peak AoI, 8 claims from 10 replication means each, at a
+    family-wise false-alarm rate of 1% (Bonferroni t intervals)."""
+    sim = SimConfig(seed=seed, horizon=2e4, warmup_fraction=0.1, replications=10)
+    df = sim.replications - 1
+    scale = sps.t.ppf(1 - 0.01 / (2 * 8), df) / sps.t.ppf(0.975, df)
+    misses, worst = [], 0.0
+    for name, cfg in (("paper", PAPER), ("two_exp", TWO_EXP)):
+        report = run(cfg, Policy.globally_preemptive(), sim)
+        exact = GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
+        for c, s in enumerate(report.per_source):
+            m = moments(exact, c, 1)
+            for what, got, want, hw in (("aoi", s.time_avg_aoi, m.mean_aoi, s.aoi_ci_halfwidth),
+                                        ("paoi", s.paoi_moments[0], m.mean_paoi, s.paoi_ci_halfwidth)):
+                worst = max(worst, abs(got - want) / hw)
+                if abs(got - want) > scale * hw:
+                    misses.append(f"{name} source {c} {what}: {got:.4f}+-{hw:.4f} vs {want:.4f}")
+    return not misses, "; ".join(misses) or f"largest gap {worst:.2f} of {scale:.2f} half-widths"
+
+
 class TestAgainstAnalytic:
     # each gate's seed is fixed here; tests/gate_rates.py reruns them over seeds
     def test_anchor_aoi_and_interdeparture(self):
@@ -536,6 +558,10 @@ class TestAgainstAnalytic:
 
     def test_aoi_mgf_pointwise(self):
         ok, detail = aoi_mgf_gate(13)
+        assert ok, detail
+
+    def test_globally_preemptive_means_within_band(self):
+        ok, detail = global_gate(17)
         assert ok, detail
 
 

@@ -6,6 +6,7 @@ import pytest
 import aoiq.sim as sim_mod
 import aoiq.sweep as sweep_mod
 from aoiq import LogNormal, Policy, PolicyKind, SystemConfig, moments, run
+from aoiq.analytic import GloballyPreemptiveConfig
 from aoiq.config import parse_spec
 from aoiq.sweep import CSV_COLUMNS, format_number, grid_values, run_sweep, write_rows
 
@@ -90,8 +91,6 @@ class TestAnalyticSweep:
         rows = run_sweep(spec)
         by_key = {}
         for r in rows:
-            if r["mean_aoi"] is None:
-                continue
             by_key.setdefault((r["axis_value"], r["policy"]), []).append(r)
         for group in by_key.values():
             total = sum(r["mean_aoi"] for r in group)
@@ -144,12 +143,18 @@ class TestAnalyticSweep:
             if r["policy"] == "self_preemptive":
                 assert r["mean_aoi"] == pytest.approx(prob[(1.0, r["source"])], rel=1e-10)
 
-    def test_globally_preemptive_analytic_empty_with_remark(self):
+    def test_globally_preemptive_analytic_is_global_closed_form(self):
         spec = parse_spec(ANALYTIC_SWEEP)
-        for r in run_sweep(spec):
-            if r["policy"] == "globally_preemptive":
-                assert r["mean_aoi"] is None
-                assert "no closed form" in r["remark"]
+        glob = GloballyPreemptiveConfig(spec.system.arrival_rates, spec.system.service)
+        want = [moments(glob, c, 2) for c in range(2)]
+        rows = [r for r in run_sweep(spec) if r["policy"] == "globally_preemptive"]
+        assert len(rows) == 10
+        for r in rows:
+            m = want[r["source"] - 1]
+            assert (r["mean_aoi"], r["mean_paoi"]) == (m.aoi_moments[0], m.paoi_moments[0])
+            assert (r["aoi_m2"], r["paoi_m2"]) == (m.aoi_moments[1], m.paoi_moments[1])
+            assert r["sum_mean_aoi"] == want[0].mean_aoi + want[1].mean_aoi
+            assert r["remark"] == ""
 
 
 class TestLambdaSweep:
@@ -228,9 +233,11 @@ class TestCsv:
             got = list(csv.reader(fh))
         assert got[0] == CSV_COLUMNS
         assert len(got) == len(rows) + 1
-        # empty cells for the no-closed-form rows
+        assert got[1:] == [[format_number(r[col]) for col in CSV_COLUMNS] for r in rows]
+        # every policy's analytic rows carry their numbers and an empty remark
         glob_rows = [r for r in got[1:] if r[1] == "globally_preemptive"]
-        assert all(r[3] == "" for r in glob_rows)
+        assert len(glob_rows) == 10
+        assert all(float(r[3]) > 0 and r[-1] == "" for r in got[1:])
 
     def test_twelve_significant_digits(self):
         assert format_number(2.0 / 3.0) == "0.666666666667"
@@ -356,10 +363,13 @@ def _direct_rows(spec):
                         ],
                         report.sum_time_avg_aoi,
                     )
-                elif kind is not PolicyKind.GLOBALLY_PREEMPTIVE:
-                    eff = SystemConfig(
-                        cfg.arrival_rates, theta_of.get(kind, cfg.theta), cfg.service
-                    )
+                else:
+                    if kind is PolicyKind.GLOBALLY_PREEMPTIVE:
+                        eff = GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
+                    else:
+                        eff = SystemConfig(
+                            cfg.arrival_rates, theta_of.get(kind, cfg.theta), cfg.service
+                        )
                     ms = [moments(eff, c, 2) for c in range(cfg.num_sources)]
                     per_policy[kind] = (
                         [(m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1],
@@ -368,8 +378,8 @@ def _direct_rows(spec):
                     )
             prob_sum = per_policy[PolicyKind.PROBABILISTIC][1]
             for kind in spec.policies:
-                values, total = per_policy.get(kind, ([(None,) * 5] * cfg.num_sources, None))
-                ratio = None if total is None else (total - prob_sum) / prob_sum * 100.0
+                values, total = per_policy[kind]
+                ratio = (total - prob_sum) / prob_sum * 100.0
                 for c, v in enumerate(values):
                     rows.append({
                         "axis_value": value,
@@ -383,7 +393,7 @@ def _direct_rows(spec):
                         "sum_mean_aoi": total,
                         "diff_ratio_pct": ratio,
                         "mode": mode,
-                        "remark": "" if total is not None else sweep_mod._NO_CLOSED_FORM,
+                        "remark": "",
                     })
     return rows
 
@@ -404,8 +414,8 @@ class TestEachSystemOnce:
         spec = parse_spec(THETA_BOTH)
         run_sweep(spec)
         # 4 distinct effective theta values (0 and 1 shared with the
-        # baselines) times 2 sources
-        assert len(calls["moments"]) == len(set(calls["moments"])) == 8
+        # baselines) and the globally preemptive system, times 2 sources
+        assert len(calls["moments"]) == len(set(calls["moments"])) == 10
 
     def test_one_service_jet_per_shift(self, monkeypatch):
         from aoiq import Exponential
