@@ -19,11 +19,17 @@ global preemption (``GloballyPreemptiveConfig``):
 The last is the sawtooth relation (Inoue, Masuyama, Takine and Tanaka,
 IEEE T-IT 65(12), 2019). Near s = 0 no constant term is formed by a
 subtraction, so a small delivery probability M_c(0) or rate share costs
-no digits, and theta = 0 needs no special case. One term builder
-assembles them in jet arithmetic at an expansion point: at 0 it gives
-exact derivatives, at s the pointwise values; all sources' jets come from
-one memoized service pass per configuration, one M/H pair per distinct
-shift s - r_c, and K_c from prefix and suffix sums.
+no digits, and theta = 0 needs no special case.
+
+One builder assembles them for all sources of a system at an expansion
+point (at 0 exact derivatives, at s pointwise values) from one M/H pair
+per distinct shift s - r_c. Its coefficient rows are vectors over sources,
+so each product or quotient is one call of the row kernels that ``Jet``
+uses too; K_c comes from in-order cumulative sums. Each source keeps the
+bits, and the errors, of scalar jet arithmetic on it alone. Each build
+logs a DEBUG record on ``aoiq.analytic``: sources, shifts, order, seconds
+in the service layer and in the term algebra, and the smallest |constant
+term| divided by.
 
 ``moments`` differentiates the AoI and peak-age jets at the order asked
 for. ``moments_both_routes`` also combines T and Y moments binomially, a
@@ -34,13 +40,17 @@ and the tests read the gap between the two as a transcription check.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from time import perf_counter
 
-from .jets import DEFAULT_ORDER, Jet
+import numpy as np
+
+from .jets import DEFAULT_ORDER, DIVISION_FLOOR, DivisionBySingularJet, Jet, div_rows, mul_rows
 from .service import MgfDomainError, ServiceDistribution
 
 __all__ = [
@@ -57,6 +67,9 @@ __all__ = [
     "moments_both_routes",
     "mgf_point_eval",
 ]
+
+_log = logging.getLogger(__name__)
+
 
 class OutsideConvergenceRegion(ValueError):
     """Pointwise MGF evaluation outside the transform's convergence region."""
@@ -153,108 +166,186 @@ def sharing_service_jets(memo: dict) -> Iterator[None]:
         _shared_jets = outer
 
 
+def _first_faults(checks, n: int) -> list:
+    """Each source's first failing check, as the (type, message) it raises: a
+    result's rows fail where not finite, a (mask, type, message(c)) on mask."""
+    faults = [None] * n
+    for check in checks:
+        if not isinstance(check, tuple):  # a result
+            check = (~np.isfinite(check).all(axis=0), ValueError, lambda c, rows=check: (
+                f"non-finite jet coefficients: {tuple(rows[:, c].tolist())}"))
+        bad, kind, message = check
+        for c in np.flatnonzero(bad).tolist():
+            faults[c] = faults[c] or (kind, message(c))
+    return faults
+
+
+def _quotient_checks(q, den) -> list:
+    """The checks of q = num / den in a scalar ``Jet``'s order."""
+    return [(np.abs(den[0]) < DIVISION_FLOOR, DivisionBySingularJet, lambda c: (
+                f"jet denominator constant term {float(den[0, c])!r} below floor {DIVISION_FLOOR}")),
+            (~np.isfinite(q).all(axis=0), DivisionBySingularJet, lambda c: (
+                f"jet quotient overflows: denominator {tuple(den[:, c].tolist())!r}"))]
+
+
+def _halves(rows):
+    """Coefficient rows of two results laid side by side on the source axis."""
+    rows = np.array(rows)
+    return rows[:, :rows.shape[1] // 2], rows[:, rows.shape[1] // 2:]
+
+
+# The quantities of a built system, by index: M_Y and (M_Y - 1)/s at every
+# expansion point; M_T, the peak-age and the AoI MGF at 0 only.
+_Y, _EXCESS, _T, _PEAK, _AOI = range(5)
+
+
 @lru_cache(maxsize=8)
-def _system_terms(cfg: SystemConfig, s0: float, order: int):
-    """Jets at s0 that all sources share: s, every M_c, H_c and 1 - h_c, and the prefix
-    and suffix sums 1 + sum_{c' < c} g_c', sum_{c' > c} g_c' of g_c = rate_c H_c / (1 - h_c)."""
+def _system_jets(cfg: SystemConfig, s0: float, order: int) -> tuple[list, list]:
+    """``coeffs[c][q]``, every source's jets at s0 of M_Y and (M_Y - 1)/s and, at
+    0, of M_T, M_T * M_Y (T and Y of a cycle are independent) and the AoI MGF;
+    ``faults[q][c]``, None or the (type, message) the one-source chain raised
+    on its way to q. Products keep that chain's operand order. A step every
+    source shares raises for the system: s0 >= total rate, a law undefined at
+    a shift, 1 - h_c not positive, a singular g_c."""
+    if order < 1:
+        raise ValueError(f"jet order must be >= 1, got {order}")
     if s0 >= cfg.total_rate:
         raise OutsideConvergenceRegion(
             f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
         )
-    s = Jet.variable(order, s0)
+    start = perf_counter()
     shifts = [s0 - rate for rate in cfg.preemption_rates]
     law_jets = {} if _shared_jets is None else _shared_jets  # (law, shift, order) -> (M, H)
-    pairs = {}  # shift -> (M_c, H_c, 1 - h_c), shared by the sources at that shift
+    pairs = {}  # shift -> (M, H) coefficients, shared by the sources at that shift
     for shift in shifts:
         if shift not in pairs:
             key = (cfg.service, shift, order)
             if key not in law_jets:
                 law_jets[key] = (cfg.service.mgf_jet(shift, order),
                                  cfg.service.survival_mgf_jet(shift, order))
-            m, h = (jet.recenter(s0) for jet in law_jets[key])
-            pairs[shift] = m, h, m - s * h
-    service, survival, loop_free = zip(*(pairs[shift] for shift in shifts))
-    for c, factor in enumerate(loop_free):
-        if factor.coeffs[0] <= 0.0:
-            raise OutsideConvergenceRegion(f"self-loop gain of source {c} reaches 1 at s={s0}")
-    g = [h * rate / f for h, rate, f in zip(survival, cfg.arrival_rates, loop_free)]
-    prefix, suffix = [Jet.constant(1.0, order, s0)], [Jet.constant(0.0, order, s0)]
-    for c in range(cfg.num_sources - 1):
-        prefix.append(prefix[-1] + g[c])
-        suffix.append(g[-1 - c] + suffix[-1])
-    return s, service, survival, loop_free, prefix, suffix[::-1]
+            pairs[shift] = tuple(jet.coeffs for jet in law_jets[key])
+    service_s = perf_counter() - start
+    n = cfg.num_sources
+    service, survival = np.array([pairs[shift] for shift in shifts]).transpose(1, 2, 0)
+    rates = np.array(cfg.arrival_rates)
+    s = np.zeros((order + 1, n))  # the jet of s, one column per source
+    s[0], s[1] = s0, 1.0
+    with np.errstate(all="ignore"):
+        s_survival = np.array(mul_rows(s, survival))
+        loop_free = service - s_survival  # 1 - h_c
+        scaled = survival * rates
+        g = np.array(div_rows(scaled, loop_free))
+        # 1 + sum_{c' < c} g_c' and sum_{c' > c} g_c', added from either end
+        sums = np.zeros((order + 1, 2, n))
+        sums[0, 0, 0] = 1.0
+        sums[:, 0, 1:], sums[:, 1, 1:] = g[:, :-1], g[:, :0:-1]
+        prefix, suffix = sums.cumsum(axis=2).transpose(1, 0, 2)
+        k = prefix + suffix[:, ::-1]  # K_c
+        s_k = np.array(mul_rows(s, k))
+        detour = 0.0 - s_k
+        detour[0] = rates - s_k[0]
+        # products and quotients independent of each other are taken two at a
+        # time, side by side on the source axis
+        denominator, k_loop_free = _halves(mul_rows(np.concatenate([loop_free, k], 1),
+                                                    np.concatenate([detour, loop_free], 1)))
+        scaled_service = service * rates
+        numerator = scaled + k_loop_free
+        y, excess = _halves(div_rows(np.concatenate([scaled_service, numerator], 1),
+                                     np.concatenate([denominator, denominator], 1)))
+        outputs = [y, excess]
+        if s0 == 0.0:
+            t = service * (1.0 / service[0])
+            peak, t_excess = _halves(mul_rows(np.concatenate([t, t], 1),
+                                              np.concatenate([y, excess], 1)))
+            aoi = t_excess * (1.0 / y[1])
+            outputs += [t, peak, aoi]
+        results = np.array(outputs + [loop_free, denominator, g])
+        divisors = results[len(outputs):-1, 0]
+    faults = [[None] * n] * 5  # read only
+    # inf and nan pass on through sums and products, and through a quotient
+    # unless its divisor's constant term is not finite: the outputs, g (unread
+    # when n = 1) and the divisors hold every non-finite intermediate
+    if not (np.isfinite(results).all() and divisors.min() >= DIVISION_FLOOR):
+        # the one-source chain's checks, in its order
+        for shared in ([s_survival, loop_free],
+                       [(loop_free[0] <= 0.0, OutsideConvergenceRegion,
+                         lambda c: f"self-loop gain of source {c} reaches 1 at s={s0}")],
+                       [scaled, *_quotient_checks(g, loop_free)], [prefix, suffix]):
+            fault = next(filter(None, _first_faults(shared, n)), None)
+            if fault is not None:
+                raise fault[0](fault[1])
+        y_faults = _first_faults([
+            k, s_k, detour, (detour[0] <= 0.0, OutsideConvergenceRegion,
+                             lambda c: f"detour denominator nonpositive at s={s0}"),
+            denominator, scaled_service, *_quotient_checks(y, denominator),
+            k_loop_free, numerator, *_quotient_checks(excess, denominator)], n)
+        faults = [y_faults, y_faults]
+        if s0 == 0.0:  # M_c(0) = 1 - h_c(0) passed the floor: 1 / M_c(0) is finite
+            t_faults = _first_faults([t], n)
+            age_faults = _first_faults([peak, t_excess, (
+                y[1] == 0.0, ZeroDivisionError, lambda c: "float division by zero"), aoi], n)
+            age_faults = [a or b or c for a, b, c in zip(t_faults, y_faults, age_faults)]
+            faults += [t_faults, age_faults, age_faults]
+    if _log.isEnabledFor(logging.DEBUG):
+        info = dict(sources=n, shifts=len(pairs), order=order, s0=s0, service_s=service_s,
+                    terms_s=perf_counter() - start - service_s,
+                    min_divisor=float(np.abs(divisors).min()))
+        _log.debug("system of %(sources)d sources, %(shifts)d shifts, order %(order)d at "
+                   "s=%(s0)r: service %(service_s).2e s, terms %(terms_s).2e s, smallest "
+                   "|constant term| divided by %(min_divisor).3e", info, extra=info)
+    return results[:len(outputs)].transpose(2, 0, 1).tolist(), faults
 
 
-def _terms(cfg: SystemConfig, source: int, s0: float, order: int) -> tuple[Jet, Jet]:
-    """Jets at s0 of M_Y and (M_Y - 1)/s, the term builder that every
-    transform of ``source`` but M_T reads, with K_c = prefix + suffix of the others.
-    Raises OutsideConvergenceRegion where a denominator is not positive at s0
-    (s0 at or beyond the total rate, a factor 1 - h_c, or rate_c - s * K)."""
-    s, service, survival, loop_free, prefix, suffix = _system_terms(cfg, s0, order)
-    k = prefix[source] + suffix[source]
-    rate = cfg.arrival_rates[source]
-    detour = rate - s * k
-    if detour.coeffs[0] <= 0.0:
-        raise OutsideConvergenceRegion(f"detour denominator nonpositive at s={s0}")
-    denominator = loop_free[source] * detour
-    return (
-        service[source] * rate / denominator,
-        (survival[source] * rate + k * loop_free[source]) / denominator,
-    )
+def _coefficients(cfg: SystemConfig, source: int, s0: float, order: int, *quantities) -> list:
+    """The cached coefficient lists (read only) at s0 of ``source``'s quantities,
+    or the first error the one-source chain met on its way to them."""
+    cfg._check_source(source)
+    coeffs, faults = _system_jets(cfg, s0, order)
+    for q in quantities:
+        if faults[q][source] is not None:
+            raise faults[q][source][0](faults[q][source][1])
+    return [coeffs[source][q] for q in quantities]
+
+
+def _jet(cfg: SystemConfig, source: int, quantity: int, order: int) -> Jet:
+    return Jet(0.0, tuple(_coefficients(cfg, source, 0.0, order, quantity)[0]))
 
 
 def system_time_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the system-time MGF for one source: the service law tilted
     by r_c, since a delivered packet's service outlasted its preemption clock."""
-    cfg._check_source(source)
-    service = _system_terms(cfg, 0.0, order)[1][source]
-    return service * (1.0 / service.coeffs[0])
+    return _jet(cfg, source, _T, order)
 
 
 def interdeparture_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the interdeparture-time MGF for one source."""
-    cfg._check_source(source)
-    return _terms(cfg, source, 0.0, order)[0]
-
-
-def _source_jets(cfg: SystemConfig, source: int, order: int) -> tuple[Jet, Jet, Jet, Jet]:
-    """Jets at 0 of M_T, M_Y, the peak-age MGF M_T * M_Y (system time and
-    interdeparture time of consecutive deliveries are independent) and the AoI
-    MGF M_T * ((M_Y - 1)/s) / mean(Y): every public transform jet and every
-    moment of ``source`` is read off these."""
-    t_jet = system_time_mgf_jet(cfg, source, order)
-    y_jet, excess = _terms(cfg, source, 0.0, order)
-    return t_jet, y_jet, t_jet * y_jet, t_jet * excess * (1.0 / y_jet.derivative_value(1))
+    return _jet(cfg, source, _Y, order)
 
 
 def paoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the peak-age MGF."""
-    return _source_jets(cfg, source, order)[2]
+    return _jet(cfg, source, _PEAK, order)
 
 
 def aoi_mgf_jet(cfg: SystemConfig, source: int, order: int = DEFAULT_ORDER) -> Jet:
     """Jet at 0 of the stationary AoI MGF."""
-    return _source_jets(cfg, source, order)[3]
+    return _jet(cfg, source, _AOI, order)
 
 
-def _moments_from_jet(jet: Jet, max_order: int) -> tuple[float, ...]:
-    return tuple(jet.derivative_value(m) for m in range(1, max_order + 1))
+def _derivatives(coeffs, max_order: int) -> tuple[float, ...]:
+    """Raw derivatives 1..max_order at the expansion point: k! * coeffs[k]."""
+    return tuple(math.factorial(m) * coeffs[m] for m in range(1, max_order + 1))
 
 
 def _direct_moments(cfg: SystemConfig, source: int, max_order: int, order: int):
-    """Jets of order ``order`` at 0 of T and Y, and the moments 1..max_order read
-    off the AoI and peak-age jets."""
+    """Coefficients of order ``order`` at 0 of M_T and M_Y, and the moments
+    1..max_order read off the AoI and peak-age jets."""
     if max_order < 1:
         raise ValueError("moment order must be >= 1")
-    t_jet, y_jet, paoi, aoi = _source_jets(cfg, source, order)
-    metrics = AoiMetrics(
-        source,
-        _moments_from_jet(aoi, max_order),
-        _moments_from_jet(paoi, max_order),
-        t_jet.derivative_value(1),
-        y_jet.derivative_value(1),
-    )
-    return t_jet, y_jet, metrics
+    t, y, paoi, aoi = _coefficients(cfg, source, 0.0, order, _T, _Y, _PEAK, _AOI)
+    metrics = AoiMetrics(source, _derivatives(aoi, max_order), _derivatives(paoi, max_order),
+                         t[1], y[1])
+    return t, y, metrics
 
 
 def moments_both_routes(
@@ -267,9 +358,9 @@ def moments_both_routes(
     peak-age jets directly, as ``moments`` does. Returns (binomial, jet,
     max relative gap).
     """
-    t_jet, y_jet, direct = _direct_moments(cfg, source, max_order, max_order + 1)
-    t_moms = [t_jet.derivative_value(i) for i in range(max_order + 2)]
-    y_moms = [y_jet.derivative_value(i) for i in range(max_order + 2)]
+    t, y, direct = _direct_moments(cfg, source, max_order, max_order + 1)
+    t_moms = [t[0], *_derivatives(t, max_order + 1)]
+    y_moms = [y[0], *_derivatives(y, max_order + 1)]
     mean_y = y_moms[1]
 
     def peak_moment(m: int) -> float:
@@ -313,11 +404,11 @@ def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -
         t_val = cfg.service.mgf_jet(s - rate, 1).coeffs[0] / cfg.service.mgf_jet(-rate, 1).coeffs[0]
         if which is Transform.SYSTEM_TIME:
             return t_val
-        y_jet, excess = _terms(cfg, source, s, 1)
+        y, excess = _coefficients(cfg, source, s, 1, _Y, _EXCESS)
     except MgfDomainError as exc:
         raise OutsideConvergenceRegion(f"service transform undefined at s={s}: {exc}") from exc
     if which is Transform.INTERDEPARTURE:
-        return y_jet.coeffs[0]
+        return y[0]
     if which is Transform.PAOI:
-        return t_val * y_jet.coeffs[0]
-    return t_val * excess.coeffs[0] / _terms(cfg, source, 0.0, 1)[1].coeffs[0]
+        return t_val * y[0]
+    return t_val * excess[0] / _coefficients(cfg, source, 0.0, 1, _EXCESS)[0][0]

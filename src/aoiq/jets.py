@@ -34,6 +34,32 @@ DEFAULT_ORDER = 8
 DIVISION_FLOOR = sys.float_info.min
 
 
+def mul_rows(a, b) -> list:
+    """Truncated Cauchy product; a row ``a[k]`` is a float for a ``Jet``, or a
+    vector over sources. Each sum runs over i in order from +0.0 and is never
+    -0.0, so no product that is a signed zero can move it."""
+    out = []
+    for k in range(len(a)):
+        acc = 0.0  # a vector row's first sum is a new array, which += then updates
+        for i in range(k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def div_rows(a, b) -> list:
+    """a / b by the quotient recurrence, over rows as in ``mul_rows``; the caller
+    checks b[0]."""
+    inv_b0 = 1.0 / b[0]
+    q = []
+    for k in range(len(a)):
+        acc = a[k]
+        for i in range(k):
+            acc = acc - q[i] * b[k - i]
+        q.append(acc * inv_b0)
+    return q
+
+
 class JetMismatchError(ValueError):
     """Binary operation on jets with different centers or orders."""
 
@@ -126,15 +152,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.center, tuple(map(float(other).__mul__, self.coeffs)))
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        out = [0.0] * n
-        for i, ai in enumerate(a):
-            if ai == 0.0:
-                continue
-            for j in range(n - i):
-                out[i + j] += ai * b[j]
-        return Jet(self.center, tuple(out))
+        return Jet(self.center, tuple(mul_rows(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -146,17 +164,8 @@ class Jet:
             raise DivisionBySingularJet(
                 f"jet denominator constant term {b[0]!r} below floor {DIVISION_FLOOR}"
             )
-        a = self.coeffs
-        n = len(a)
-        q = [0.0] * n
-        inv_b0 = 1.0 / b[0]
-        for k in range(n):
-            acc = a[k]
-            for i in range(k):
-                acc -= q[i] * b[k - i]
-            q[k] = acc * inv_b0
         try:
-            return Jet(self.center, tuple(q))
+            return Jet(self.center, tuple(div_rows(self.coeffs, b)))
         except ValueError:  # a non-finite coefficient: the quotient overflowed
             raise DivisionBySingularJet(f"jet quotient overflows: denominator {b!r}") from None
 

@@ -77,14 +77,16 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[CheckR
             ("aoi", s.time_avg_aoi, m.mean_aoi, s.aoi_ci_halfwidth),
             ("paoi", s.paoi_moments[0], m.mean_paoi, s.paoi_ci_halfwidth),
         ):
+            name = f"analytic_vs_sim:{label}:source{c}"
+            if math.isnan(sim_val):  # no delivery counted: nothing to compare
+                out.append(CheckResult(name, "skip", math.nan, math.nan, (
+                    f"source {c} has no counted delivery ({s.delivered} delivered), "
+                    f"so no simulated {label}; analytic {ana_val:.6g}")))
+                continue
             band = max(0.02 * ana_val, hw if not math.isnan(hw) else 0.0)
             out.append(
-                verdict(
-                    f"analytic_vs_sim:{label}:source{c}",
-                    abs(sim_val - ana_val),
-                    band,
-                    f"simulated {sim_val:.6g} vs analytic {ana_val:.6g}",
-                )
+                verdict(name, abs(sim_val - ana_val), band,
+                        f"simulated {sim_val:.6g} vs analytic {ana_val:.6g}")
             )
     try:
         summary = empirical_checks(report, cfg, policy)

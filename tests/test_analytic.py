@@ -274,9 +274,9 @@ class TestOneServicePass:
         assert counts == {"mgf_jet": 32, "survival_mgf_jet": 32}
 
     def test_memo_is_bounded(self, monkeypatch):
-        from aoiq.analytic import _system_terms
+        from aoiq.analytic import _system_jets
 
-        maxsize = _system_terms.cache_info().maxsize
+        maxsize = _system_jets.cache_info().maxsize
         assert maxsize is not None
         counts = self._count_requests(monkeypatch)
         first = self._config(3, 0.456)

@@ -144,28 +144,25 @@ class TestSojournKit:
 
     def test_loop_gain_identity(self):
         # preempt probability times the preempted-sojourn MGF equals the
-        # closed form's self-loop gain r_c * H_c, coefficient by
+        # self-loop gain r_c * H_c of the closed forms, coefficient by
         # coefficient; at theta = 0 both sides are the zero jet
-        from aoiq.analytic import _system_terms
-
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
-            for c in range(cfg.num_sources):
-                loop = _system_terms(cfg, 0.0, 8)[2][c] * (cfg.theta * cfg.arrival_rates[c])
+            for c, rate in enumerate(cfg.preemption_rates):
+                loop = cfg.service.survival_mgf_jet(-rate, 8).recenter(0.0) * rate
                 via_kit = kit.preempted_mgf[c] * kit.preempt[c]
                 for x, y in zip(via_kit.coeffs, loop.coeffs):
                     assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
 
     def test_through_gain_identity(self):
         # entry race times delivered sojourn equals the through gain
-        # rate_c * M_c / (total rate - s) built on the closed form's M_c
-        from aoiq.analytic import _system_terms
-
+        # rate_c * M_c / (total rate - s), M_c = M_U(-r_c) as the closed forms read it
         for cfg in config_grid()[::5]:
             kit = sojourn_kit(cfg)
             lam_minus_s = Jet.from_coeffs((cfg.total_rate, -1.0) + (0.0,) * 7)
-            for c in range(cfg.num_sources):
-                through = _system_terms(cfg, 0.0, 8)[1][c] * cfg.arrival_rates[c] / lam_minus_s
+            for c, rate in enumerate(cfg.preemption_rates):
+                service = cfg.service.mgf_jet(-rate, 8).recenter(0.0)
+                through = service * cfg.arrival_rates[c] / lam_minus_s
                 via_kit = (
                     kit.wait_mgf[c] * kit.race[c] * kit.delivered_mgf[c] * kit.delivery[c]
                 )

@@ -419,9 +419,9 @@ class TestEachSystemOnce:
 
     def test_one_service_jet_per_shift(self, monkeypatch):
         from aoiq import Exponential
-        from aoiq.analytic import _system_terms
+        from aoiq.analytic import _system_jets
 
-        _system_terms.cache_clear()  # systems solved by earlier tests would request nothing
+        _system_jets.cache_clear()  # systems solved by earlier tests would request nothing
         requested = []
         original = Exponential.mgf_jet
 

@@ -65,6 +65,29 @@ class TestSuite:
         assert got == list(want)
 
 
+def test_undelivered_source_skips_with_its_reason():
+    # M_U(-20) = e^-20: at this horizon neither source has a delivery, so there
+    # is no simulated mean to compare; the checks skip instead of comparing NaN
+    spec = parse_spec(
+        """
+        [system]
+        arrival_rates = 20, 1
+        theta = 1
+        service = deterministic(value=1)
+
+        [simulation]
+        horizon = 1e4
+        seed = 1
+        """
+    )
+    checks = [c for c in validate_mod._check_against_simulation(spec, workers=1)
+              if c.name.startswith("analytic_vs_sim")]
+    assert [(c.name, c.status) for c in checks] == [
+        (f"analytic_vs_sim:{label}:source{c}", "skip") for c in (0, 1) for label in ("aoi", "paoi")
+    ]
+    assert all("no counted delivery (0 delivered)" in c.detail for c in checks)
+
+
 # Planted defects. Each slips a sign or a factor into the closed forms, or
 # into a service-law jet they read, as a transcription error would. Every
 # one must fail at least one of the suite's four families, on every system;
@@ -135,12 +158,12 @@ def _scale_coefficient(owner, name, k, factor):
 
 
 def _skew_jet_route(monkeypatch, cfg):
-    original = analytic_mod._moments_from_jet
+    original = analytic_mod._derivatives
 
-    def skewed(jet, max_order):
-        return tuple(v * 1.001 for v in original(jet, max_order))
+    def skewed(coeffs, max_order):
+        return tuple(v * 1.001 for v in original(coeffs, max_order))
 
-    monkeypatch.setattr(analytic_mod, "_moments_from_jet", skewed)
+    monkeypatch.setattr(analytic_mod, "_derivatives", skewed)
 
 
 GRAPH, ROUTES, SIM = "closed_form_vs_graph", "moment_routes", "analytic_vs_sim"
@@ -150,47 +173,45 @@ GRAPH, ROUTES, SIM = "closed_form_vs_graph", "moment_routes", "analytic_vs_sim"
 # the simulation's 2% band, yet fails it on the paper system.
 DEFECTS = {
     "K_c_prefix_minus_suffix": (
-        _rewrite(analytic_mod._terms, "prefix[source] + suffix[source]",
-                 "prefix[source] - suffix[source]"),
+        _rewrite(analytic_mod._system_jets, "k = prefix + suffix", "k = prefix - suffix"),
         {GRAPH, SIM},
     ),
     "H_c_times_1.01": (
-        _rewrite(analytic_mod._system_terms, "for jet in law_jets[key])",
-                 "for jet in law_jets[key]); h = h * 1.01"),
+        _rewrite(analytic_mod._system_jets, "rates = np.array(cfg.arrival_rates)",
+                 "rates = np.array(cfg.arrival_rates); survival = survival * 1.01"),
         {GRAPH},
     ),
     "AoI_numerator_times_1.01": (
-        _rewrite(analytic_mod._terms, "(survival[source] * rate + k",
-                 "(survival[source] * rate * 1.01 + k"),
+        _rewrite(analytic_mod._system_jets, "numerator = scaled + k", "numerator = scaled * 1.01 + k"),
         {ROUTES},
     ),
     # moves the mean AoI by 5e-5 of itself, far inside the simulation's band
     "AoI_numerator_times_1.0001": (
-        _rewrite(analytic_mod._terms, "(survival[source] * rate + k",
-                 "(survival[source] * rate * 1.0001 + k"),
+        _rewrite(analytic_mod._system_jets, "numerator = scaled + k",
+                 "numerator = scaled * 1.0001 + k"),
         {ROUTES},
     ),
     "M_T_squared": (
-        _rewrite(analytic_mod._source_jets, "t_jet = system_time_mgf_jet(cfg, source, order)",
-                 "t_jet = system_time_mgf_jet(cfg, source, order); t_jet = t_jet * t_jet"),
+        _rewrite(analytic_mod._system_jets, "t = service * (1.0 / service[0])",
+                 "t = service * (1.0 / service[0]); t = np.array(mul_rows(t, t))"),
         {SIM},
     ),
     "M_Y_numerator_times_1.01": (
-        _rewrite(analytic_mod._terms, "service[source] * rate / denominator",
-                 "service[source] * rate * 1.01 / denominator"),
+        _rewrite(analytic_mod._system_jets, "scaled_service = service * rates",
+                 "scaled_service = service * rates * 1.01"),
         {GRAPH, ROUTES},
     ),
     "1-h_c=M_c+s*H_c": (
-        _rewrite(analytic_mod._system_terms, "m - s * h", "m + s * h"),
+        _rewrite(analytic_mod._system_jets, "service - s_survival", "service + s_survival"),
         {GRAPH, ROUTES, SIM},
     ),
     "AoI_over_E[Y]_times_1.01": (
-        _rewrite(analytic_mod._source_jets, "(1.0 / y_jet.derivative_value(1))",
-                 "(1.01 / y_jet.derivative_value(1))"),
+        _rewrite(analytic_mod._system_jets, "(1.0 / y[1])", "(1.01 / y[1])"),
         {ROUTES},
     ),
     "PAoI=T*Y*Y": (
-        _rewrite(analytic_mod._source_jets, "t_jet * y_jet,", "t_jet * y_jet * y_jet,"),
+        _rewrite(analytic_mod._system_jets, "aoi = t_excess * (1.0 / y[1])",
+                 "aoi = t_excess * (1.0 / y[1]); peak = np.array(mul_rows(peak, y))"),
         {ROUTES, SIM},
     ),
     "mgf_jet_coefficient_2_times_1.001": (_scale_coefficient(None, "mgf_jet", 2, 1.001), {GRAPH}),
@@ -248,13 +269,13 @@ class TestPlantedDefects:
         clean = [_outputs(cfg, c) for c in sources]
         try:
             with monkeypatch.context() as planted:
-                analytic_mod._system_terms.cache_clear()
+                analytic_mod._system_jets.cache_clear()
                 plant(planted, cfg)
                 changed = [c for c in sources if _outputs(cfg, c) != clean[c]]
                 report = _suite(planted, simulations, system)
         finally:
             # the cache may hold jets built from a planted service law
-            analytic_mod._system_terms.cache_clear()
+            analytic_mod._system_jets.cache_clear()
         assert changed
         failed = {(c.name.split(":")[0], c.name.rsplit(":", 1)[1])
                   for c in report.checks if not c.passed}
