@@ -21,13 +21,16 @@ IEEE T-IT 65(12), 2019). Near s = 0 no constant term is formed by a
 subtraction, so a small delivery probability M_c(0) or rate share costs
 no digits, and theta = 0 needs no special case.
 
-One builder assembles them for all sources of a system at an expansion
-point (at 0 exact derivatives, at s pointwise values) from one M/H pair
-per distinct shift s - r_c. Its coefficient rows are vectors over sources,
-so each product or quotient is one call of the row kernels that ``Jet``
-uses too; K_c comes from in-order cumulative sums. Each source keeps the
-bits, and the errors, of scalar jet arithmetic on it alone. Each build
-logs a DEBUG record on ``aoiq.analytic``: sources, shifts, order, seconds
+One builder assembles them for a batch of systems of one law and source
+count at an expansion point (at 0 exact derivatives, at s pointwise
+values) from the law's M/H pairs at every distinct shift s - r_c, asked
+at once. Its coefficient rows are vectors over (system, source) pairs, so
+each product or quotient is one call of the row kernels that ``Jet`` uses
+too; K_c comes from in-order cumulative sums within each system. Each
+source keeps the bits, and the errors, of scalar jet arithmetic on it
+alone. ``solve_moments`` solves a sweep's systems as one batch; the other
+functions read batches of one, the last 8 kept. Each batch logs a DEBUG
+record on ``aoiq.analytic``: its size, shifts and service calls, seconds
 in the service layer and in the term algebra, and the smallest |constant
 term| divided by.
 
@@ -43,7 +46,6 @@ import enum
 import logging
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from time import perf_counter
@@ -66,6 +68,7 @@ __all__ = [
     "moments",
     "moments_both_routes",
     "mgf_point_eval",
+    "solve_moments",
 ]
 
 _log = logging.getLogger(__name__)
@@ -150,46 +153,30 @@ class AoiMetrics:
         return self.paoi_moments[0]
 
 
-_shared_jets: dict | None = None
-
-
-@contextmanager
-def sharing_service_jets(memo: dict) -> Iterator[None]:
-    """Within the block, systems that share a law and a shift r_c take
-    its M and H jets from ``memo``, which keeps those built: the systems of one
-    sweep repeat shifts. The caller owns ``memo``, so nothing outlives its command."""
-    global _shared_jets
-    outer, _shared_jets = _shared_jets, memo
-    try:
-        yield
-    finally:
-        _shared_jets = outer
-
-
 def _first_faults(checks, n: int) -> list:
-    """Each source's first failing check, as the (type, message) it raises: a
-    result's rows fail where not finite, a (mask, type, message(c)) on mask."""
+    """Each column's first failing check, as the (type, message) it raises: a
+    result's rows fail where not finite, a (mask, type, message(j)) on mask."""
     faults = [None] * n
     for check in checks:
         if not isinstance(check, tuple):  # a result
-            check = (~np.isfinite(check).all(axis=0), ValueError, lambda c, rows=check: (
-                f"non-finite jet coefficients: {tuple(rows[:, c].tolist())}"))
+            check = (~np.isfinite(check).all(axis=0), ValueError, lambda j, rows=check: (
+                f"non-finite jet coefficients: {tuple(rows[:, j].tolist())}"))
         bad, kind, message = check
-        for c in np.flatnonzero(bad).tolist():
-            faults[c] = faults[c] or (kind, message(c))
+        for j in np.flatnonzero(bad).tolist():
+            faults[j] = faults[j] or (kind, message(j))
     return faults
 
 
 def _quotient_checks(q, den) -> list:
     """The checks of q = num / den in a scalar ``Jet``'s order."""
-    return [(np.abs(den[0]) < DIVISION_FLOOR, DivisionBySingularJet, lambda c: (
-                f"jet denominator constant term {float(den[0, c])!r} below floor {DIVISION_FLOOR}")),
-            (~np.isfinite(q).all(axis=0), DivisionBySingularJet, lambda c: (
-                f"jet quotient overflows: denominator {tuple(den[:, c].tolist())!r}"))]
+    return [(np.abs(den[0]) < DIVISION_FLOOR, DivisionBySingularJet, lambda j: (
+                f"jet denominator constant term {float(den[0, j])!r} below floor {DIVISION_FLOOR}")),
+            (~np.isfinite(q).all(axis=0), DivisionBySingularJet, lambda j: (
+                f"jet quotient overflows: denominator {tuple(den[:, j].tolist())!r}"))]
 
 
 def _halves(rows):
-    """Coefficient rows of two results laid side by side on the source axis."""
+    """Coefficient rows of two results laid side by side on the column axis."""
     rows = np.array(rows)
     return rows[:, :rows.shape[1] // 2], rows[:, rows.shape[1] // 2:]
 
@@ -199,53 +186,44 @@ def _halves(rows):
 _Y, _EXCESS, _T, _PEAK, _AOI = range(5)
 
 
-@lru_cache(maxsize=8)
-def _system_jets(cfg: SystemConfig, s0: float, order: int) -> tuple[list, list]:
-    """``coeffs[c][q]``, every source's jets at s0 of M_Y and (M_Y - 1)/s and, at
-    0, of M_T, M_T * M_Y (T and Y of a cycle are independent) and the AoI MGF;
-    ``faults[q][c]``, None or the (type, message) the one-source chain raised
-    on its way to q. Products keep that chain's operand order. A step every
-    source shares raises for the system: s0 >= total rate, a law undefined at
-    a shift, 1 - h_c not positive, a singular g_c."""
-    if order < 1:
-        raise ValueError(f"jet order must be >= 1, got {order}")
-    if s0 >= cfg.total_rate:
-        raise OutsideConvergenceRegion(
-            f"s={s0} at or beyond the total arrival rate {cfg.total_rate}"
-        )
+def _build(cfgs, s0: float, order: int) -> list:
+    """Each system's ``(coeffs, faults)`` at s0: ``coeffs[c][q]``, every source's jets
+    of M_Y and (M_Y - 1)/s and, at 0, of M_T, M_T * M_Y (T and Y of a cycle are
+    independent) and the AoI MGF, one column per (system, source) in the one-source
+    chain's operand order; ``faults[q][c]``, None or the (type, message) that chain
+    raised on its way to q. A step every source shares fails the system: s0 >= total
+    rate, 1 - h_c not positive, a singular g_c. Raises what the law raises."""
     start = perf_counter()
-    shifts = [s0 - rate for rate in cfg.preemption_rates]
-    law_jets = {} if _shared_jets is None else _shared_jets  # (law, shift, order) -> (M, H)
-    pairs = {}  # shift -> (M, H) coefficients, shared by the sources at that shift
-    for shift in shifts:
-        if shift not in pairs:
-            key = (cfg.service, shift, order)
-            if key not in law_jets:
-                law_jets[key] = (cfg.service.mgf_jet(shift, order),
-                                 cfg.service.survival_mgf_jet(shift, order))
-            pairs[shift] = tuple(jet.coeffs for jet in law_jets[key])
+    law, n, m = cfgs[0].service, cfgs[0].num_sources, len(cfgs)
+    # a system at or beyond its total rate asks for no jets: its columns are nan
+    shifts = [s0 - rate if s0 < cfg.total_rate else None
+              for cfg in cfgs for rate in cfg.preemption_rates]
+    pairs, calls = {None: ((math.nan,) * (order + 1),) * 2}, 0
+    wanted = [t for t in dict.fromkeys(shifts) if t is not None]
+    for calls, chunk in enumerate(law.jet_pairs(wanted, order), 1):
+        pairs.update(chunk)
     service_s = perf_counter() - start
-    n = cfg.num_sources
     service, survival = np.array([pairs[shift] for shift in shifts]).transpose(1, 2, 0)
-    rates = np.array(cfg.arrival_rates)
-    s = np.zeros((order + 1, n))  # the jet of s, one column per source
+    rates = np.array([rate for cfg in cfgs for rate in cfg.arrival_rates])
+    s = np.zeros((order + 1, m * n))  # the jet of s, one column per (system, source)
     s[0], s[1] = s0, 1.0
     with np.errstate(all="ignore"):
         s_survival = np.array(mul_rows(s, survival))
         loop_free = service - s_survival  # 1 - h_c
         scaled = survival * rates
         g = np.array(div_rows(scaled, loop_free))
-        # 1 + sum_{c' < c} g_c' and sum_{c' > c} g_c', added from either end
-        sums = np.zeros((order + 1, 2, n))
-        sums[0, 0, 0] = 1.0
-        sums[:, 0, 1:], sums[:, 1, 1:] = g[:, :-1], g[:, :0:-1]
-        prefix, suffix = sums.cumsum(axis=2).transpose(1, 0, 2)
-        k = prefix + suffix[:, ::-1]  # K_c
+        # within each system, 1 + sum_{c' < c} g_c' and sum_{c' > c} g_c', added from either end
+        g_rows = g.reshape(order + 1, m, n)
+        sums = np.zeros((order + 1, 2, m, n))
+        sums[0, 0, :, 0] = 1.0
+        sums[..., 0, :, 1:], sums[..., 1, :, 1:] = g_rows[..., :-1], g_rows[..., :0:-1]
+        prefix, suffix = sums.cumsum(axis=3).transpose(1, 0, 2, 3)
+        k = (prefix + suffix[..., ::-1]).reshape(order + 1, -1)  # K_c
         s_k = np.array(mul_rows(s, k))
         detour = 0.0 - s_k
         detour[0] = rates - s_k[0]
         # products and quotients independent of each other are taken two at a
-        # time, side by side on the source axis
+        # time, side by side on the column axis
         denominator, k_loop_free = _halves(mul_rows(np.concatenate([loop_free, k], 1),
                                                     np.concatenate([detour, loop_free], 1)))
         scaled_service = service * rates
@@ -261,46 +239,74 @@ def _system_jets(cfg: SystemConfig, s0: float, order: int) -> tuple[list, list]:
             outputs += [t, peak, aoi]
         results = np.array(outputs + [loop_free, denominator, g])
         divisors = results[len(outputs):-1, 0]
-    faults = [[None] * n] * 5  # read only
+    faults, shared = [[None] * (m * n)] * 5, [None] * m  # read only
     # inf and nan pass on through sums and products, and through a quotient
     # unless its divisor's constant term is not finite: the outputs, g (unread
     # when n = 1) and the divisors hold every non-finite intermediate
     if not (np.isfinite(results).all() and divisors.min() >= DIVISION_FLOOR):
         # the one-source chain's checks, in its order
-        for shared in ([s_survival, loop_free],
+        shared = [None if s0 < cfg.total_rate else (OutsideConvergenceRegion, (
+            f"s={s0} at or beyond the total arrival rate {cfg.total_rate}")) for cfg in cfgs]
+        for checks in ([s_survival, loop_free],
                        [(loop_free[0] <= 0.0, OutsideConvergenceRegion,
-                         lambda c: f"self-loop gain of source {c} reaches 1 at s={s0}")],
-                       [scaled, *_quotient_checks(g, loop_free)], [prefix, suffix]):
-            fault = next(filter(None, _first_faults(shared, n)), None)
-            if fault is not None:
-                raise fault[0](fault[1])
+                         lambda j: f"self-loop gain of source {j % n} reaches 1 at s={s0}")],
+                       [scaled, *_quotient_checks(g, loop_free)],
+                       [prefix.reshape(order + 1, -1), suffix.reshape(order + 1, -1)]):
+            for j, fault in enumerate(_first_faults(checks, m * n)):
+                shared[j // n] = shared[j // n] or fault
         y_faults = _first_faults([
             k, s_k, detour, (detour[0] <= 0.0, OutsideConvergenceRegion,
-                             lambda c: f"detour denominator nonpositive at s={s0}"),
+                             lambda j: f"detour denominator nonpositive at s={s0}"),
             denominator, scaled_service, *_quotient_checks(y, denominator),
-            k_loop_free, numerator, *_quotient_checks(excess, denominator)], n)
+            k_loop_free, numerator, *_quotient_checks(excess, denominator)], m * n)
         faults = [y_faults, y_faults]
         if s0 == 0.0:  # M_c(0) = 1 - h_c(0) passed the floor: 1 / M_c(0) is finite
-            t_faults = _first_faults([t], n)
+            t_faults = _first_faults([t], m * n)
             age_faults = _first_faults([peak, t_excess, (
-                y[1] == 0.0, ZeroDivisionError, lambda c: "float division by zero"), aoi], n)
+                y[1] == 0.0, ZeroDivisionError, lambda j: "float division by zero"), aoi], m * n)
             age_faults = [a or b or c for a, b, c in zip(t_faults, y_faults, age_faults)]
             faults += [t_faults, age_faults, age_faults]
     if _log.isEnabledFor(logging.DEBUG):
-        info = dict(sources=n, shifts=len(pairs), order=order, s0=s0, service_s=service_s,
-                    terms_s=perf_counter() - start - service_s,
-                    min_divisor=float(np.abs(divisors).min()))
-        _log.debug("system of %(sources)d sources, %(shifts)d shifts, order %(order)d at "
-                   "s=%(s0)r: service %(service_s).2e s, terms %(terms_s).2e s, smallest "
-                   "|constant term| divided by %(min_divisor).3e", info, extra=info)
-    return results[:len(outputs)].transpose(2, 0, 1).tolist(), faults
+        info = dict(systems=m, sources=n, shifts=len(pairs) - 1, calls=calls, order=order, s0=s0,
+                    service_s=service_s, terms_s=perf_counter() - start - service_s,
+                    min_divisor=float(np.fmin.reduce(np.abs(divisors).ravel())))
+        _log.debug("%(systems)d systems of %(sources)d sources at s=%(s0)r, order %(order)d: "
+                   "%(shifts)d shifts in %(calls)d service calls %(service_s).2e s, terms %(terms_s).2e"
+                   " s, smallest |constant term| divided by %(min_divisor).3e", info, extra=info)
+    columns = results[:len(outputs)].transpose(2, 0, 1).tolist()
+    return [(columns[i * n:(i + 1) * n],
+             [[shared[i]] * n] * 5 if shared[i] else [q[i * n:(i + 1) * n] for q in faults])
+            for i in range(m)]
 
 
-def _coefficients(cfg: SystemConfig, source: int, s0: float, order: int, *quantities) -> list:
-    """The cached coefficient lists (read only) at s0 of ``source``'s quantities,
-    or the first error the one-source chain met on its way to them."""
+def _solve(cfgs, s0: float, order: int) -> list:
+    """``_build`` of a batch, or of each system alone where the law raises at a shift."""
+    if order < 1:
+        raise ValueError(f"jet order must be >= 1, got {order}")
+    if not cfgs:
+        return []
+    if any(cfg.service != cfgs[0].service or cfg.num_sources != cfgs[0].num_sources for cfg in cfgs):
+        raise ValueError("the systems of a batch share one service law and one source count")
+    try:
+        return _build(cfgs, s0, order)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:  # a law undefined, or stuck
+        if len(cfgs) > 1:
+            return [system for cfg in cfgs for system in _solve([cfg], s0, order)]
+        return [(None, [[(type(exc), str(exc))] * cfgs[0].num_sources] * 5)]
+
+
+@lru_cache(maxsize=8)
+def _system_jets(cfg: SystemConfig, s0: float, order: int) -> tuple[list, list]:
+    """``_build`` of one system."""
+    return _solve([cfg], s0, order)[0]
+
+
+def _coefficients(cfg: SystemConfig, source: int, s0: float, order: int, *quantities,
+                  system=None) -> list:
+    """The coefficient lists (read only) at s0 of ``source``'s quantities, of ``system``
+    if built, else cached; or the first error the one-source chain met on its way."""
     cfg._check_source(source)
-    coeffs, faults = _system_jets(cfg, s0, order)
+    coeffs, faults = system or _system_jets(cfg, s0, order)
     for q in quantities:
         if faults[q][source] is not None:
             raise faults[q][source][0](faults[q][source][1])
@@ -337,12 +343,12 @@ def _derivatives(coeffs, max_order: int) -> tuple[float, ...]:
     return tuple(math.factorial(m) * coeffs[m] for m in range(1, max_order + 1))
 
 
-def _direct_moments(cfg: SystemConfig, source: int, max_order: int, order: int):
+def _direct_moments(cfg: SystemConfig, source: int, max_order: int, order: int, system=None):
     """Coefficients of order ``order`` at 0 of M_T and M_Y, and the moments
-    1..max_order read off the AoI and peak-age jets."""
+    1..max_order read off the AoI and peak-age jets (of ``system`` if given)."""
     if max_order < 1:
         raise ValueError("moment order must be >= 1")
-    t, y, paoi, aoi = _coefficients(cfg, source, 0.0, order, _T, _Y, _PEAK, _AOI)
+    t, y, paoi, aoi = _coefficients(cfg, source, 0.0, order, _T, _Y, _PEAK, _AOI, system=system)
     metrics = AoiMetrics(source, _derivatives(aoi, max_order), _derivatives(paoi, max_order),
                          t[1], y[1])
     return t, y, metrics
@@ -388,6 +394,17 @@ def moments(cfg: SystemConfig, source: int, max_order: int = 2) -> AoiMetrics:
     return _direct_moments(cfg, source, max_order, max_order)[2]
 
 
+def solve_moments(cfgs, max_order: int = 2) -> Iterator[list[AoiMetrics]]:
+    """``moments`` of every source of each system, in order, built as one batch
+    (one law and source count). A system that fails raises its error at its
+    turn, after the systems before it; nothing is kept once it is done."""
+    if max_order < 1:
+        raise ValueError("moment order must be >= 1")
+    for cfg, system in zip(cfgs, _solve(cfgs, 0.0, max_order)):
+        yield [_direct_moments(cfg, c, max_order, max_order, system)[2]
+               for c in range(cfg.num_sources)]
+
+
 def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -> float:
     """Scalar MGF value at s for one of the four transforms.
 
@@ -401,7 +418,11 @@ def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -
         return 1.0
     try:
         rate = cfg.preemption_rates[source]
-        t_val = cfg.service.mgf_jet(s - rate, 1).coeffs[0] / cfg.service.mgf_jet(-rate, 1).coeffs[0]
+        t_val, delivered = (cfg.service.mgf_jet(t, 1).coeffs[0] for t in (s - rate, -rate))
+        if delivered == 0.0:
+            raise OutsideConvergenceRegion(
+                f"delivery probability M_U(-r_c) of source {source} underflows to 0")
+        t_val /= delivered
         if which is Transform.SYSTEM_TIME:
             return t_val
         y, excess = _coefficients(cfg, source, s, 1, _Y, _EXCESS)

@@ -98,7 +98,7 @@ class Jet:
     @classmethod
     def variable(cls, order: int = DEFAULT_ORDER, center: float = 0.0) -> "Jet":
         """The identity function s -> s expanded at ``center``."""
-        return cls(center, (float(center), 1.0) + (0.0,) * (order - 1))
+        return cls(center, (float(center), 1.0)[:order + 1] + (0.0,) * (order - 1))
 
     @classmethod
     def from_coeffs(cls, coeffs, center: float = 0.0) -> "Jet":

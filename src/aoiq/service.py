@@ -13,6 +13,10 @@ Lambert-W point (Asmussen, Jensen and Rojas-Nandayapa, Methodol. Comput.
 Appl. Probab. 18, 2016), so one fixed Gauss-Legendre panel rule over a
 window fitted to that mode computes every coefficient, within 1e-14
 relative of 40-digit quadrature, and the quantiles of the tilted law.
+
+``jet_pairs`` gives the (M, H) coefficients at many shifts, as a batch of
+systems reads them; the log-normal rules take a vector of shifts, a fixed
+number of nodes per numpy call, with the bits of each shift alone.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REACH = 12.0
 _PANELS = 32
 _LEGENDRE = leggauss(16)
+# Nodes per call of those rules in ``jet_pairs`` (8 shifts at order 2): such
+# (shifts, order + 1, 512) arrays spread numpy's per-call cost; larger ones cost more.
+_CHUNK_NODES = 12288
 
 # Keep-away margin from the MGF pole of exponential/gamma laws, relative
 # to the rate: jet coefficients blow up as the pole is approached.
@@ -137,6 +144,12 @@ class ServiceDistribution:
 
     def _survival_jet_neg(self, t0: float, order: int) -> Jet:
         raise NotImplementedError
+
+    def jet_pairs(self, shifts, order: int):
+        """The coefficients (M, H) of ``mgf_jet`` and ``survival_mgf_jet`` at each
+        shift, raising as they do: one dict shift -> (M, H) per call of the law's rule."""
+        for t in shifts:
+            yield {t: (self.mgf_jet(t, order).coeffs, self.survival_mgf_jet(t, order).coeffs)}
 
     def tilted_quantiles(self, rate: float, qs) -> np.ndarray:
         """Quantiles at levels ``qs`` of the density f_U(t) exp(-rate t) / M_U(-rate):
@@ -282,37 +295,51 @@ class LogNormal(ServiceDistribution):
 
         return log_weight, k * s - w / s, w
 
-    def mgf_jet(self, t0, order=DEFAULT_ORDER):
-        """E[U^k exp(t0*U)] / k! for k = 0..order, each over its own window
-        [mode - 12, mode + 12/sqrt(1 + w)] by the panel rule, all at once. The
-        integrand is scaled by its peak, so no node overflows or underflows
-        while the coefficient is representable."""
-        self._check_domain(t0)
-        k = np.arange(order + 1.0)[:, None]
-        log_weight, mode, w = self._laplace(t0, k)
+    def _mgf_rows(self, t0: np.ndarray, order: int) -> np.ndarray:
+        """E[U^k exp(t0*U)] / k! for k = 0..order (columns) at each shift of t0 (rows),
+        each over its own window [mode - 12, mode + 12/sqrt(1 + w)] by the panel rule,
+        all at once. The integrand is scaled by its peak, so no node overflows or
+        underflows while the coefficient is representable."""
+        log_weight, mode, w = self._laplace(t0[:, None, None], np.arange(order + 1.0)[:, None])
         log_peak = log_weight(mode)
         z, weights = _gauss_legendre(mode - _REACH, mode + _REACH / np.sqrt(1.0 + w))
         mass = np.sum(np.exp(log_weight(z) - log_peak) * weights, axis=-1)
-        coeffs = mass * np.exp(log_peak[:, 0] - log_factorials(order + 1)) / SQRT_2PI
-        return Jet(t0, tuple(coeffs.tolist()))
+        return mass * np.exp(log_peak[..., 0] - log_factorials(order + 1)) / SQRT_2PI
 
-    def _survival_jet_neg(self, t0, order):
-        """E[P(k+1, cU)] / c^(k+1) with c = -t0, integrated by parts into
-        (scale/k!) times the integral over z of exp((k+1)(loc + scale z) + t0 e^(loc + scale z))
-        against the normal tail Q(z). Below z = -12, Q = 1 to within 1e-33 and that
-        part is P(k+1, c e^(loc - 12 scale)) / c^(k+1) in closed form. Above it the
-        integrand is the MGF's at k+1 times Q(z) e^(z^2/2) = erfcx(z/sqrt 2)/2, which
+    def _survival_rows(self, t0: np.ndarray, order: int) -> np.ndarray:
+        """E[P(k+1, cU)] / c^(k+1) with c = -t0 > 0, laid out as ``_mgf_rows``, integrated
+        by parts into (scale/k!) times the integral over z of exp((k+1)(loc + scale z) +
+        t0 e^(loc + scale z)) against the normal tail Q(z). Below z = -12, Q = 1 to within
+        1e-33 and that part is P(k+1, c e^(loc - 12 scale)) / c^(k+1) in closed form. Above
+        it the integrand is the MGF's at k+1 times Q(z) e^(z^2/2) = erfcx(z/sqrt 2)/2, which
         only falls, so the window ends where the MGF's does."""
         c = -t0
         k = np.arange(order + 1.0)
-        log_weight, mode, w = self._laplace(t0, k[:, None] + 1.0)
+        log_weight, mode, w = self._laplace(t0[:, None, None], k[:, None] + 1.0)
         log_peak = log_weight(mode)
         z, weights = _gauss_legendre(-_REACH, np.maximum(mode + _REACH / np.sqrt(1.0 + w), -_REACH))
         mass = np.sum(np.exp(log_weight(z) - log_peak) * erfcx(z / SQRT2) * weights, axis=-1)
-        head = gamma_p_orders(order + 1, c * math.exp(self.loc - _REACH * self.scale))
-        head /= c ** (k + 1.0)
-        coeffs = head + 0.5 * self.scale * mass * np.exp(log_peak[:, 0] - log_factorials(order + 1))
-        return Jet(t0, tuple(coeffs.tolist()))
+        head = np.array([gamma_p_orders(order + 1, x)
+                         for x in (c * math.exp(self.loc - _REACH * self.scale)).tolist()])
+        head /= c[:, None] ** (k + 1.0)
+        return head + 0.5 * self.scale * mass * np.exp(log_peak[..., 0] - log_factorials(order + 1))
+
+    def mgf_jet(self, t0, order=DEFAULT_ORDER):
+        self._check_domain(t0)
+        return Jet(t0, tuple(self._mgf_rows(np.array([t0]), order)[0].tolist()))
+
+    def _survival_jet_neg(self, t0, order):
+        return Jet(t0, tuple(self._survival_rows(np.array([t0]), order)[0].tolist()))
+
+    def jet_pairs(self, shifts, order):
+        """Negative shifts through the panel rules, ``_CHUNK_NODES`` nodes a call, checked as Jets."""
+        negative = np.array([t for t in shifts if t < 0.0])
+        step = max(1, _CHUNK_NODES // ((order + 1) * _PANELS * len(_LEGENDRE[0])))
+        for i in range(0, len(negative), step):
+            t0 = negative[i:i + step]
+            yield {t: (Jet(t, tuple(m)).coeffs, Jet(t, tuple(h)).coeffs) for t, m, h in zip(
+                t0.tolist(), self._mgf_rows(t0, order).tolist(), self._survival_rows(t0, order).tolist())}
+        yield from super().jet_pairs([t for t in shifts if not t < 0.0], order)
 
     def tilted_quantiles(self, rate, qs):
         """The tilted density in z is the MGF's integrand at k = 0 and t0 = -rate, so

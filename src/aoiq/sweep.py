@@ -7,7 +7,8 @@ source's rate while keeping the total fixed by adjusting the second
 
 The difference-ratio column compares each policy's sum average AoI against
 the probabilistic policy at the same grid point and mode:
-(sum - sum_prob) / sum_prob * 100, so the probabilistic rows read 0.
+(sum - sum_prob) / sum_prob * 100, so the probabilistic rows read 0. The
+closed forms of the whole grid are one batch, solved before the first row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analytic import GloballyPreemptiveConfig, SystemConfig, moments, sharing_service_jets
+from .analytic import AoiMetrics, GloballyPreemptiveConfig, SystemConfig, solve_moments
 from .config import ExperimentSpec
 from .sim import Policy, PolicyKind, SimReport, run
 
@@ -92,20 +93,9 @@ class _Block(NamedTuple):
     sum_mean_aoi: float
 
 
-def _analytic_block(cfg: SystemConfig, policy: Policy) -> _Block:
-    """One policy's closed-form numbers at one grid point."""
-    if policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE:
-        cfg = GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
-    else:
-        cfg = SystemConfig(cfg.arrival_rates, policy.effective_theta, cfg.service)
-    metrics = [moments(cfg, c, 2) for c in range(cfg.num_sources)]
-    return _Block(
-        tuple(
-            (m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1], m.paoi_moments[1], None)
-            for m in metrics
-        ),
-        sum(m.mean_aoi for m in metrics),
-    )
+def _analytic_block(metrics: list[AoiMetrics]) -> _Block:
+    return _Block(tuple((m.aoi_moments[0], m.paoi_moments[0], m.aoi_moments[1], m.paoi_moments[1],
+                         None) for m in metrics), sum(m.mean_aoi for m in metrics))
 
 
 def _simulated_block(report: SimReport) -> _Block:
@@ -116,15 +106,6 @@ def _simulated_block(report: SimReport) -> _Block:
         ),
         report.sum_time_avg_aoi,
     )
-
-
-def _unseen(keys: dict, memo: dict) -> list[PolicyKind]:
-    """Policies whose key is not in ``memo`` yet, the first one per key."""
-    first: dict = {}
-    for kind, key in keys.items():
-        if key not in memo:
-            first.setdefault(key, kind)
-    return list(first.values())
 
 
 # relative precision of a summed mean AoI: that pinned for the closed forms
@@ -175,39 +156,50 @@ def iter_sweep_rows(
     whose ``_system_key`` matches that of a policy already computed, at
     this grid point or an earlier one, reuses its numbers. In a theta sweep
     that covers the theta-independent policies and the probabilistic
-    policy at theta 0 and 1. ``reports`` are runs already made with the
-    spec's simulation settings (say, with deliveries collected); their
-    systems are not simulated again. ``workers`` and ``executor`` go to
-    ``run`` as they are.
+    policy at theta 0 and 1. A system whose closed forms fail raises when
+    its rows come up. ``reports`` are runs already made with the spec's
+    simulation settings (say, with deliveries collected); their systems
+    are not simulated again. ``workers`` and ``executor`` go to ``run`` as
+    they are.
     """
     do_analytic = spec.mode in ("analytic", "both")
     do_simulate = spec.mode in ("simulate", "both")
+    points = []  # (axis value, system, policies, keys) per grid point
+    for value in grid_values(spec):
+        cfg = _config_at(spec, value)
+        policies = {kind: Policy.of(kind, cfg.theta) for kind in spec.policies}
+        points.append((value, cfg, policies,
+                       {kind: _system_key(cfg, policy) for kind, policy in policies.items()}))
+    systems: dict[tuple, SystemConfig] = {}  # in the order the rows first need them
+    for _, cfg, policies, keys in points if do_analytic else ():
+        for kind, key in keys.items():
+            if key not in systems:
+                systems[key] = (GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
+                                if kind is PolicyKind.GLOBALLY_PREEMPTIVE else SystemConfig(
+                                    cfg.arrival_rates, policies[kind].effective_theta, cfg.service))
+    solutions = solve_moments(list(systems.values()), 2)
     solved: dict[tuple, _Block] = {}
-    service_jets: dict = {}  # systems at different grid points share shifts
     simulated: dict[tuple, _Block] = {
         _system_key(r.system, r.policy): _simulated_block(r)
         for r in reports
         if r.sim == spec.sim
     }
 
-    for value in grid_values(spec):
-        cfg = _config_at(spec, value)
+    for value, cfg, policies, keys in points:
         axis_value = "" if value is None else value
-        policies = {kind: Policy.of(kind, cfg.theta) for kind in spec.policies}
-        keys = {kind: _system_key(cfg, policy) for kind, policy in policies.items()}
 
         if do_analytic:
-            with sharing_service_jets(service_jets):
-                for kind in _unseen(keys, solved):
-                    solved[keys[kind]] = _analytic_block(cfg, policies[kind])
+            for key in keys.values():
+                if key not in solved:  # the batch's systems come in this order
+                    solved[key] = _analytic_block(next(solutions))
             blocks = {kind: solved[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "analytic", blocks)
 
         if do_simulate:
-            for kind in _unseen(keys, simulated):
-                simulated[keys[kind]] = _simulated_block(
-                    run(cfg, policies[kind], spec.sim, workers=workers, executor=executor)
-                )
+            for kind, key in keys.items():
+                if key not in simulated:
+                    simulated[key] = _simulated_block(
+                        run(cfg, policies[kind], spec.sim, workers=workers, executor=executor))
             blocks = {kind: simulated[key] for kind, key in keys.items()}
             yield from _rows(axis_value, "simulate", blocks)
 

@@ -291,23 +291,22 @@ class TestOneServicePass:
         assert counts["mgf_jet"] == 3 * (2 * maxsize + 2)
         assert counts["survival_mgf_jet"] == counts["mgf_jet"]
 
-    def test_sweep_memo_shares_shifts_within_its_block(self, monkeypatch):
-        from aoiq.analytic import sharing_service_jets
+    def test_batch_requests_each_shift_once_and_keeps_nothing(self, monkeypatch):
+        from aoiq.analytic import _system_jets, solve_moments
 
+        _system_jets.cache_clear()
         counts = self._count_requests(monkeypatch)
         # theta * rate = 0.28 * 2.0 in both systems; 0.28 * 3.0 and 0.28 * 5.0 once each
         first = SystemConfig((2.0, 3.0), 0.28, Gamma(2.0, 4.0))
         second = SystemConfig((2.0, 5.0), 0.28, Gamma(2.0, 4.0))
-        memo: dict = {}
-        with sharing_service_jets(memo):
-            moments(first, 0, 2)
-            moments(second, 0, 2)
+        solved = list(solve_moments([first, second], 2))
         assert counts == {"mgf_jet": 3, "survival_mgf_jet": 3}
-        assert len(memo) == 3
-        # outside the block nothing is kept: a third system at a held shift builds it again
-        moments(SystemConfig((2.0, 7.0), 0.28, Gamma(2.0, 4.0)), 0, 2)
-        assert counts == {"mgf_jet": 5, "survival_mgf_jet": 5}
-        assert len(memo) == 3
+        assert solved == [[moments(cfg, c, 2) for c in range(2)] for cfg in (first, second)]
+        assert counts == {"mgf_jet": 7, "survival_mgf_jet": 7}  # the batch left nothing behind
+        # nor does a second batch find anything kept: it requests every shift again
+        assert list(solve_moments([first, second], 2)) == solved
+        assert counts == {"mgf_jet": 10, "survival_mgf_jet": 10}
+        assert _system_jets.cache_info().currsize == 2
 
 
 class TestPointEval:

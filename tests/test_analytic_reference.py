@@ -9,6 +9,7 @@ error type and message where the chain raised.
 
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ def test_jet_product_is_the_zero_skipping_product():
             assert repr((a * b).coeffs) == repr(reference.mul_skipping_zeros(a, b).coeffs)
 
 
+def _vanished_deliveries(cfg, points):
+    """The one place the package departs from the chain: where a source's
+    delivery probability M_U(-r_c) underflows to 0, its pointwise values raise
+    ``OutsideConvergenceRegion`` instead of the chain's bare float division."""
+    out = []
+    for s in points:
+        for c, rate in enumerate(cfg.preemption_rates):
+            if cfg.service.mgf_point(-rate) == 0.0:
+                out += [(("mgf_point_eval", c, s, which), (OutsideConvergenceRegion, (
+                    f"delivery probability M_U(-r_c) of source {c} underflows to 0")),
+                         (ZeroDivisionError, "float division by zero")) for which in Transform]
+    return out
+
+
 class TestSourceLocalFailures:
     def test_detour_fails_only_its_source(self):
         cfg = SystemConfig((0.1, 5.0), 0.5, Exponential(2.0))
@@ -139,7 +154,7 @@ class TestSourceLocalFailures:
     ], ids=["beyond_total_rate", "beyond_pole", "e-30", "e-750", "e-720", "e-700", "share_1e-9",
             "20_1", "detour"])
     def test_errors_match_the_chain_per_source(self, cfg, points):
-        assert _mismatches(cfg, points=points) == []
+        assert _mismatches(cfg, points=points) == _vanished_deliveries(cfg, points)
 
     def test_a_failing_source_leaves_the_others_computed(self):
         # source 0's detour fails at s = 0.5; source 1's jets there are unaffected
@@ -151,22 +166,89 @@ class TestSourceLocalFailures:
         ]
 
 
-def test_one_debug_record_per_built_system(caplog):
+# Batches of one law and source count, each with a failing system in the
+# middle: (750, 1), theta 1, whose self-loop gain reaches 1 (M_U(-750) = 0);
+# a law undefined at a shift (theta 0 puts the exponential's pole inside
+# s0 = 2.5); and a system whose total rate is at most s0. A source-local
+# failure in a later system must stay with that source.
+BATCHES = {
+    "deterministic": ([
+        SystemConfig((0.5, 1.0), 0.28, Deterministic(1.0)),
+        SystemConfig((750.0, 1.0), 1.0, Deterministic(1.0)),
+        SystemConfig((0.1, 0.3), 0.5, Deterministic(1.0)),
+        GloballyPreemptiveConfig((2.0, 1.0), Deterministic(1.0)),
+        SystemConfig((0.5, 1.0), 0.0, Deterministic(1.0)),
+    ], (0.5, 0.0, S0)),
+    "exponential": ([
+        SystemConfig((3.0, 3.0), 1.0, Exponential(2.0)),
+        SystemConfig((3.0, 3.0), 0.0, Exponential(2.0)),
+        SystemConfig((1.0, 1.0), 0.5, Exponential(2.0)),
+        SystemConfig((2.0, 4.0), 0.5, Exponential(2.0)),
+        SystemConfig((0.1, 5.0), 0.5, Exponential(2.0)),  # source 0's detour fails at 0.5
+    ], (2.5, 0.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_a_batch_is_its_systems_built_alone(batch):
+    cfgs, points = BATCHES[batch]
+    for s0 in points:
+        quantities = range(5) if s0 == 0.0 else (analytic._Y, analytic._EXCESS)
+        for order in (2, 5):
+            built = analytic._solve(cfgs, s0, order)
+            for cfg, system in zip(cfgs, built):
+                analytic._system_jets.cache_clear()
+                read = partial(analytic._coefficients, system=system)
+                for c in range(cfg.num_sources):
+                    for q in quantities:
+                        assert (_outcome(read, cfg, c, s0, order, q)
+                                == _outcome(analytic._coefficients, cfg, c, s0, order, q))
+    failing = analytic._solve(cfgs, points[0], 2)[1]
+    message = {"deterministic": "self-loop gain of source 0 reaches 1 at s=0.5",
+               "exponential": "exponential MGF diverges at t=2.5 (rate 2.0)"}[batch]
+    for c in range(2):
+        with pytest.raises(ValueError) as info:  # both types are ValueErrors
+            analytic._coefficients(cfgs[1], c, points[0], 2, analytic._Y, system=failing)
+        assert str(info.value) == message
+
+
+def test_one_debug_record_per_batch(caplog):
     analytic._system_jets.cache_clear()
     cfg = SystemConfig((1.0, 2.0, 2.0), 0.5, Gamma(2.0, 4.0))
+    other = SystemConfig((1.0, 2.0, 3.0), 0.5, Gamma(2.0, 4.0))
     with caplog.at_level(logging.DEBUG, logger="aoiq.analytic"):
         for c in range(cfg.num_sources):
             analytic.moments(cfg, c, 2)
             analytic.aoi_mgf_jet(cfg, c, 4)
+        list(analytic.solve_moments([cfg, other, cfg], 2))
     records = [r for r in caplog.records if r.name == "aoiq.analytic"]
-    # two systems: order 2 for the moments, order 4 for the jets
-    assert [(r.levelno, r.sources, r.shifts, r.order) for r in records] == [
-        (logging.DEBUG, 3, 2, 2), (logging.DEBUG, 3, 2, 4)
+    # two systems of one: order 2 for the moments, order 4 for the jets; then
+    # one batch of three systems with shifts 0.5, 1.0 and 1.5, one call each
+    assert [(r.levelno, r.systems, r.sources, r.shifts, r.calls, r.order) for r in records] == [
+        (logging.DEBUG, 1, 3, 2, 2, 2), (logging.DEBUG, 1, 3, 2, 2, 4),
+        (logging.DEBUG, 3, 3, 3, 3, 2),
     ]
-    for r in records:
-        assert r.service_s >= 0.0 and r.terms_s > 0.0
+    for r, systems in zip(records, ([cfg], [cfg], [cfg, other])):
         # M_c(0) = 1 - h_c(0) and (1 - h_c)(lambda_c - 0) are the divisors at 0
-        divisors = [cfg.service.mgf_jet(-rate, 1).coeffs[0] for rate in cfg.preemption_rates]
-        divisors += [d * rate for d, rate in zip(divisors, cfg.arrival_rates)]
+        divisors = []
+        for system in systems:
+            delivered = [system.service.mgf_point(-rate) for rate in system.preemption_rates]
+            divisors += delivered + [d * rate for d, rate in zip(delivered, system.arrival_rates)]
+        assert r.service_s >= 0.0 and r.terms_s > 0.0
         assert r.min_divisor == min(divisors)
         assert math.isfinite(r.min_divisor) and "smallest |constant term|" in r.getMessage()
+
+
+def test_lognormal_batch_takes_its_shifts_a_chunk_at_a_time(caplog):
+    from aoiq.service import _CHUNK_NODES
+
+    law = LogNormal(-1.0, 1.0)
+    cfgs = [SystemConfig((rate, 2.25), 0.28, law) for rate in np.linspace(0.5, 7.5, 15)]
+    with caplog.at_level(logging.DEBUG, logger="aoiq.analytic"):
+        solved = list(analytic.solve_moments(cfgs, 2))
+    (record,) = [r for r in caplog.records if r.name == "aoiq.analytic"]
+    # 15 distinct shifts for source 0 and one, 0.28 * 2.25, for source 1
+    per_call = _CHUNK_NODES // (3 * 512)  # order 2: 3 coefficients of 512 nodes
+    assert (record.systems, record.shifts, record.calls) == (15, 16, -(-16 // per_call))
+    for cfg, metrics in zip(cfgs, solved):
+        assert metrics == [reference.moments(cfg, c, 2) for c in range(2)]

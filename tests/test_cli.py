@@ -65,6 +65,25 @@ path = {out}
 """
 
 
+FAILING_SWEEP_SPEC = """
+[system]
+arrival_rates = 750, 1
+theta = 0
+service = deterministic(value=1)
+
+[sweep]
+axis = theta
+start = 0
+stop = 1
+points = 2
+policies = probabilistic
+mode = analytic
+
+[output]
+path = {out}
+"""
+
+
 def write_spec(tmp_path, template, name="spec.ini"):
     out = tmp_path / "results.csv"
     path = tmp_path / name
@@ -246,16 +265,29 @@ class TestExitCodes:
         ]
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch):
-        import aoiq.sweep as sweep_mod
         from aoiq.service import ConvergenceError
 
         spec, _ = write_spec(tmp_path, POINT_SPEC)
 
-        def blow_up(cfg, policy):
+        def blow_up(self, shifts, order):
             raise ConvergenceError("quadrature stuck")
 
-        monkeypatch.setattr(sweep_mod, "_analytic_block", blow_up)
+        # the law fails while the closed forms of the sweep's systems are built
+        monkeypatch.setattr(Exponential, "jet_pairs", blow_up)
         assert main(["analytic", "-c", spec]) == 3
+
+    def test_later_failing_grid_point_keeps_the_earlier_rows(self, tmp_path, capsys):
+        # at theta 0 the system solves; at theta 1, M_U(-750) = e^-750 underflows
+        # and the self-loop gain of source 1 reaches 1
+        spec, out = write_spec(tmp_path, FAILING_SWEEP_SPEC)
+        assert main(["analytic", "-c", spec]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: OutsideConvergenceRegion: "
+            "self-loop gain of source 0 reaches 1 at s=0.0\n")
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["axis_value"], r["source"]) for r in rows] == [("0", "1"), ("0", "2")]
+        assert all(float(r["mean_aoi"]) > 0 for r in rows)
 
     def test_near_singular_global_rows_are_finite(self, tmp_path):
         # M_U(-8) = e^-32 makes the global denominators' constant terms about

@@ -166,6 +166,10 @@ class TestConstruction:
     def test_variable(self):
         s = Jet.variable(3, center=2.0)
         assert s.coeffs == (2.0, 1.0, 0.0, 0.0)
+        # at order 0 the jet is the value alone, as a constant's is
+        assert Jet.variable(0, center=1.5).coeffs == (1.5,)
+        assert Jet.variable(1, center=1.5).coeffs == (1.5, 1.0)
+        assert Jet.variable(0).order == Jet.constant(2.0, 0).order == 0
 
     def test_recenter_keeps_coeffs(self):
         a = jet(1, 2, 3, center=-0.5)

@@ -10,6 +10,7 @@ from aoiq.service import (
     LogNormal,
     MgfDomainError,
     UnsupportedDensity,
+    _CHUNK_NODES,
     parse_distribution,
     substream,
 )
@@ -216,6 +217,48 @@ class TestSurvivalTransform:
     def test_positive_argument_rejected(self):
         with pytest.raises(MgfDomainError):
             LogNormal(0.0, 1.0).survival_mgf_jet(0.5, 4)
+
+
+def _pairs(law, shifts, order):
+    """What ``jet_pairs`` gives: shift -> (M, H), and the number of calls."""
+    pairs, calls = {}, 0
+    for chunk in law.jet_pairs(shifts, order):
+        pairs.update(chunk)
+        calls += 1
+    return pairs, calls
+
+
+class TestJetPairs:
+    @pytest.mark.parametrize("order", [1, 2, 8])
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 33])
+    def test_lognormal_batch_is_each_shift_alone(self, count, order):
+        # the counts cross the seams between the panel rules' calls; the shifts
+        # run from next to 0 through the paper's to far out
+        rng = np.random.default_rng(count)
+        shifts = [-1e-9, -0.28, -750.0, *(-(10.0 ** rng.uniform(-6.0, 2.0, count)))][:count]
+        for law in (LogNormal(-1.0, 1.0), LogNormal(0.0, 2.0)):
+            pairs, calls = _pairs(law, shifts, order)
+            per_call = _CHUNK_NODES // ((order + 1) * 512)  # 12, 8 and 2 shifts
+            assert calls == -(-count // per_call)
+            assert list(pairs) == shifts
+            for t in shifts:
+                alone = law.mgf_jet(t, order).coeffs, law.survival_mgf_jet(t, order).coeffs
+                assert repr(pairs[t]) == repr(alone)
+
+    def test_shifts_outside_the_rule_go_one_at_a_time(self):
+        law = LogNormal(-1.0, 1.0)
+        pairs, calls = _pairs(law, [-0.5, 0.0, -0.25], 3)
+        assert calls == 2
+        assert pairs[0.0] == (law.mgf_jet(0.0, 3).coeffs, law.survival_mgf_jet(0.0, 3).coeffs)
+        with pytest.raises(MgfDomainError):
+            _pairs(law, [-0.5, 0.5], 3)
+
+    @pytest.mark.parametrize("law", [Exponential(2.0), Gamma(2.0, 4.0), Deterministic(0.5)])
+    def test_closed_form_laws_take_one_shift_per_call(self, law):
+        pairs, calls = _pairs(law, [-0.5, 0.0, 0.25], 4)
+        assert calls == 3
+        for t, (m, h) in pairs.items():
+            assert (m, h) == (law.mgf_jet(t, 4).coeffs, law.survival_mgf_jet(t, 4).coeffs)
 
 
 class TestParseDistribution:

@@ -313,16 +313,22 @@ replications = 2
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Arguments of every run / moments call the sweep makes."""
-    seen = {"run": [], "moments": []}
-    for name in seen:
-        original = getattr(sweep_mod, name)
+    """Arguments of every run the sweep makes; (system, source, order) of every
+    source whose moments it solves; the systems of each batch it solves."""
+    seen = {"run": [], "moments": [], "batches": []}
+    run, solve_moments = sweep_mod.run, sweep_mod.solve_moments
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            seen[_name].append(args)
-            return _original(*args, **kwargs)
+    def counting_run(*args, **kwargs):
+        seen["run"].append(args)
+        return run(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, name, counting)
+    def counting_solve(cfgs, max_order=2):
+        seen["batches"].append(list(cfgs))
+        seen["moments"] += [(cfg, c, max_order) for cfg in cfgs for c in range(cfg.num_sources)]
+        return solve_moments(cfgs, max_order)
+
+    monkeypatch.setattr(sweep_mod, "run", counting_run)
+    monkeypatch.setattr(sweep_mod, "solve_moments", counting_solve)
     return seen
 
 
@@ -414,14 +420,14 @@ class TestEachSystemOnce:
         spec = parse_spec(THETA_BOTH)
         run_sweep(spec)
         # 4 distinct effective theta values (0 and 1 shared with the
-        # baselines) and the globally preemptive system, times 2 sources
+        # baselines) and the globally preemptive system, times 2 sources,
+        # all in one batch
         assert len(calls["moments"]) == len(set(calls["moments"])) == 10
+        assert [len(batch) for batch in calls["batches"]] == [5]
 
     def test_one_service_jet_per_shift(self, monkeypatch):
         from aoiq import Exponential
-        from aoiq.analytic import _system_jets
 
-        _system_jets.cache_clear()  # systems solved by earlier tests would request nothing
         requested = []
         original = Exponential.mgf_jet
 

@@ -139,11 +139,15 @@ def _rewrite(function, old, new):
 
 def _scale_coefficient(owner, name, k, factor):
     """Plant: coefficient ``k`` of every jet that ``owner.name`` returns times
-    ``factor``; an owner of None stands for the class of the system's law."""
+    ``factor``; an owner of None stands for the class of the system's law. A
+    planted law method reaches the closed forms too: the law's ``jet_pairs``
+    reads it, one shift at a time, as the laws without a batched rule do."""
 
     def plant(monkeypatch, cfg):
         target = type(cfg.service) if owner is None else owner
         original = getattr(target, name)
+        if owner is not analytic_mod:
+            monkeypatch.setattr(type(cfg.service), "jet_pairs", ServiceDistribution.jet_pairs)
 
         def planted(*args, **kwargs):
             jet = original(*args, **kwargs)
@@ -173,44 +177,44 @@ GRAPH, ROUTES, SIM = "closed_form_vs_graph", "moment_routes", "analytic_vs_sim"
 # the simulation's 2% band, yet fails it on the paper system.
 DEFECTS = {
     "K_c_prefix_minus_suffix": (
-        _rewrite(analytic_mod._system_jets, "k = prefix + suffix", "k = prefix - suffix"),
+        _rewrite(analytic_mod._build, "(prefix + suffix", "(prefix - suffix"),
         {GRAPH, SIM},
     ),
     "H_c_times_1.01": (
-        _rewrite(analytic_mod._system_jets, "rates = np.array(cfg.arrival_rates)",
-                 "rates = np.array(cfg.arrival_rates); survival = survival * 1.01"),
+        _rewrite(analytic_mod._build, "for rate in cfg.arrival_rates])",
+                 "for rate in cfg.arrival_rates]); survival = survival * 1.01"),
         {GRAPH},
     ),
     "AoI_numerator_times_1.01": (
-        _rewrite(analytic_mod._system_jets, "numerator = scaled + k", "numerator = scaled * 1.01 + k"),
+        _rewrite(analytic_mod._build, "numerator = scaled + k", "numerator = scaled * 1.01 + k"),
         {ROUTES},
     ),
     # moves the mean AoI by 5e-5 of itself, far inside the simulation's band
     "AoI_numerator_times_1.0001": (
-        _rewrite(analytic_mod._system_jets, "numerator = scaled + k",
+        _rewrite(analytic_mod._build, "numerator = scaled + k",
                  "numerator = scaled * 1.0001 + k"),
         {ROUTES},
     ),
     "M_T_squared": (
-        _rewrite(analytic_mod._system_jets, "t = service * (1.0 / service[0])",
+        _rewrite(analytic_mod._build, "t = service * (1.0 / service[0])",
                  "t = service * (1.0 / service[0]); t = np.array(mul_rows(t, t))"),
         {SIM},
     ),
     "M_Y_numerator_times_1.01": (
-        _rewrite(analytic_mod._system_jets, "scaled_service = service * rates",
+        _rewrite(analytic_mod._build, "scaled_service = service * rates",
                  "scaled_service = service * rates * 1.01"),
         {GRAPH, ROUTES},
     ),
     "1-h_c=M_c+s*H_c": (
-        _rewrite(analytic_mod._system_jets, "service - s_survival", "service + s_survival"),
+        _rewrite(analytic_mod._build, "service - s_survival", "service + s_survival"),
         {GRAPH, ROUTES, SIM},
     ),
     "AoI_over_E[Y]_times_1.01": (
-        _rewrite(analytic_mod._system_jets, "(1.0 / y[1])", "(1.01 / y[1])"),
+        _rewrite(analytic_mod._build, "(1.0 / y[1])", "(1.01 / y[1])"),
         {ROUTES},
     ),
     "PAoI=T*Y*Y": (
-        _rewrite(analytic_mod._system_jets, "aoi = t_excess * (1.0 / y[1])",
+        _rewrite(analytic_mod._build, "aoi = t_excess * (1.0 / y[1])",
                  "aoi = t_excess * (1.0 / y[1]); peak = np.array(mul_rows(peak, y))"),
         {ROUTES, SIM},
     ),
