@@ -115,6 +115,16 @@ class SystemConfig:
         """Each r_c: same-source arrivals preempt with probability theta."""
         return tuple(self.theta * rate for rate in self.arrival_rates)
 
+    @property
+    def preemption_matrix(self) -> tuple[tuple[float, ...], ...]:
+        """Who may preempt whom: q[c][d] is the rate at which source d's
+        arrivals preempt a source-c packet in service, theta lambda_c on the
+        diagonal and 0 elsewhere. The graph reads it, the closed forms the
+        reduced ``preemption_rates``, so their agreement checks the reduction."""
+        n = self.num_sources
+        return tuple(tuple(self.theta * rate if d == c else 0.0 for d in range(n))
+                     for c, rate in enumerate(self.arrival_rates))
+
     def _check_source(self, source: int) -> None:
         if not 0 <= source < self.num_sources:
             raise ValueError(f"source index {source} outside 0..{self.num_sources - 1}")
@@ -132,6 +142,11 @@ class GloballyPreemptiveConfig(SystemConfig):
     @property
     def preemption_rates(self) -> tuple[float, ...]:
         return (self.total_rate,) * self.num_sources
+
+    @property
+    def preemption_matrix(self) -> tuple[tuple[float, ...], ...]:
+        """Every arrival preempts: q[c][d] = lambda_d."""
+        return (self.arrival_rates,) * self.num_sources
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,12 @@ import contextlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
-from .analytic import OutsideConvergenceRegion
 from .config import SPEC_KEYS, ParseError, ValidationError, build_spec, load_raw
-from .jets import DivisionBySingularJet
-from .semimarkov import SingularSystem
-from .service import ConvergenceError, MgfDomainError
 from .sim import InvalidConfig, Policy, run
 from .sweep import iter_sweep_rows, write_rows
-from .validate import validation_suite
-
-_NUMERICAL_ERRORS = (
-    ConvergenceError,
-    MgfDomainError,
-    DivisionBySingularJet,
-    SingularSystem,
-    OutsideConvergenceRegion,
-)
+from .validate import NUMERICAL_ERRORS, validation_suite
 
 # flag dest -> (section, key); the dest is the key, "output" for [output] path,
 # and the flag is --dest with "-" for "_"
@@ -53,6 +42,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(*short, "--" + dest.replace("_", "-"), dest=dest)
 
 
+@cache  # built once per process: parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoiq",
@@ -167,7 +157,7 @@ def main(argv=None) -> int:
             raise
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -3,19 +3,21 @@
 A directed graph with algebraic edge labels and a start node without
 incoming edges defines, for every node v, the transfer function H(v): the
 sum over all paths from the start to v of the product of edge labels
-along the path. The H values satisfy a linear fixed-point system that is
-solved here by Gaussian elimination in jet arithmetic.
+along the path. The H values satisfy a linear fixed-point system, solved
+here by Gaussian elimination in jet arithmetic; each solve logs its
+smallest |pivot| at DEBUG on ``aoiq.semimarkov``.
 
-One delivery-to-delivery cycle of a source in the preemptive M/G/1/1
-system is a walk on a small graph whose edge labels are transition
-probabilities times sojourn-time MGFs; the transfer function into the
-cycle-completion node is then the interdeparture MGF. This route shares
-no algebra with the closed form in ``analytic`` past the service MGF, so
-their agreement cross-validates both.
+A source's delivery-to-delivery cycle is a walk on a graph read off who
+may preempt whom; its transfer function into the cycle-completion node is
+the interdeparture MGF. The graph shares no algebra with the closed form
+in ``analytic`` past the service MGF, nor the config's preemption rates,
+so their agreement cross-validates both.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 from .jets import DEFAULT_ORDER, Jet
@@ -23,13 +25,12 @@ from .analytic import SystemConfig
 
 __all__ = [
     "LabeledDigraph",
-    "SojournKit",
     "SingularSystem",
     "transfer_functions",
-    "sojourn_kit",
     "build_interdeparture_graph",
 ]
 
+_log = logging.getLogger(__name__)
 _PIVOT_FLOOR = 1e-13
 
 
@@ -63,7 +64,14 @@ class LabeledDigraph:
             raise ValueError(f"edge labels must share center and order, got {orders}")
 
 
-def transfer_functions(graph: LabeledDigraph) -> dict[str, Jet]:
+class TransferFunctions(dict):
+    """H(v) by node name, and ``min_pivot``: the smallest |constant term| the
+    elimination divided by (inf for a graph of the start node alone)."""
+
+    min_pivot: float
+
+
+def transfer_functions(graph: LabeledDigraph) -> TransferFunctions:
     """Solve H(start) = 1, H(v) = sum of label * H(tail) over edges into v.
 
     Gaussian elimination with partial pivoting on the constant terms;
@@ -92,9 +100,11 @@ def transfer_functions(graph: LabeledDigraph) -> dict[str, Jet]:
             j = index[src]
             mat[i][j] = mat[i][j] - label
 
+    min_pivot = math.inf
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(mat[r][col].coeffs[0]))
-        if abs(mat[pivot][col].coeffs[0]) < _PIVOT_FLOOR:
+        min_pivot = min(min_pivot, abs(mat[pivot][col].coeffs[0]))
+        if min_pivot < _PIVOT_FLOOR:
             raise SingularSystem(
                 "transfer-function system is singular; some loop has unit "
                 "constant-term gain"
@@ -117,62 +127,17 @@ def transfer_functions(graph: LabeledDigraph) -> dict[str, Jet]:
             acc = acc - mat[i][j] * solution[j]
         solution[i] = acc / mat[i][i]
 
-    result = {graph.start: one}
+    result = TransferFunctions({graph.start: one})
     for v, jet in zip(unknowns, solution):
         result[v] = jet
-    return result
-
-
-@dataclass(frozen=True)
-class SojournKit:
-    """Per-source transition probabilities and sojourn MGF jets.
-
-    For each source: the probability its arrival wins the idle-server race
-    (``race``), the probability a packet entering service is delivered
-    (``delivery``) vs preempted (``preempt``), and the MGF jets of the
-    corresponding sojourn times: the idle wait before its arrival wins,
-    the service time given delivery, and the service-start-to-preemption
-    gap given preemption.
-    """
-
-    race: tuple[float, ...]
-    delivery: tuple[float, ...]
-    preempt: tuple[float, ...]
-    wait_mgf: tuple[Jet, ...]
-    delivered_mgf: tuple[Jet, ...]
-    preempted_mgf: tuple[Jet, ...]
-
-
-def sojourn_kit(cfg: SystemConfig, order: int = DEFAULT_ORDER) -> SojournKit:
-    """Transition probabilities and sojourn MGF jets for every source."""
-    total = cfg.total_rate
-    lam_minus_s = Jet.from_coeffs((total, -1.0) + (0.0,) * (order - 1))
-    wait = Jet.constant(total, order) / lam_minus_s
-
-    race, delivery, preempt = [], [], []
-    wait_jets, delivered_jets, preempted_jets = [], [], []
-    for c, rate in enumerate(cfg.arrival_rates):
-        preempt_rate = cfg.theta * rate
-        shifted = cfg.service.mgf_jet(-preempt_rate, order).recenter(0.0)
-        race.append(rate / total)
-        wait_jets.append(wait)
-        delivered_jets.append(shifted * (1.0 / shifted.coeffs[0]))
-        # (1 - M_U(s - r))/(r - s) via the stable survival transform; its
-        # constant term times r is the preemption probability 1 - M_U(-r),
-        # accurate down to vanishing rates and exactly 0 at r = 0
-        survival = cfg.service.survival_mgf_jet(-preempt_rate, order).recenter(0.0)
-        p_preempt = preempt_rate * survival.coeffs[0]
-        preempt.append(p_preempt)
-        delivery.append(1.0 - p_preempt)
-        preempted_jets.append(survival * (1.0 / survival.coeffs[0]))
-    return SojournKit(
-        race=tuple(race),
-        delivery=tuple(delivery),
-        preempt=tuple(preempt),
-        wait_mgf=tuple(wait_jets),
-        delivered_mgf=tuple(delivered_jets),
-        preempted_mgf=tuple(preempted_jets),
+    result.min_pivot = min_pivot
+    _log.debug(
+        "transfer functions of %d nodes: smallest |pivot| %.3g",
+        len(graph.nodes),
+        min_pivot,
+        extra={"min_pivot": min_pivot},
     )
+    return result
 
 
 def build_interdeparture_graph(
@@ -183,21 +148,26 @@ def build_interdeparture_graph(
 
     Nodes: ``start`` (a tracked-source packet was just delivered, server
     idle), ``serving_<c>`` (a source-c packet in service), ``other_done``
-    (another source delivered, server idle again), and the virtual sink
-    ``delivered`` (the next tracked-source delivery, closing the cycle).
-    The sink keeps the start node free of incoming edges.
-    """
+    (another source delivered, server idle again) and the sink ``delivered``
+    (the next tracked-source delivery), which keeps ``start`` free of
+    incoming edges. Source d's arrivals preempt a source-c packet in service
+    at rate q[c][d], the config's ``preemption_matrix``. With its row sum
+    r_c and service U, an idle server goes to serving_c with lambda_c /
+    (Lambda - s), serving_c to serving_d with q[c][d] * E[int_0^U e^{(s -
+    r_c)t} dt] (none if q[c][d] is 0), and serving_c to its delivery with
+    M_U(s - r_c)."""
     cfg._check_source(source)
-    kit = sojourn_kit(cfg, order)
+    idle = 1.0 / Jet.from_coeffs((cfg.total_rate, -1.0) + (0.0,) * (order - 1))
     serving = [f"serving_{c}" for c in range(cfg.num_sources)]
     nodes = ("start", *serving, "other_done", "delivered")
     edges: list[tuple[str, str, Jet]] = []
-    for c in range(cfg.num_sources):
-        entry = kit.wait_mgf[c] * kit.race[c]
-        edges.append(("start", serving[c], entry))
-        edges.append(("other_done", serving[c], entry))
-        edges.append((serving[c], serving[c], kit.preempted_mgf[c] * kit.preempt[c]))
-        exit_label = kit.delivered_mgf[c] * kit.delivery[c]
+    for c, (rate, q) in enumerate(zip(cfg.arrival_rates, cfg.preemption_matrix)):
+        r = sum(q)
+        survival = cfg.service.survival_mgf_jet(-r, order).recenter(0.0)
+        edges.append(("start", serving[c], idle * rate))
+        edges.append(("other_done", serving[c], idle * rate))
+        edges += [(serving[c], serving[d], survival * x) for d, x in enumerate(q) if x]
+        exit_label = cfg.service.mgf_jet(-r, order).recenter(0.0)
         if c == source:
             edges.append((serving[c], "delivered", exit_label))
         else:

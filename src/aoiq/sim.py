@@ -13,33 +13,35 @@ An arrival to a busy server changes nothing unless it preempts, so by
 Poisson thinning and memorylessness the path starts afresh at every
 delivery: the server idles Exp(Lambda), source c wins with probability
 lambda_c / Lambda, and each of its attempts, service S, is preempted at
-G ~ Exp(theta lambda_c) if G < S, which starts its next attempt. Under
-global preemption G ~ Exp(Lambda) and every attempt's source is a fresh
-winner. Given the busy times, source c's discards are Poisson with mean
-lambda_c (others' busy time) + (1 - theta) lambda_c (own busy time), one
-draw at the end. Each piece has its exact law, so reports are exact in
-distribution and the counter identity holds by construction.
+G ~ Exp(r_c) if G < S, which starts its next attempt. A policy acts as a
+system (``Policy.system``) with r_c = theta lambda_c (theta 0 and 1 for
+the non- and self-preemptive policies), or r_c = Lambda under global
+preemption, where every arrival preempts (as the config's
+``preemption_matrix`` says) and a failed attempt's source is a fresh
+winner (see ``_attempts``). Given the busy times, source c's discards are Poisson with
+mean lambda_c (others' busy time) + (1 - theta) lambda_c (own busy time),
+one draw at the end; under global preemption there are none. Each piece
+has its exact law, so reports are exact in distribution and the counter
+identity holds by construction.
 
 Every policy runs through one pooled layout. Attempts are drawn ahead
-into pools of (source, duration, delivered), and each episode, an idle
-wait and then attempts up to a delivery, takes the attempts of its pool
-up to that pool's next delivery. Under the probabilistic policy there is
-a pool per source, which the episode's winner picks; under global
-preemption one system pool serves every episode. A block lays out the
+into a pool per source of (duration, delivered), and each episode, an
+idle wait and then attempts up to a delivery, takes the attempts of its
+winner's pool up to that pool's next delivery. A block lays out the
 waiting episodes up to the first whose pool lacks its delivery: up to
-``_BLOCK`` episodes, or about ``_BLOCK`` attempts where deliveries are
-rare, as under global preemption. Blocks give the reports of a
-one-attempt-at-a-time loop over the same substreams, bit for bit.
+``_BLOCK`` episodes, or about ``_BLOCK`` attempts of a pool where
+deliveries are rare. Blocks give the reports of a one-attempt-at-a-time
+loop over the same substreams, bit for bit.
 
 Substreams: ``substream(seed, rep, c, k)`` serves source c with k = 0
 its discards, 1 service times, 2 unit-exponential preemption gaps
-(divided by theta lambda_c); k = 3 and 4 are retired, and no new use
-takes them over. The system key
-``(rep, C, k)``, C the number of sources and so no source index, serves
-k = 0 the idle waits, 1 the winners, 2 the global preemption gaps. The
-non-preemptive and self-preemptive policies run as the probabilistic one
-at theta = 0 / 1 (``Policy.effective_theta``), so those runs are
-bit-identical under shared seeds.
+(divided by r_c); k = 3 and 4 are retired, and no new use takes them
+over. The system key ``(rep, C, k)``, C the number of sources and so no
+source index, serves k = 0 the idle waits, 1 the winners, 2 the fresh
+winners of failed attempts under global preemption, drawn in event order.
+At theta = 0 / 1 the probabilistic policy is the non-preemptive /
+self-preemptive system, so those runs are bit-identical under shared
+seeds.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._special import gamma_pq, t_quantile
-from .analytic import SystemConfig
+from .analytic import GloballyPreemptiveConfig, SystemConfig
 from .service import UnsupportedDensity, substream
 
 __all__ = [
@@ -131,13 +133,15 @@ class Policy:
         """The policy of ``kind``; only the probabilistic one takes ``theta``."""
         return cls.probabilistic(theta) if kind is PolicyKind.PROBABILISTIC else cls(kind)
 
-    @property
-    def effective_theta(self) -> float | None:
-        """The preemption probability the policy acts with: theta, 0 for the
-        non-preemptive and 1 for the self-preemptive policy; None under
-        global preemption, where no theta applies."""
-        return {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0,
-                PolicyKind.GLOBALLY_PREEMPTIVE: None}.get(self.kind, self.theta)
+    def system(self, cfg: SystemConfig) -> SystemConfig:
+        """The system the policy acts as on ``cfg``'s rates and law: the
+        probabilistic one at theta, at 0 for the non-preemptive and at 1 for
+        the self-preemptive policy; or ``GloballyPreemptiveConfig``."""
+        if self.kind is PolicyKind.GLOBALLY_PREEMPTIVE:
+            return GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
+        theta = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}.get(
+            self.kind, self.theta)
+        return SystemConfig(cfg.arrival_rates, theta, cfg.service)
 
 
 @dataclass(frozen=True)
@@ -215,83 +219,79 @@ def _lay_out(t: float, src, wait, dur, delivered, limit: float):
     return (src, start, end, outcome), None
 
 
-def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
+def _every_arrival_preempts(cfg: SystemConfig) -> bool:
+    """Whether each source's arrivals preempt every packet in service, q[c][d]
+    = lambda_d in the config's ``preemption_matrix``: then a failed attempt's
+    source is a fresh winner, and no arrival is discarded."""
+    return all(row == cfg.arrival_rates for row in cfg.preemption_matrix)
+
+
+def _attempts(cfg: SystemConfig, seed: int, rep: int, limit: float):
     """Service attempts in event order, as blocks of (source, start, end,
     outcome) arrays, up to the first event after ``limit``. An episode takes
-    the attempts of its pool up to and with the pool's next delivery: given
-    ``theta``, the pool of the source that wins the episode; under global
-    preemption (``theta`` None), the one system pool, whose every attempt
-    has a winner of its own."""
+    the attempts of its winner's pool, preempted at ``cfg.preemption_rates``,
+    up to and with the pool's next delivery. Under global preemption a
+    failed attempt, or one in flight that would not deliver, takes a fresh
+    winner in event order: every source shares one service law and the rate
+    Lambda, so the sources are independent of the durations, exactly in law."""
     n, total = cfg.num_sources, cfg.total_rate
-    rates = np.asarray(cfg.arrival_rates)
-    narrow = np.min_scalar_type(n - 1)  # source and pool keys this narrow sort by radix
+    rates, preempt = np.asarray(cfg.arrival_rates), cfg.preemption_rates
+    everyone = _every_arrival_preempts(cfg)
+    narrow = np.min_scalar_type(n - 1)  # source keys this narrow sort by radix
     shares = np.cumsum(rates)  # source c wins iff shares[c-1] <= u * Lambda < shares[c]
-    waits, winners, global_gaps = (substream(seed, rep, n, k) for k in range(3))
+    waits, winners, labels = (substream(seed, rep, n, k) for k in range(3))
     services = [substream(seed, rep, c, 1) for c in range(n)]
+    gaps = [substream(seed, rep, c, 2) for c in range(n)]
     wait = lambda k: waits.exponential(1 / total, k)
-    # winner(k) is searchsorted(shares, u * Lambda, "right") for k uniforms u, mostly
-    # without its branches: u * cells is exact for a power of two and u * Lambda rises
-    # with u, so least[u * cells] is at most the winner, and is it unless shares[least]
-    # <= u * Lambda; only those draws, under one in eight on average, are searched
+    # winner(draws, k) is searchsorted(shares, u * Lambda, "right") for k uniforms u,
+    # mostly without its branches: u * cells is exact for a power of two and u * Lambda
+    # rises with u, so least[u * cells] is at most the winner, and is it unless
+    # shares[least] <= u * Lambda; only those draws, under one in eight on average, are searched
     cells = 1 << (4 * n - 1).bit_length()
     least = np.searchsorted(shares, np.arange(cells) / cells * shares[-1], "right")
 
-    def winner(k):
-        u = winners.random(k)
+    def winner(draws, k):
+        u = draws.random(k)
         x, c = u * shares[-1], least[(u * cells).astype(np.intp)]
         up = np.flatnonzero(x >= shares[c])
         c[up] = np.searchsorted(shares, x[up], "right")
         return c
 
-    if theta is None:
-        pool_rates, pool_of = np.array([total]), lambda k: np.zeros(k, np.intp)
+    def draw(p, k):  # k attempts of pool p: service time, preemption gap
+        gap = gaps[p].standard_exponential(k) / preempt[p] if preempt[p] else _INF
+        return cfg.service.sample_n(services[p], k), gap
 
-        def draw(p, k):  # k attempts of pool p: source, service time, preemption gap
-            src = winner(k)
-            svc, count = np.empty(k), np.bincount(src, minlength=n)
-            # each source's service times go to its attempts in order
-            svc[np.argsort(src.astype(narrow), kind="stable")] = np.concatenate(
-                [cfg.service.sample_n(services[c], count[c]) for c in range(n)])
-            return src, svc, global_gaps.exponential(1 / total, k)
-    else:
-        gaps = [substream(seed, rep, c, 2) for c in range(n)]
-        pool_rates, pool_of = rates, winner
-
-        def draw(p, k):
-            gap = gaps[p].standard_exponential(k) / (theta * rates[p]) if theta else _INF
-            return np.full(k, p), cfg.service.sample_n(services[p], k), gap
-    npool = len(pool_rates)
-    chunks = np.ceil(_BLOCK / total * pool_rates).astype(np.intp)  # a pool's share of a block
-    # per pool, the attempts drawn but not laid out, in pieces of (source, duration,
-    # delivered); their number and deliveries, and the episodes that wait for them
-    pools = [[] for _ in range(npool)]
-    sizes, found, need = np.zeros((3, npool), np.intp)
+    chunks = np.ceil(_BLOCK / total * rates).astype(np.intp)  # a pool's share of a block
+    # per pool, the attempts drawn but not laid out, in pieces of (duration, delivered);
+    # their number and deliveries, and the episodes that wait for them
+    pools = [[] for _ in range(n)]
+    sizes, found, need = np.zeros((3, n), np.intp)
     v, begun = np.empty(0, np.intp), False  # the episodes not laid out, by pool; has v[0] begun
     t = 0.0
     while t is not None:
-        fresh = pool_of(_BLOCK - len(v))
+        fresh = winner(winners, _BLOCK - len(v))
         v = np.concatenate((v, fresh))
-        need += np.bincount(fresh, minlength=npool)
+        need += np.bincount(fresh, minlength=n)
         for p in np.flatnonzero(found < need):  # a pool stays under two blocks
             while found[p] < need[p] and sizes[p] < _BLOCK:
-                src, svc, gap = draw(p, max(chunks[p], sizes[p]))  # the pool at least doubles
+                svc, gap = draw(p, max(chunks[p], sizes[p]))  # the pool at least doubles
                 ok = svc <= gap
-                pools[p].append((src, np.minimum(svc, gap), ok))
+                pools[p].append((np.minimum(svc, gap), ok))
                 sizes[p] += len(ok)
                 found[p] += np.count_nonzero(ok)
-        src, dur, ok = (np.concatenate(x) for x in zip(*(piece for pool in pools for piece in pool)))
+        dur, ok = (np.concatenate(x) for x in zip(*(piece for pool in pools for piece in pool)))
         off, base = sizes.cumsum() - sizes, (found + 1).cumsum() - found - 1
         # pool p's r-th episode runs from attempt lo[base[p] + r] up to lo[base[p] + r + 1];
         # at r = found[p], what follows its last delivery, which ends no episode
         ends = np.flatnonzero(ok)  # the deliveries, pool by pool
-        lo = np.empty(len(ends) + npool + 1, np.intp)
-        lo[np.arange(1, len(ends) + 1) + np.repeat(np.arange(npool), found)] = ends + 1
+        lo = np.empty(len(ends) + n + 1, np.intp)
+        lo[np.arange(1, len(ends) + 1) + np.repeat(np.arange(n), found)] = ends + 1
         lo[base], lo[-1] = off, len(ok)
         # each episode's slot base[p] + r, r its rank in its pool p: episodes up to the
         # first whose pool lacks its delivery, that one in part; as no more episodes
         # complete than the pools hold deliveries, the first found.sum() + 1 decide
         head = v[: found.sum() + 1]
-        order, count = np.argsort(head.astype(narrow), kind="stable"), np.bincount(head, minlength=npool)
+        order, count = np.argsort(head.astype(narrow), kind="stable"), np.bincount(head, minlength=n)
         e = np.empty_like(order)
         e[order] = np.arange(len(head)) + (base - count.cumsum() + count)[head[order]]
         complete = e < (base + found)[head]
@@ -303,11 +303,15 @@ def _attempts(cfg: SystemConfig, seed: int, rep: int, theta, limit: float):
         pause = np.zeros(len(idx))  # each episode's wait, before its first attempt
         begins = heads[begun : m + bool(size[-1])]
         pause[begins] = wait(len(begins))
-        block, t = _lay_out(t, src[idx], pause, dur[idx], ok[idx], limit)
+        src, delivers = np.repeat(head[: m + 1], size), ok[idx]
+        if everyone:
+            failed = np.flatnonzero(~delivers)
+            src[failed] = winner(labels, len(failed))
+        block, t = _lay_out(t, src, pause, dur[idx], delivers, limit)
         yield block
-        done = np.bincount(head[: m + 1], minlength=npool)  # the episodes laid out
+        done = np.bincount(head[: m + 1], minlength=n)  # the episodes laid out
         cut = lo[base + done]  # each pool's first attempt left
-        pools = [[(src[i:j], dur[i:j], ok[i:j])] for i, j in zip(cut, off + sizes)]
+        pools = [[(dur[i:j], ok[i:j])] for i, j in zip(cut, off + sizes)]
         done[v[m]] -= not complete[m]  # an incomplete v[m] waits on, having used no delivery,
         begun = bool(size[-1]) and not complete[m]  # and resumes without a wait if it began
         sizes, found, need = off + sizes - cut, found - done, need - done
@@ -492,11 +496,11 @@ def _simulate_once(
 ) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
-    theta = policy.effective_theta
+    system = policy.system(cfg)
     tally = _Tally(cfg.num_sources, sim, collect_deliveries)
     # sample_s and tally_s: the seconds spent in the sampler and in the tally
     end_time, sample_s, tally_s, lap = limit, 0.0, 0.0, time.perf_counter()
-    for block in _attempts(cfg, sim.seed, rep, theta, limit):
+    for block in _attempts(system, sim.seed, rep, limit):
         sample_s += (sampled := time.perf_counter()) - lap
         stop = tally.add(*block)
         tally_s += (lap := time.perf_counter()) - sampled
@@ -504,9 +508,10 @@ def _simulate_once(
             end_time = stop
             break
     discarded = np.zeros(cfg.num_sources, np.int64)  # global preemption: every arrival enters
-    if theta is not None:  # a busy server loses source c's arrivals but its preempting ones
+    if not _every_arrival_preempts(system):
+        # a busy server loses source c's arrivals but its preempting ones
         busy = tally.busy_time
-        mean = np.asarray(cfg.arrival_rates) * (_in_order(busy) - theta * busy)
+        mean = np.asarray(cfg.arrival_rates) * (_in_order(busy) - system.theta * busy)
         discarded[:] = [substream(sim.seed, rep, c, 0).poisson(mu) for c, mu in enumerate(mean)]
     stats = tally.finish(end_time, discarded)
     seconds = time.perf_counter() - clock

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analytic import AoiMetrics, GloballyPreemptiveConfig, SystemConfig, solve_moments
+from .analytic import AoiMetrics, SystemConfig, solve_moments
 from .config import ExperimentSpec
 from .sim import Policy, PolicyKind, SimReport, run
 
@@ -73,13 +73,6 @@ def _config_at(spec: ExperimentSpec, value: float | None) -> SystemConfig:
         return SystemConfig(base.arrival_rates, value, base.service)
     total = base.total_rate
     return SystemConfig((value, total - value), base.theta, base.service)
-
-
-def _system_key(cfg: SystemConfig, policy: Policy) -> tuple:
-    """Equal keys mean equal closed forms and bit-identical simulations:
-    the probabilistic policy at theta 0 or 1 acts as the non-preemptive or
-    self-preemptive one (see ``aoiq.sim``)."""
-    return cfg.arrival_rates, cfg.service, policy.effective_theta
 
 
 _METRICS = ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "ci_halfwidth")
@@ -153,14 +146,15 @@ def iter_sweep_rows(
     """Yield CSV rows in deterministic grid/mode/policy/source order.
 
     Each distinct system is solved and simulated once per call: a policy
-    whose ``_system_key`` matches that of a policy already computed, at
-    this grid point or an earlier one, reuses its numbers. In a theta sweep
-    that covers the theta-independent policies and the probabilistic
-    policy at theta 0 and 1. A system whose closed forms fail raises when
-    its rows come up. ``reports`` are runs already made with the spec's
-    simulation settings (say, with deliveries collected); their systems
-    are not simulated again. ``workers`` and ``executor`` go to ``run`` as
-    they are.
+    whose system (``Policy.system``) equals that of a policy already
+    computed, at this grid point or an earlier one, reuses its numbers;
+    equal systems have equal closed forms and bit-identical simulations.
+    In a theta sweep that covers the theta-independent policies and the
+    probabilistic policy at theta 0 and 1. A system whose closed forms
+    fail raises when its rows come up. ``reports`` are runs already made
+    with the spec's simulation settings (say, with deliveries collected);
+    their systems are not simulated again. ``workers`` and ``executor`` go
+    to ``run`` as they are.
     """
     do_analytic = spec.mode in ("analytic", "both")
     do_simulate = spec.mode in ("simulate", "both")
@@ -169,18 +163,13 @@ def iter_sweep_rows(
         cfg = _config_at(spec, value)
         policies = {kind: Policy.of(kind, cfg.theta) for kind in spec.policies}
         points.append((value, cfg, policies,
-                       {kind: _system_key(cfg, policy) for kind, policy in policies.items()}))
-    systems: dict[tuple, SystemConfig] = {}  # in the order the rows first need them
-    for _, cfg, policies, keys in points if do_analytic else ():
-        for kind, key in keys.items():
-            if key not in systems:
-                systems[key] = (GloballyPreemptiveConfig(cfg.arrival_rates, cfg.service)
-                                if kind is PolicyKind.GLOBALLY_PREEMPTIVE else SystemConfig(
-                                    cfg.arrival_rates, policies[kind].effective_theta, cfg.service))
-    solutions = solve_moments(list(systems.values()), 2)
-    solved: dict[tuple, _Block] = {}
-    simulated: dict[tuple, _Block] = {
-        _system_key(r.system, r.policy): _simulated_block(r)
+                       {kind: policy.system(cfg) for kind, policy in policies.items()}))
+    # the systems in the order the rows first need them
+    systems = dict.fromkeys(key for *_, keys in points if do_analytic for key in keys.values())
+    solutions = solve_moments(list(systems), 2)
+    solved: dict[SystemConfig, _Block] = {}
+    simulated: dict[SystemConfig, _Block] = {
+        r.policy.system(r.system): _simulated_block(r)
         for r in reports
         if r.sim == spec.sim
     }

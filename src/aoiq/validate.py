@@ -2,12 +2,17 @@
 
 Runs, for one experiment spec, four check families: the closed-form
 interdeparture transform against the graph solver
-(``closed_form_vs_graph``), the two moment routes against each other
-(``moment_routes``), analytic against simulated mean AoI and peak AoI
-(``analytic_vs_sim``), and the simulator's goodness-of-fit checks
-(``distribution_fit``). Each check reports pass/fail/skip with its
-measured discrepancy. A planted-defect suite in the tests shows which
-family catches which slip in the closed forms.
+(``closed_form_vs_graph``, whose detail gives the solve's smallest
+|pivot|), the two moment routes against each other (``moment_routes``),
+analytic against simulated mean AoI and peak AoI (``analytic_vs_sim``),
+and the simulator's goodness-of-fit checks (``distribution_fit``). The
+first two also run under global preemption, named
+``<family>:globally_preemptive:source<c>``; they are deterministic, and
+the graph reads that policy off the model, not off the closed form's
+preemption rates; where the numerics cannot reach that system, its checks
+fail with the error. Each check reports pass/fail/skip with its measured
+discrepancy. A planted-defect suite in the tests shows which family
+catches which slip in the closed forms.
 """
 
 from __future__ import annotations
@@ -16,12 +21,23 @@ import math
 from dataclasses import dataclass, replace
 
 from . import analytic, semimarkov
-from .analytic import SystemConfig, moments_both_routes
+from .analytic import OutsideConvergenceRegion, SystemConfig, moments_both_routes
 from .config import ExperimentSpec
-from .jets import Jet
+from .jets import DivisionBySingularJet, Jet
+from .semimarkov import SingularSystem
+from .service import ConvergenceError, MgfDomainError
 from .sim import CheckResult, InsufficientSamples, Policy, empirical_checks, run, verdict
 
-__all__ = ["ValidationReport", "validation_suite"]
+__all__ = ["NUMERICAL_ERRORS", "ValidationReport", "validation_suite"]
+
+# what the numerics raise where a system is out of their reach
+NUMERICAL_ERRORS = (
+    ConvergenceError,
+    MgfDomainError,
+    DivisionBySingularJet,
+    SingularSystem,
+    OutsideConvergenceRegion,
+)
 
 
 @dataclass(frozen=True)
@@ -40,29 +56,35 @@ def _rel_gap(a: Jet, b: Jet, orders: int) -> float:
     return gap
 
 
-def _check_graph(cfg: SystemConfig) -> list[CheckResult]:
+def _per_source(family: str, gap, tolerance: float, cfg: SystemConfig, policy: str,
+                errors: tuple) -> list[CheckResult]:
+    """A check per source, named ``<family>:<policy>source<c>``, of ``gap(c)``,
+    a (discrepancy, detail) pair; an error of the ``errors`` types fails it."""
     out = []
     for c in range(cfg.num_sources):
+        name = f"{family}:{policy}source{c}"
+        try:
+            discrepancy, detail = gap(c)
+        except errors as exc:
+            out.append(CheckResult(name, "fail", math.nan, tolerance, f"{type(exc).__name__}: {exc}"))
+            continue
+        out.append(verdict(name, discrepancy, tolerance, detail))
+    return out
+
+
+def _check_graph(cfg: SystemConfig, policy: str = "", errors: tuple = ()) -> list[CheckResult]:
+    def gap(c):
         closed = analytic.interdeparture_mgf_jet(cfg, c)
-        graph = semimarkov.build_interdeparture_graph(cfg, c)
-        solved = semimarkov.transfer_functions(graph)["delivered"]
-        out.append(
-            verdict(
-                f"closed_form_vs_graph:source{c}",
-                _rel_gap(closed, solved, 8),
-                1e-9,
-                "interdeparture MGF, orders 0..8",
-            )
-        )
-    return out
+        solved = semimarkov.transfer_functions(semimarkov.build_interdeparture_graph(cfg, c))
+        return _rel_gap(closed, solved["delivered"], 8), (
+            f"interdeparture MGF, orders 0..8, smallest pivot {solved.min_pivot:.3g}")
+
+    return _per_source("closed_form_vs_graph", gap, 1e-9, cfg, policy, errors)
 
 
-def _check_moment_routes(cfg: SystemConfig) -> list[CheckResult]:
-    out = []
-    for c in range(cfg.num_sources):
-        _, _, gap = moments_both_routes(cfg, c, 4)
-        out.append(verdict(f"moment_routes:source{c}", gap, 1e-8, "orders 1..4"))
-    return out
+def _check_moment_routes(cfg: SystemConfig, policy: str = "", errors: tuple = ()) -> list[CheckResult]:
+    gap = lambda c: (moments_both_routes(cfg, c, 4)[2], "orders 1..4")
+    return _per_source("moment_routes", gap, 1e-8, cfg, policy, errors)
 
 
 def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[CheckResult]:
@@ -96,10 +118,14 @@ def _check_against_simulation(spec: ExperimentSpec, workers: int) -> list[CheckR
 
 
 def validation_suite(spec: ExperimentSpec, workers: int = 1) -> ValidationReport:
-    """Run every cross-check for the spec's system configuration."""
+    """Run every cross-check for the spec's system configuration, and the
+    deterministic ones for global preemption on its rates and law too. That
+    system is not the spec's, so where the numerics cannot reach it, its
+    checks fail with the error rather than the spec's checks being lost."""
     cfg = spec.system
-    checks: list[CheckResult] = []
-    checks += _check_graph(cfg)
-    checks += _check_moment_routes(cfg)
+    everyone = Policy.globally_preemptive().system(cfg)
+    name = "globally_preemptive:"
+    checks = _check_graph(cfg) + _check_graph(everyone, name, NUMERICAL_ERRORS)
+    checks += _check_moment_routes(cfg) + _check_moment_routes(everyone, name, NUMERICAL_ERRORS)
     checks += _check_against_simulation(spec, workers)
     return ValidationReport(tuple(checks))

@@ -7,7 +7,8 @@ written to be read, not to be fast.
 ``episode_loop`` takes one service attempt per iteration and draws each
 value, one at a time, from the substreams ``aoiq.sim`` draws: after a
 delivery an idle wait and a winning source, per attempt a service time
-and a preemption gap, and at the end each source's discards. The tests
+and a preemption gap (and under global preemption a fresh source for an
+attempt that fails), and at the end each source's discards. The tests
 hold ``aoiq.sim.run`` to it bit for bit, so the blocked sampler, the numpy
 statistics and the numpy merge are checked exactly.
 
@@ -163,24 +164,24 @@ class Tally:
         return Replication(end_time, self.sources, in_flight, self.deliveries)
 
 
-def effective_theta(policy):
-    """The policy as the sampler runs it: theta, or None under global preemption."""
-    return {
-        PolicyKind.NON_PREEMPTIVE: 0.0,
-        PolicyKind.SELF_PREEMPTIVE: 1.0,
-        PolicyKind.GLOBALLY_PREEMPTIVE: None,
-    }.get(policy.kind, policy.theta)
+THETA = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}  # the policy limits
 
 
 def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
-    """One replication of the sampler's model, one attempt per iteration."""
+    """One replication of the sampler's model, one attempt per iteration.
+    Source c's attempts are preempted at theta lambda_c (theta 0 or 1 for
+    the non- and self-preemptive policies), or at Lambda under global
+    preemption, where a failed attempt's source is a fresh race winner and
+    the episode's winner is the delivering source."""
     seed, n, total_rate = sim.seed, cfg.num_sources, cfg.total_rate
-    theta = effective_theta(policy)
+    everyone = policy.kind is PolicyKind.GLOBALLY_PREEMPTIVE
+    theta = THETA.get(policy.kind, policy.theta)
+    rates = [total_rate if everyone else theta * rate for rate in cfg.arrival_rates]
     horizon = sim.horizon if sim.horizon is not None else INF
     shares = list(itertools.accumulate(cfg.arrival_rates))
     wait = Draws(substream(seed, rep, n, 0), lambda g, k: g.exponential(1 / total_rate, k))
     uniform = Draws(substream(seed, rep, n, 1), lambda g, k: g.random(k))
-    global_gap = Draws(substream(seed, rep, n, 2), lambda g, k: g.exponential(1 / total_rate, k))
+    label = Draws(substream(seed, rep, n, 2), lambda g, k: g.random(k))
     service = [Draws(substream(seed, rep, c, 1), cfg.service.sample_n) for c in range(n)]
     unit_gap = [Draws(substream(seed, rep, c, 2), lambda g, k: g.standard_exponential(k))
                 for c in range(n)]
@@ -189,27 +190,23 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
     while True:
         if idle:
             t = t + wait()
-        if idle or theta is None:
             c = bisect.bisect_right(shares, uniform() * shares[-1])
         if t > horizon:
             replication = tally.finish(horizon, -1, 0.0)
             break
-        src = tally.sources[c]
+        s = service[c]()
+        g = unit_gap[c]() / rates[c] if rates[c] else INF
+        delivers = s <= g
+        d = bisect.bisect_right(shares, label() * shares[-1]) if everyone and not delivers else c
+        src = tally.sources[d]
         src.entered_service += 1
         src.race_entries += idle
-        s = service[c]()
-        if theta is None:
-            g = global_gap()
-        elif theta:
-            g = unit_gap[c]() / (theta * cfg.arrival_rates[c])
-        else:
-            g = INF
-        end = t + s if s <= g else t + g
+        end = t + s if delivers else t + g
         if end > horizon:
-            replication = tally.finish(horizon, c, t)
+            replication = tally.finish(horizon, d, t)
             break
         src.busy_time += end - t
-        idle = s <= g
+        idle = delivers
         if not idle:
             src.preempted += 1
         elif tally.deliver(c, end, t):
@@ -218,7 +215,7 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
         t = end
     busy = total(src.busy_time for src in replication.sources)
     for c, src in enumerate(replication.sources):
-        if theta is not None:
+        if not everyone:
             mean = cfg.arrival_rates[c] * (busy - theta * src.busy_time)
             src.discarded = int(substream(seed, rep, c, 0).poisson(mean))
         src.arrivals = src.entered_service + src.discarded

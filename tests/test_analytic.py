@@ -233,6 +233,17 @@ class TestGlobalPreemption:
             glob = GloballyPreemptiveConfig((1.7,), dist)
             assert moments(glob, 0, 3) == moments(SystemConfig((1.7,), 1.0, dist), 0, 3)
 
+    def test_preemption_matrix(self):
+        # who may preempt whom: the own source with probability theta, or
+        # every arrival; each row sums to the reduced rate r_c
+        law = Gamma(2.0, 3.0)
+        prob = SystemConfig((1.0, 2.0, 0.5), 0.4, law)
+        glob = GloballyPreemptiveConfig((1.0, 2.0, 0.5), law)
+        assert prob.preemption_matrix == ((0.4, 0.0, 0.0), (0.0, 0.8, 0.0), (0.0, 0.0, 0.2))
+        assert glob.preemption_matrix == ((1.0, 2.0, 0.5),) * 3
+        for cfg in (prob, glob):
+            assert tuple(sum(row) for row in cfg.preemption_matrix) == cfg.preemption_rates
+
     def test_mean_interdeparture(self):
         # E[Y_c] = 1 / (lambda_c M_U(-Lambda)): the episodes are i.i.d. and
         # each delivers source c with probability lambda_c / Lambda

@@ -276,6 +276,23 @@ class TestExitCodes:
         monkeypatch.setattr(Exponential, "jet_pairs", blow_up)
         assert main(["analytic", "-c", spec]) == 3
 
+    def test_global_checks_out_of_reach_fail_without_losing_the_report(self, tmp_path, capsys):
+        # at theta 0 the spec's system solves; under global preemption on its
+        # rates, M_U(-751) = e^-751 underflows: those checks fail with the
+        # error, and the spec's own checks still print
+        spec, _ = write_spec(tmp_path, FAILING_SWEEP_SPEC + "[simulation]\nhorizon = 200\n")
+        assert main(["validate", "-c", spec]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        for family in ("closed_form_vs_graph", "moment_routes"):
+            for c in range(2):
+                own = [x for x in lines if x.split()[1] == f"{family}:source{c}"]
+                glob = [x for x in lines if x.split()[1] == f"{family}:globally_preemptive:source{c}"]
+                assert len(own) == len(glob) == 1
+                assert own[0].startswith("PASS ")
+                assert glob[0].startswith("FAIL ")
+                assert glob[0].endswith("(OutsideConvergenceRegion: "
+                                        "self-loop gain of source 0 reaches 1 at s=0.0)")
+
     def test_later_failing_grid_point_keeps_the_earlier_rows(self, tmp_path, capsys):
         # at theta 0 the system solves; at theta 1, M_U(-750) = e^-750 underflows
         # and the self-loop gain of source 1 reaches 1
@@ -387,6 +404,21 @@ class TestOverridesAndReproducibility:
         assert raw[section][key] == "1e3"
         others = [(sec, k) for sec, keys in raw.items() for k, v in keys.items() if v == "1e3"]
         assert others == [(section, key)]
+
+    def test_one_parser_keeps_each_commands_defaults(self, tmp_path, monkeypatch):
+        # the parser is built once per process; one command's flags do not
+        # leak into the next command's defaults
+        spec, _ = write_spec(tmp_path, POINT_SPEC)
+        seen = []
+        monkeypatch.setattr(cli_mod, "_cmd_table", lambda args: seen.append(vars(args)) or 0)
+        assert main(["analytic", "-c", spec, "--seed", "9", "--workers", "3"]) == 0
+        assert main(["simulate", "-c", spec]) == 0
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        first, second = seen
+        assert (first["command"], first["seed"], first["workers"]) == ("analytic", "9", 3)
+        assert "dump_samples" not in first
+        assert (second["command"], second["seed"], second["workers"]) == ("simulate", None, 1)
+        assert second["dump_samples"] is None
 
     def test_seed_override_changes_bytes(self, tmp_path):
         spec, out = write_spec(tmp_path, POINT_SPEC)

@@ -13,7 +13,7 @@ from aoiq import (
 )
 from aoiq.analytic import GloballyPreemptiveConfig
 from aoiq.jets import Jet
-from aoiq.semimarkov import LabeledDigraph, SingularSystem, sojourn_kit
+from aoiq.semimarkov import LabeledDigraph, SingularSystem
 from grid_helpers import config_grid
 
 
@@ -120,54 +120,59 @@ class TestSolver:
             assert rel_close(h_ref, h2, 1e-12)
 
 
+def labels(graph):
+    """The graph's edge labels by (tail, head); the builder adds no parallel edges."""
+    return {(a, b): label for a, b, label in graph.edges}
+
+
 class TestSojournKit:
+    # the edge labels against the law's own transforms: from an idle server
+    # lambda_c / (Lambda - s), the loop gain r H(s - r) and the exit M_U(s - r)
     def test_race_probabilities(self):
-        cfg = SystemConfig((2.0, 6.0), 0.5, Exponential(1.0))
-        kit = sojourn_kit(cfg)
-        assert kit.race[0] == pytest.approx(0.25, rel=1e-14)
-        assert kit.race[1] == pytest.approx(0.75, rel=1e-14)
+        g = labels(build_interdeparture_graph(SystemConfig((2.0, 6.0), 0.5, Exponential(1.0)), 0))
+        assert g["start", "serving_0"].coeffs[0] == pytest.approx(0.25, rel=1e-14)
+        assert g["start", "serving_1"].coeffs[0] == pytest.approx(0.75, rel=1e-14)
 
     def test_delivery_probability_exponential(self):
         # unit-rate exponential surviving a preemption rate of 1: 1/2
-        cfg = SystemConfig((2.0,), 0.5, Exponential(1.0))
-        kit = sojourn_kit(cfg)
-        assert kit.delivery[0] == pytest.approx(0.5, rel=1e-12)
+        g = labels(build_interdeparture_graph(SystemConfig((2.0,), 0.5, Exponential(1.0)), 0))
+        assert g["serving_0", "delivered"].coeffs[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_kit_identities_on_grid(self):
+        # at s = 0 the labels out of a node are the probabilities of its
+        # transitions: an idle server's races, and a packet's delivery or
+        # preemption, sum to 1
         for cfg in config_grid()[::4]:
-            kit = sojourn_kit(cfg)
-            assert sum(kit.race) == pytest.approx(1.0, abs=1e-12)
-            for c in range(cfg.num_sources):
-                assert kit.delivery[c] + kit.preempt[c] == pytest.approx(1.0, abs=1e-12)
-                for j in (kit.wait_mgf[c], kit.delivered_mgf[c], kit.preempted_mgf[c]):
-                    assert j.coeffs[0] == pytest.approx(1.0, abs=1e-12)
+            g = build_interdeparture_graph(cfg, 0)
+            for node in ("start", *(f"serving_{c}" for c in range(cfg.num_sources))):
+                out = sum(label.coeffs[0] for a, _, label in g.edges if a == node)
+                assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_loop_gain_identity(self):
-        # preempt probability times the preempted-sojourn MGF equals the
-        # self-loop gain r_c * H_c of the closed forms, coefficient by
-        # coefficient; at theta = 0 both sides are the zero jet
+        # the self-loop gain r_c H(s - r_c) times r_c - s is r_c (1 - M_U(s - r_c)),
+        # coefficient by coefficient; at theta = 0 there is no loop
         for cfg in config_grid()[::5]:
-            kit = sojourn_kit(cfg)
+            g = labels(build_interdeparture_graph(cfg, 0))
             for c, rate in enumerate(cfg.preemption_rates):
-                loop = cfg.service.survival_mgf_jet(-rate, 8).recenter(0.0) * rate
-                via_kit = kit.preempted_mgf[c] * kit.preempt[c]
-                for x, y in zip(via_kit.coeffs, loop.coeffs):
-                    assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
+                loop = g.get((f"serving_{c}", f"serving_{c}"))
+                assert (loop is None) == (rate == 0.0)
+                if loop is not None:
+                    service = cfg.service.mgf_jet(-rate, 8).recenter(0.0)
+                    r_minus_s = jet(rate, -1.0, *[0.0] * 7)
+                    assert rel_close(loop * r_minus_s, (1.0 - service) * rate, 1e-12)
 
     def test_through_gain_identity(self):
-        # entry race times delivered sojourn equals the through gain
-        # rate_c * M_c / (total rate - s), M_c = M_U(-r_c) as the closed forms read it
+        # entry race times exit equals the through gain
+        # rate_c * M_c / (total rate - s), M_c = M_U(s - r_c) as the closed forms read it
         for cfg in config_grid()[::5]:
-            kit = sojourn_kit(cfg)
+            g = labels(build_interdeparture_graph(cfg, 0))
             lam_minus_s = Jet.from_coeffs((cfg.total_rate, -1.0) + (0.0,) * 7)
             for c, rate in enumerate(cfg.preemption_rates):
                 service = cfg.service.mgf_jet(-rate, 8).recenter(0.0)
                 through = service * cfg.arrival_rates[c] / lam_minus_s
-                via_kit = (
-                    kit.wait_mgf[c] * kit.race[c] * kit.delivered_mgf[c] * kit.delivery[c]
-                )
-                for x, y in zip(via_kit.coeffs, through.coeffs):
-                    assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
+                exit_to = "delivered" if c == 0 else "other_done"
+                entry, exit_label = g["start", f"serving_{c}"], g[f"serving_{c}", exit_to]
+                assert rel_close(entry * exit_label, through, 1e-12)
 
 
 class TestInterdepartureGraph:
@@ -175,15 +180,14 @@ class TestInterdepartureGraph:
         cfg = SystemConfig((1.3,), 0.7, Exponential(1.1))
         g = build_interdeparture_graph(cfg, 0)
         assert len(g.nodes) == 4
-        kit = sojourn_kit(cfg)
         h = transfer_functions(g)
-        # direct specialization: entry * exit / (1 - loop)
-        want = (
-            kit.wait_mgf[0]
-            * kit.race[0]
-            * (kit.delivered_mgf[0] * kit.delivery[0])
-            / (1.0 - kit.preempted_mgf[0] * kit.preempt[0])
-        )
+        # direct specialization: entry * exit / (1 - loop), with the entry
+        # lambda / (lambda - s), the exit M_U(s - r) and the loop r H(s - r)
+        rate = cfg.preemption_rates[0]
+        entry = 1.3 / jet(1.3, -1.0, *[0.0] * 7)
+        exit_label = cfg.service.mgf_jet(-rate, 8).recenter(0.0)
+        loop = cfg.service.survival_mgf_jet(-rate, 8).recenter(0.0) * rate
+        want = entry * exit_label / (1.0 - loop)
         assert rel_close(h["delivered"], want, 1e-12)
         assert all(c == 0.0 for c in h["other_done"].coeffs)
 
@@ -214,28 +218,6 @@ class TestInterdepartureGraph:
                 assert h.coeffs[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def global_graph(cfg, source, order=8):
-    """The delivery cycle of ``source`` under global preemption, read off the
-    model: from idle, source c's arrival wins after an Exp(Lambda) wait with
-    probability lambda_c / Lambda; a source-c packet in service is replaced by
-    a source-c' arrival (c' = c too) before its service U ends with transform
-    lambda_c' * E[int_0^U e^{(s - Lambda) t} dt], and is delivered first with
-    transform M_U(s - Lambda)."""
-    total = cfg.total_rate
-    delivered = cfg.service.mgf_jet(-total, order).recenter(0.0)
-    survival = cfg.service.survival_mgf_jet(-total, order).recenter(0.0)
-    wait = Jet.from_coeffs((total, -1.0) + (0.0,) * (order - 1))
-    serving = [f"serving_{c}" for c in range(cfg.num_sources)]
-    edges = []
-    for c, rate in enumerate(cfg.arrival_rates):
-        entry = Jet.constant(rate, order) / wait
-        edges += [("start", serving[c], entry), ("other_done", serving[c], entry)]
-        edges += [(serving[c], serving[d], survival * other)
-                  for d, other in enumerate(cfg.arrival_rates)]
-        edges.append((serving[c], "delivered" if c == source else "other_done", delivered))
-    return LabeledDigraph(("start", *serving, "other_done", "delivered"), "start", tuple(edges))
-
-
 class TestGlobalPreemptionGraph:
     @pytest.mark.parametrize("sources", [1, 2, 3, 8])
     @pytest.mark.parametrize(
@@ -251,5 +233,22 @@ class TestGlobalPreemptionGraph:
         cfg = GloballyPreemptiveConfig(rates, law)
         for c in range(sources):
             closed = interdeparture_mgf_jet(cfg, c)
-            h = transfer_functions(global_graph(cfg, c))["delivered"]
+            h = transfer_functions(build_interdeparture_graph(cfg, c))["delivered"]
             assert rel_close(closed, h, 1e-9)
+
+    def test_reads_the_model_not_the_reduced_rates(self, monkeypatch):
+        # every source preempts every packet: the graph has all C^2 preemption
+        # edges and never asks for the closed form's rates (Lambda for each)
+        cfg = GloballyPreemptiveConfig((1.0, 2.0, 0.5), Gamma(2.0, 3.0))
+        closed = [interdeparture_mgf_jet(cfg, c) for c in range(3)]
+
+        def refuse(self):
+            raise AssertionError("the graph read preemption_rates")
+
+        monkeypatch.setattr(GloballyPreemptiveConfig, "preemption_rates", property(refuse))
+        for c in range(3):
+            g = build_interdeparture_graph(cfg, c)
+            preemptions = [(a, b) for a, b, _ in g.edges if a.startswith("serving")
+                           and b.startswith("serving")]
+            assert len(preemptions) == 9
+            assert rel_close(closed[c], transfer_functions(g)["delivered"], 1e-9)

@@ -107,10 +107,14 @@ class TestConfigValidation:
         ],
     )
     def test_policy_of_kind(self, kind, theta):
-        # only the probabilistic policy takes the spec's theta
+        # only the probabilistic policy takes the spec's theta; each policy acts
+        # as the probabilistic system at its theta, or as global preemption
         policy = Policy.of(kind, 0.3)
         assert policy.kind is kind
-        assert policy.effective_theta == theta
+        rates, law = TWO_EXP.arrival_rates, TWO_EXP.service
+        want = (GloballyPreemptiveConfig(rates, law) if theta is None
+                else SystemConfig(rates, theta, law))
+        assert policy.system(TWO_EXP) == want
 
 
 def _policy_id(policy):

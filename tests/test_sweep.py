@@ -405,6 +405,19 @@ def _direct_rows(spec):
 
 
 class TestEachSystemOnce:
+    def test_policy_limits_share_keys(self):
+        # a sweep keys its closed forms and runs on the system a policy acts
+        # as: theta 0 and 1 are the two baselines, and global preemption,
+        # whose config's theta also reads 1, is a system of its own
+        cfg = SystemConfig((1.0, 2.0), 0.5, LogNormal(-1.0, 1.0))
+        keys = {policy: policy.system(cfg) for policy in (
+            Policy.probabilistic(0.0), Policy.non_preemptive(), Policy.probabilistic(1.0),
+            Policy.self_preemptive(), Policy.globally_preemptive())}
+        p0, non, p1, self_, glob = keys.values()
+        assert p0 == non and hash(p0) == hash(non)
+        assert p1 == self_ and hash(p1) == hash(self_)
+        assert glob != p1 and len(set(keys.values())) == 3
+
     def test_one_run_per_simulation_key(self, calls):
         spec = parse_spec(THETA_BOTH)
         assert grid_values(spec)[0] == 0.0 and grid_values(spec)[-1] == 1.0

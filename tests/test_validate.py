@@ -1,4 +1,5 @@
 import inspect
+import logging
 import sys
 from dataclasses import replace
 
@@ -6,6 +7,8 @@ import pytest
 
 import aoiq.analytic as analytic_mod
 import aoiq.validate as validate_mod
+from aoiq import Deterministic, SystemConfig
+from aoiq.analytic import GloballyPreemptiveConfig
 from aoiq.config import parse_spec
 from aoiq.jets import Jet
 from aoiq.service import ServiceDistribution
@@ -88,6 +91,20 @@ def test_undelivered_source_skips_with_its_reason():
     assert all("no counted delivery (0 delivered)" in c.detail for c in checks)
 
 
+def test_graph_check_reports_its_smallest_pivot(caplog):
+    # rates (20, 1), theta = 1, unit service: the graph divides by its pivot
+    # 1 - loop gain = M_U(-20) ~ 2e-9, formed by a subtraction; the check's
+    # detail and the solver's DEBUG record both give it
+    cfg = SystemConfig((20.0, 1.0), 1.0, Deterministic(1.0))
+    with caplog.at_level(logging.DEBUG, logger="aoiq.semimarkov"):
+        checks = validate_mod._check_graph(cfg)
+    pivots = [r.min_pivot for r in caplog.records if r.name == "aoiq.semimarkov"]
+    assert len(pivots) == len(checks) == 2
+    for check, pivot in zip(checks, pivots):
+        assert pivot == pytest.approx(2.061e-9, rel=1e-3)
+        assert check.detail.endswith(f"smallest pivot {pivot:.3g}")
+
+
 # Planted defects. Each slips a sign or a factor into the closed forms, or
 # into a service-law jet they read, as a transcription error would. Every
 # one must fail at least one of the suite's four families, on every system;
@@ -161,6 +178,11 @@ def _scale_coefficient(owner, name, k, factor):
     return plant
 
 
+def _global_rate_times_1_01(monkeypatch, cfg):
+    rates = property(lambda self: (self.total_rate * 1.01,) * self.num_sources)
+    monkeypatch.setattr(GloballyPreemptiveConfig, "preemption_rates", rates)
+
+
 def _skew_jet_route(monkeypatch, cfg):
     original = analytic_mod._derivatives
 
@@ -230,7 +252,16 @@ DEFECTS = {
         _scale_coefficient(analytic_mod, "interdeparture_mgf_jet", 2, -1.0),
         {GRAPH},
     ),
+    # the global closed form's reduction slips; the global graph, which
+    # reads who preempts whom, catches it
+    "global_r_c=Lambda*1.01": (_global_rate_times_1_01, {GRAPH}),
 }
+
+# the systems a defect is caught on, where not all three: under exponential
+# service no source's interdeparture transform depends on r_c, so no graph
+# sees the global slip there, though the global AoI moments move
+ONLY_ON = {"global_r_c=Lambda*1.01": ("paper", "gamma")}
+CAUGHT = [(d, s) for s in SYSTEMS for d in DEFECTS if s in ONLY_ON.get(d, SYSTEMS)]
 
 
 @pytest.fixture(scope="module")
@@ -247,12 +278,22 @@ def _suite(monkeypatch, simulations, system):
     return validation_suite(SYSTEMS[system])
 
 
+# the systems the suite checks, by the infix of their checks' names: the
+# spec's own, and global preemption on its rates and law; and the families
+# that run on each
+KINDS = {"": FAMILIES, "globally_preemptive:": {GRAPH, ROUTES}}
+
+
 def _outputs(cfg, c):
-    """Source c's transform jets and moments, as the package gives them."""
-    jets = [getattr(analytic_mod, f"{transform}_mgf_jet")(cfg, c, 4).coeffs
-            for transform in ("system_time", "interdeparture", "paoi", "aoi")]
-    metrics = analytic_mod.moments(cfg, c, 4)
-    return jets, metrics.aoi_moments + metrics.paoi_moments
+    """Source c's transform jets and moments, as the package gives them, for
+    each system of KINDS in turn."""
+    out = []
+    for system in (cfg, Policy.globally_preemptive().system(cfg)):
+        jets = [getattr(analytic_mod, f"{transform}_mgf_jet")(system, c, 4).coeffs
+                for transform in ("system_time", "interdeparture", "paoi", "aoi")]
+        metrics = analytic_mod.moments(system, c, 4)
+        out.append((jets, metrics.aoi_moments + metrics.paoi_moments))
+    return out
 
 
 class TestPlantedDefects:
@@ -262,11 +303,10 @@ class TestPlantedDefects:
         assert {c.name.split(":")[0] for c in report.checks} == FAMILIES
         assert [c for c in report.checks if c.status != "pass"] == []
 
-    @pytest.mark.parametrize("system", SYSTEMS)
-    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("defect, system", CAUGHT, ids=[f"{d}-{s}" for d, s in CAUGHT])
     def test_caught(self, monkeypatch, simulations, defect, system):
-        # every source whose transforms or moments the defect changes fails
-        # each of the defect's families
+        # on each system of KINDS, every source whose transforms or moments
+        # the defect changes fails each of the defect's families run there
         plant, families = DEFECTS[defect]
         cfg = SYSTEMS[system].system
         sources = range(cfg.num_sources)
@@ -275,13 +315,19 @@ class TestPlantedDefects:
             with monkeypatch.context() as planted:
                 analytic_mod._system_jets.cache_clear()
                 plant(planted, cfg)
-                changed = [c for c in sources if _outputs(cfg, c) != clean[c]]
+                changed = [(kind, c) for c in sources
+                           for kind, out, was in zip(KINDS, _outputs(cfg, c), clean[c]) if out != was]
                 report = _suite(planted, simulations, system)
         finally:
             # the cache may hold jets built from a planted service law
             analytic_mod._system_jets.cache_clear()
         assert changed
-        failed = {(c.name.split(":")[0], c.name.rsplit(":", 1)[1])
-                  for c in report.checks if not c.passed}
-        missed = [(f, c) for f in sorted(families) for c in changed if (f, f"source{c}") not in failed]
+        failed = set()  # (family, kind, source) of each failing check
+        for check in report.checks:
+            if not check.passed:
+                family, *middle, source = check.name.split(":")
+                kind = "globally_preemptive:" if "globally_preemptive" in middle else ""
+                failed.add((family, kind, source))
+        missed = [(f, kind, c) for f in sorted(families) for kind, c in changed
+                  if f in KINDS[kind] and (f, kind, f"source{c}") not in failed]
         assert missed == [], failed
