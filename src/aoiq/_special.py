@@ -455,7 +455,7 @@ def _t_two_sided(df: int, t: float) -> int:
     return (2 * angle << _BITS) // _fixed_pi()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float df is refused, not the int's value
 def t_quantile(df: int, p: float) -> float:
     """The p-quantile of Student's t law with integer ``df`` >= 1, for 0 < p < 1.
 

@@ -190,12 +190,6 @@ def _quotient_checks(q, den) -> list:
                 f"jet quotient overflows: denominator {tuple(den[:, j].tolist())!r}"))]
 
 
-def _halves(rows):
-    """Coefficient rows of two results laid side by side on the column axis."""
-    rows = np.array(rows)
-    return rows[:, :rows.shape[1] // 2], rows[:, rows.shape[1] // 2:]
-
-
 # The quantities of a built system, by index: M_Y and (M_Y - 1)/s at every
 # expansion point; M_T, the peak-age and the AoI MGF at 0 only.
 _Y, _EXCESS, _T, _PEAK, _AOI = range(5)
@@ -237,19 +231,16 @@ def _build(cfgs, s0: float, order: int) -> list:
         s_k = np.array(mul_rows(s, k))
         detour = 0.0 - s_k
         detour[0] = rates - s_k[0]
-        # products and quotients independent of each other are taken two at a
-        # time, side by side on the column axis
-        denominator, k_loop_free = _halves(mul_rows(np.concatenate([loop_free, k], 1),
-                                                    np.concatenate([detour, loop_free], 1)))
+        denominator = np.array(mul_rows(loop_free, detour))
+        k_loop_free = np.array(mul_rows(k, loop_free))
         scaled_service = service * rates
         numerator = scaled + k_loop_free
-        y, excess = _halves(div_rows(np.concatenate([scaled_service, numerator], 1),
-                                     np.concatenate([denominator, denominator], 1)))
+        y = np.array(div_rows(scaled_service, denominator))
+        excess = np.array(div_rows(numerator, denominator))
         outputs = [y, excess]
         if s0 == 0.0:
             t = service * (1.0 / service[0])
-            peak, t_excess = _halves(mul_rows(np.concatenate([t, t], 1),
-                                              np.concatenate([y, excess], 1)))
+            peak, t_excess = np.array(mul_rows(t, y)), np.array(mul_rows(t, excess))
             aoi = t_excess * (1.0 / y[1])
             outputs += [t, peak, aoi]
         results = np.array(outputs + [loop_free, denominator, g])

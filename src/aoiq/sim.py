@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import logging
 import math
 import time
@@ -56,7 +57,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._special import gamma_pq, t_quantile
+from ._special import gamma_p_inv, t_quantile
 from .analytic import GloballyPreemptiveConfig, SystemConfig
 from .service import UnsupportedDensity, substream
 
@@ -488,16 +489,14 @@ class _Tally:
 
 
 def _simulate_once(
-    cfg: SystemConfig,
-    policy: Policy,
+    system: SystemConfig,
     sim: SimConfig,
     rep: int,
     collect_deliveries: bool,
 ) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
-    system = policy.system(cfg)
-    tally = _Tally(cfg.num_sources, sim, collect_deliveries)
+    tally = _Tally(system.num_sources, sim, collect_deliveries)
     # sample_s and tally_s: the seconds spent in the sampler and in the tally
     end_time, sample_s, tally_s, lap = limit, 0.0, 0.0, time.perf_counter()
     for block in _attempts(system, sim.seed, rep, limit):
@@ -507,11 +506,11 @@ def _simulate_once(
         if stop is not None:
             end_time = stop
             break
-    discarded = np.zeros(cfg.num_sources, np.int64)  # global preemption: every arrival enters
+    discarded = np.zeros(system.num_sources, np.int64)  # global preemption: every arrival enters
     if not _every_arrival_preempts(system):
         # a busy server loses source c's arrivals but its preempting ones
         busy = tally.busy_time
-        mean = np.asarray(cfg.arrival_rates) * (_in_order(busy) - system.theta * busy)
+        mean = np.asarray(system.arrival_rates) * (_in_order(busy) - system.theta * busy)
         discarded[:] = [substream(sim.seed, rep, c, 0).poisson(mu) for c, mu in enumerate(mean)]
     stats = tally.finish(end_time, discarded)
     seconds = time.perf_counter() - clock
@@ -551,7 +550,8 @@ class SourceStats:
 
 @dataclass
 class SimReport:
-    """Merged output of all replications of one (config, policy) run."""
+    """Merged output of all replications of one (config, policy) run;
+    ``system`` is the one the policy acts as (``Policy.system``)."""
 
     system: SystemConfig
     policy: Policy
@@ -597,7 +597,7 @@ def _halfwidth(values: np.ndarray) -> float:
     return t_quantile(m - 1, 0.975) * sd / math.sqrt(m)
 
 
-def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
+def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
     """The _Replication records stacked on axis 0, merged in replication order."""
     end = np.array([r.end_time for r in reps])[:, None]
     counts, times, sums = (
@@ -625,7 +625,7 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
     counters = _in_order(counts).T.tolist()  # Python ints and floats from here on
     values = np.column_stack((_in_order(busy), aoi, aoi_sq, y_mean, a_m1, a_m2)).tolist()
     per_source = []
-    for c in range(cfg.num_sources):
+    for c in range(system.num_sources):
         busy_c, aoi_c, aoi_sq_c, y_c, m1, m2 = values[c]
         hw_aoi, hw_y, hw_a = (_halfwidth(g) for g in groups[c])
         per_source.append(
@@ -645,7 +645,7 @@ def _merge(cfg: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> Sim
         )
     collected = reps[0].deliveries is not None
     return SimReport(
-        system=cfg,
+        system=system,
         policy=policy,
         sim=sim,
         per_source=tuple(per_source),
@@ -667,17 +667,26 @@ def run(
 
     They run on ``executor`` if given, else on a pool of ``workers`` > 1.
     Replications own disjoint substreams and merge in index order, so the
-    report is bit-identical no matter how many workers execute them.
+    report is bit-identical no matter how many workers execute them. The
+    count rule refuses a system in which a source cannot deliver: its
+    delivery probability M_U(-r_c) underflows to 0.
     """
     if not isinstance(policy, Policy):
         raise InvalidConfig(f"not a policy: {policy!r}")
-    args = [(cfg, policy, sim, rep, collect_deliveries) for rep in range(sim.replications)]
+    system = policy.system(cfg)
+    if sim.delivered_per_source is not None:
+        for c, rate in enumerate(system.preemption_rates):
+            if system.service.mgf_point(-rate) == 0.0:
+                raise InvalidConfig(f"source {c} never reaches delivered_per_source = "
+                                    f"{sim.delivered_per_source}: its delivery probability "
+                                    f"M_U(-{rate!r}) underflows to 0")
+    args = [(system, sim, rep, collect_deliveries) for rep in range(sim.replications)]
     with contextlib.ExitStack() as stack:
         if executor is None and workers > 1 and sim.replications > 1:
             executor = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         mapper = map if executor is None or sim.replications == 1 else executor.map
         reps = list(mapper(_simulate_once, *zip(*args)))
-    return _merge(cfg, policy, sim, reps)
+    return _merge(system, policy, sim, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +734,13 @@ def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
 
 
 _FIT_BINS = 50  # equal-probability bins of the system-time fit
+_FIT_LEVEL = 1e-3  # the fit's false-alarm rate
+
+
+@functools.cache
+def _fit_tolerance() -> float:
+    """The chi-square(_FIT_BINS - 1) quantile at 1 - _FIT_LEVEL: 2 P^-1(k/2, p)."""
+    return 2.0 * float(gamma_p_inv(0.5 * (_FIT_BINS - 1), 1.0 - _FIT_LEVEL))
 
 
 def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -740,38 +756,33 @@ def empirical_checks(
     policy: Policy,
     min_samples: int = 10_000,
 ) -> CheckSummary:
-    """Goodness-of-fit of a probabilistic-policy run against the theory.
+    """Goodness-of-fit of a run against the theory of the system ``policy``
+    acts as on ``cfg`` (``Policy.system``), source c's packets preempted at
+    its r_c.
 
     Per source: (i) chi-square of delivered system times against the
     tilted service density on equal-probability bins, (ii) delivery
-    probability of packets entering service against the service MGF at the
-    negated preemption rate, (iii) idle-server race frequencies against
-    the rate shares, (iv) observed preemption rate per unit of in-service
-    exposure against the thinned arrival rate (a censoring-robust test of
-    the exponential preemption-gap law).
+    probability of packets entering service against the service MGF at
+    -r_c, (iii) idle-server race frequencies against the rate shares,
+    (iv) observed preemption rate per unit of in-service exposure against
+    r_c (a censoring-robust test of the exponential preemption-gap law).
     """
-    if policy.kind is not PolicyKind.PROBABILISTIC:
-        raise InvalidConfig("empirical checks are defined for the probabilistic policy")
-    theta = policy.theta
     results: list[CheckResult] = []
-    total_rate = cfg.total_rate
     total_races = sum(s.race_entries for s in report.per_source)
     if total_races < min_samples:
         raise InsufficientSamples(
             f"need >= {min_samples} idle-server races, got {total_races}"
         )
 
-    edges_at, qs = {}, np.arange(1, _FIT_BINS) / _FIT_BINS  # the bin edges per preemption rate
-    for c, stats_c in enumerate(report.per_source):
-        preempt_rate = theta * cfg.arrival_rates[c]
-
+    qs = np.arange(1, _FIT_BINS) / _FIT_BINS
+    edges_at = functools.cache(lambda rate: cfg.service.tilted_quantiles(rate, qs))  # per r_c
+    rates = policy.system(cfg).preemption_rates
+    for c, (stats_c, preempt_rate) in enumerate(zip(report.per_source, rates)):
         # (i) system-time fit
         name = f"source{c}:system_time_fit"
         samples = stats_c.system_times
         try:
-            if preempt_rate not in edges_at:
-                edges_at[preempt_rate] = cfg.service.tilted_quantiles(preempt_rate, qs)
-            edges = edges_at[preempt_rate]
+            edges = edges_at(preempt_rate)
         except UnsupportedDensity:
             results.append(
                 CheckResult(name, "skip", math.nan, math.nan, "point-mass service has no density")
@@ -784,16 +795,8 @@ def empirical_checks(
             counts = _bin_counts(samples, edges)
             expected = samples.size / _FIT_BINS
             stat = float(np.sum((counts - expected) ** 2) / expected)
-            pval = float(gamma_pq(0.5 * (_FIT_BINS - 1), 0.5 * stat)[1])  # chi-square tail
-            results.append(
-                CheckResult(
-                    name,
-                    "pass" if pval > 1e-3 else "fail",
-                    pval,
-                    1e-3,
-                    f"chi2={stat:.1f} over {_FIT_BINS} bins, n={samples.size}",
-                )
-            )
+            results.append(verdict(name, stat, _fit_tolerance(), (
+                f"chi-square over {_FIT_BINS} bins at level {_FIT_LEVEL:g}, n={samples.size}")))
 
         # (ii) delivery probability
         name = f"source{c}:delivery_probability"
@@ -808,29 +811,23 @@ def empirical_checks(
         results.append(_share_check(name, stats_c.delivered, decided, p_expect))
 
         # (iii) arrival-race frequency
-        p_expect = cfg.arrival_rates[c] / total_rate
+        p_expect = cfg.arrival_rates[c] / cfg.total_rate
         name = f"source{c}:race_frequency"
         results.append(_share_check(name, stats_c.race_entries, total_races, p_expect))
 
         # (iv) preemption rate over in-service exposure
         name = f"source{c}:preemption_rate"
+        expect = preempt_rate * stats_c.busy_time
         if preempt_rate == 0.0:
             results.append(
-                verdict(name, float(stats_c.preempted), 0.0,
-                        "no preemption expected at theta*rate = 0")
+                verdict(name, float(stats_c.preempted), 0.0, "no preemption expected at r_c = 0")
             )
+        elif expect < 100.0:
+            results.append(CheckResult(name, "skip", expect, 100.0,
+                                       "expected preemption count too small for a rate test"))
         else:
-            expect = preempt_rate * stats_c.busy_time
-            if expect < 100.0:
-                results.append(
-                    CheckResult(
-                        name, "skip", expect, 100.0,
-                        "expected preemption count too small for a rate test",
-                    )
-                )
-            else:
-                z = abs(stats_c.preempted - expect) / math.sqrt(expect)
-                detail = (f"{stats_c.preempted} preemptions vs {expect:.1f} expected "
-                          f"over exposure {stats_c.busy_time:.1f}")
-                results.append(verdict(name, z, 3.0, detail))
+            z = abs(stats_c.preempted - expect) / math.sqrt(expect)
+            detail = (f"{stats_c.preempted} preemptions vs {expect:.1f} expected "
+                      f"over exposure {stats_c.busy_time:.1f}")
+            results.append(verdict(name, z, 3.0, detail))
     return CheckSummary(tuple(results))

@@ -169,7 +169,7 @@ def iter_sweep_rows(
     solutions = solve_moments(list(systems), 2)
     solved: dict[SystemConfig, _Block] = {}
     simulated: dict[SystemConfig, _Block] = {
-        r.policy.system(r.system): _simulated_block(r)
+        r.system: _simulated_block(r)
         for r in reports
         if r.sim == spec.sim
     }

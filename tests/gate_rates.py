@@ -30,6 +30,7 @@ GATES = {
     "analytic_system_time_mgf": test_sim.system_time_mgf_gate,
     "analytic_aoi_mgf": test_sim.aoi_mgf_gate,
     "analytic_global": test_sim.global_gate,
+    "empirical_checks_baselines": test_sim.policy_checks_gate,
 }
 
 

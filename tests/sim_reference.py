@@ -381,7 +381,7 @@ def merge(cfg, policy, sim, reps):
         deliveries = np.array([row for r in reps for row in r.deliveries], dtype=float)
         deliveries = deliveries.reshape(-1, 6)
     return sim_mod.SimReport(
-        system=cfg,
+        system=policy.system(cfg),
         policy=policy,
         sim=sim,
         per_source=tuple(per_source),

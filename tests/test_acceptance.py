@@ -218,8 +218,8 @@ def criterion_6(seed):
     )
     return (
         ok,
-        f"1e5 delivered packets: tilted-density chi-square p={fit.discrepancy:.4f} "
-        f"(>0.001); delivery-probability z={deliv.discrepancy:.2f} (<=3); "
+        f"1e5 delivered packets: tilted-density chi-square {fit.discrepancy:.1f} "
+        f"(<={fit.tolerance:.1f}); delivery-probability z={deliv.discrepancy:.2f} (<=3); "
         f"race-frequency z={race.discrepancy:.2f} (<=3); {elapsed:.0f}s (<120s)",
     )
 

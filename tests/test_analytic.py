@@ -18,7 +18,9 @@ from aoiq.analytic import (
     moments_both_routes,
     paoi_mgf_jet,
     system_time_mgf_jet,
+    solve_moments,
 )
+from aoiq.analytic import _solve
 from grid_helpers import config_grid
 
 # the single-source fully preemptive exponential anchor: all four
@@ -206,6 +208,23 @@ class TestMoments:
             moments(ANCHOR, 0, 0)
         with pytest.raises(ValueError):
             moments(ANCHOR, 1, 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SystemConfig((), 0.5, Exponential(1.0)), "need at least one source"),
+        (lambda: _solve([ANCHOR], 0.0, 0), "jet order must be >= 1, got 0"),
+        (lambda: _solve([ANCHOR, SystemConfig((1.0,), 1.0, Exponential(2.0))], 0.0, 2),
+         "the systems of a batch share one service law and one source count"),
+        (lambda: _solve([ANCHOR, SystemConfig((1.0, 1.0), 1.0, Exponential(1.0))], 0.0, 2),
+         "the systems of a batch share one service law and one source count"),
+        (lambda: list(solve_moments([ANCHOR], 0)), "moment order must be >= 1"),
+    ], ids=["no sources", "order 0", "mixed laws", "mixed source counts", "moment order 0"])
+    def test_malformed_requests_rejected(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_empty_batch_builds_nothing(self):
+        assert _solve([], 0.0, 2) == [] and list(solve_moments([], 2)) == []
 
 
 class TestGlobalPreemption:

@@ -319,6 +319,22 @@ class TestExitCodes:
             for col in ("mean_aoi", "mean_paoi", "aoi_m2", "paoi_m2", "sum_mean_aoi"):
                 assert np.isfinite(float(r[col])) and float(r[col]) > 0
 
+    @pytest.mark.parametrize("command, policy, theta, rate", [
+        ("simulate", "probabilistic", "1", "750.0"),
+        ("sweep", "globally_preemptive", "0", "751.0"),
+    ])
+    def test_undeliverable_count_rule_is_a_config_error(self, tmp_path, capsys, command, policy,
+                                                        theta, rate):
+        # M_U(-750) underflows to 0: under the count rule the run would never end
+        spec, out = write_spec(tmp_path, POINT_SPEC.replace("horizon = 2000", "delivered = 10"))
+        argv = [command, "-c", spec, "--arrival-rates", "750, 1", "--theta", theta,
+                "--service", "deterministic(value=1)", "--policies", policy, "--mode", "simulate"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: source 0 never reaches delivered_per_source = 10: "
+            f"its delivery probability M_U(-{rate}) underflows to 0\n")
+        assert out.read_text().count("\n") == 1  # the header; rows stream as they come
+
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         spec, out = write_spec(tmp_path, POINT_SPEC)
         assert main(["simulate", "-c", spec, "--seed", "-3"]) == 1

@@ -167,3 +167,39 @@ class TestIntegerKeys:
                "seed": spec.sim.seed, "replications": spec.sim.replications,
                "batches": spec.sim.batches}[key]
         assert got == 20 and type(got) is int
+
+
+SWEEP = MINIMAL + "\n[sweep]\n"
+# each branch of build_spec that refuses a spec: its text, error type and message
+REJECTED_SPECS = {
+    "no arrival_rates": ("[system]\nservice = exponential(rate=1)\n", ValidationError,
+                         "[system] arrival_rates is required"),
+    "no service": ("[system]\narrival_rates = 1\n", ValidationError, "[system] service is required"),
+    "malformed rates": ("[system]\narrival_rates = 1, x\nservice = exponential(rate=1)\n",
+                        ParseError,
+                        "[system] arrival_rates = '1, x' is not a comma list of numbers"),
+    "bad axis": (SWEEP + "axis = rho\n", ValidationError,
+                 "[sweep] axis must be one of ('theta', 'lambda1', 'none'), got 'rho'"),
+    "bad mode": (SWEEP + "mode = guess\n", ValidationError,
+                 "[sweep] mode must be one of ('analytic', 'simulate', 'both'), got 'guess'"),
+    "no stop": (SWEEP + "axis = lambda1\nstart = 0\npoints = 3\n", ValidationError,
+                "[sweep] start/stop/points are required for a lambda1 sweep"),
+    "empty policies": (SWEEP + "policies =\n", ValidationError,
+                       "[sweep] policies must list at least one policy"),
+    "blank policies": (SWEEP + "policies = , ,\n", ValidationError,
+                       "[sweep] policies must list at least one policy"),
+    "duplicate policies": (SWEEP + "policies = self_preemptive, probabilistic, Self_Preemptive\n",
+                           ValidationError, "[sweep] duplicate policy names"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", REJECTED_SPECS.values(), ids=REJECTED_SPECS)
+def test_rejected_spec(text, error, message):
+    with pytest.raises(ValueError) as info:
+        parse_spec(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_blank_policy_entries_are_skipped():
+    spec = parse_spec(SWEEP + "policies = probabilistic, , globally_preemptive,\n")
+    assert spec.policies == (PolicyKind.PROBABILISTIC, PolicyKind.GLOBALLY_PREEMPTIVE)

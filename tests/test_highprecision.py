@@ -632,6 +632,26 @@ def test_incomplete_beta_at_integer_order_against_mpmath(b):
             assert _max_rel_err(beta_orders(10, b, v), exact) <= SPECIAL_RTOL
 
 
+@pytest.mark.parametrize("df", [1, 2, 9])
+def test_t_quantile_below_and_at_the_median(df):
+    # below the median the quantile is the upper one at the exact 1 - p, negated
+    assert t_quantile(df, 0.5) == 0.0
+    nu = mp.mpf(df)
+    with mp.workdps(40):
+        for p in (0.025, 0.1):
+            got = t_quantile(df, p)
+            exact = mp.findroot(lambda t: mp.betainc(nu / 2, 0.5, 0, nu / (nu + t * t),
+                                                     regularized=True) / 2 - mp.mpf(p), -mp.mpf(got))
+            assert got < 0 and abs(mp.mpf(got) + exact) <= 4 * np.spacing(float(exact)), p
+
+
+@pytest.mark.parametrize("df, p", [(0, 0.975), (2.0, 0.975), (3, 0.0), (3, 1.0)])
+def test_t_quantile_outside_its_domain(df, p):
+    with pytest.raises(ValueError) as info:
+        t_quantile(df, p)
+    assert str(info.value) == f"need an integer df >= 1 and 0 < p < 1, got df={df}, p={p}"
+
+
 def test_t_quantile_against_mpmath():
     # the CI half-width's quantile at p = double(0.975), df = batches - 1;
     # scipy's stdtrit is 17 ulps off at df = 6

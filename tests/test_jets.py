@@ -163,6 +163,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             jet(math.inf, 1.0)
 
+    @pytest.mark.parametrize("center, coeffs, message", [
+        (0.0, (), "a jet needs at least one coefficient"),
+        (math.inf, (1.0,), "jet center must be finite"),
+        (math.nan, (1.0, 2.0), "jet center must be finite"),
+    ], ids=["no coefficients", "infinite center", "nan center"])
+    def test_malformed_jets_rejected(self, center, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            Jet(center, coeffs)
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_variable(self):
         s = Jet.variable(3, center=2.0)
         assert s.coeffs == (2.0, 1.0, 0.0, 0.0)

@@ -298,3 +298,22 @@ class TestParseDistribution:
     def test_non_finite_parameters_rejected(self, spec):
         with pytest.raises(ValueError, match="finite"):
             parse_distribution(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("exponential", "bad distribution spec 'exponential'; expected name(param=value, ...)"),
+        ("gamma(shape=1, 2)", "bad distribution parameter ' 2'; expected key=value"),
+        ("exponential(scale=1)", "unknown parameter 'scale' for exponential; expected ('rate',)"),
+    ], ids=["no parentheses", "no equals sign", "unknown parameter"])
+    def test_malformed_specs_rejected(self, spec, message):
+        with pytest.raises(ValueError) as info:
+            parse_distribution(spec)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("law", [Exponential(2.0), LogNormal(-1.0, 1.0)])
+@pytest.mark.parametrize("t0", [1e-10, 5e-324])
+def test_survival_jet_refused_just_above_zero(law, t0):
+    # (M(t) - 1) / t would lose about -log10(t0) digits there
+    with pytest.raises(MgfDomainError) as info:
+        law.survival_mgf_jet(t0, 2)
+    assert str(info.value) == f"survival transform refused for 0 < t0 < 1e-09, got {t0}"

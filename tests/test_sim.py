@@ -50,6 +50,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(seed=1, horizon=10.0, replications=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SimConfig(seed=1, delivered_per_source=0),
+         "delivered_per_source must be positive, got 0"),
+        (lambda: run(TWO_EXP, "probabilistic", small_sim()), "not a policy: 'probabilistic'"),
+        # M_U(-750) underflows to 0: source 0 would never deliver, and the run never end
+        (lambda: run(SystemConfig((750.0, 1.0), 1.0, Deterministic(1.0)), Policy.probabilistic(1.0),
+                     SimConfig(seed=1, delivered_per_source=10)),
+         "source 0 never reaches delivered_per_source = 10: "
+         "its delivery probability M_U(-750.0) underflows to 0"),
+        (lambda: run(SystemConfig((750.0, 1.0), 0.0, Deterministic(1.0)),
+                     Policy.globally_preemptive(), SimConfig(seed=1, delivered_per_source=10)),
+         "source 0 never reaches delivered_per_source = 10: "
+         "its delivery probability M_U(-751.0) underflows to 0"),
+    ], ids=["no deliveries asked", "not a policy", "undeliverable", "undeliverable global"])
+    def test_invalid_run_rejected(self, call, message):
+        with pytest.raises(InvalidConfig) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_undeliverable_source_under_the_time_rule_runs(self):
+        cfg = SystemConfig((750.0, 1.0), 1.0, Deterministic(1.0))
+        report = run(cfg, Policy.probabilistic(1.0), small_sim(horizon=2.0))
+        assert report.per_source[0].delivered == 0
+
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_horizon_must_be_finite(self, horizon):
         with pytest.raises(InvalidConfig):
@@ -435,7 +459,7 @@ class TestBatchCounts:
     )
     def test_batches_total_the_sums(self, stop):
         sim = SimConfig(seed=5, warmup_fraction=0.0, **stop)
-        rep = _simulate_once(TWO_EXP, Policy.probabilistic(0.5), sim, 0, False)
+        rep = _simulate_once(TWO_EXP, sim, 0, False)
         for c in range(TWO_EXP.num_sources):
             y_sum, a_sum, cnt = rep.batch[c, :3].sum(axis=1)
             ya_n, y_total, a_total, _ = rep.sums[c]
@@ -541,6 +565,22 @@ def global_gate(seed):
     return not misses, "; ".join(misses) or f"largest gap {worst:.2f} of {scale:.2f} half-widths"
 
 
+def policy_checks_gate(seed):
+    """``empirical_checks`` on runs of the paper system and TWO_EXP under the
+    non-, self- and globally preemptive policies, each against the system it
+    acts as: 6 runs of 12,000 deliveries a source, 48 checks, at one seed."""
+    sim = SimConfig(seed=seed, delivered_per_source=12_000, warmup_fraction=0.0)
+    misses, count = [], 0
+    for name, cfg in (("paper", PAPER), ("two_exp", TWO_EXP)):
+        for policy in (Policy.non_preemptive(), Policy.self_preemptive(),
+                       Policy.globally_preemptive()):
+            results = empirical_checks(run(cfg, policy, sim), cfg, policy).results
+            count += sum(r.status != "skip" for r in results)
+            misses += [f"{name} {policy.kind.value} {r.name}: {r.discrepancy:.3g} > {r.tolerance:.3g}"
+                       for r in results if r.status == "fail"]
+    return not misses, "; ".join(misses) or f"{count} checks passed"
+
+
 class TestAgainstAnalytic:
     # each gate's seed is fixed here; tests/gate_rates.py reruns them over seeds
     def test_anchor_aoi_and_interdeparture(self):
@@ -627,9 +667,46 @@ class TestEmpiricalChecks:
         assert any("delivery_probability" in n for n in failed)
         assert any("preemption_rate" in n for n in failed)
 
-    def test_non_probabilistic_rejected(self, report):
-        with pytest.raises(InvalidConfig):
-            empirical_checks(report, TWO_EXP, Policy.self_preemptive())
+    def test_every_policy_passes(self, report):
+        # each policy's run is checked against the system it acts as
+        assert empirical_checks(report, TWO_EXP, Policy.probabilistic(0.5)).all_passed
+        ok, detail = policy_checks_gate(3)
+        assert ok, detail
+
+    @pytest.mark.parametrize("policy", [
+        Policy.probabilistic(0.3), Policy.non_preemptive(), Policy.self_preemptive(),
+        Policy.globally_preemptive()], ids=_policy_id)
+    def test_report_carries_the_system_it_acted_as(self, policy):
+        got = run(TWO_EXP, policy, small_sim(horizon=50.0)).system
+        assert got == policy.system(TWO_EXP)
+        assert type(got) is type(policy.system(TWO_EXP))
+
+    def test_too_few_service_entries(self, report):
+        starved = dataclasses.replace(report, per_source=(
+            report.per_source[0], dataclasses.replace(report.per_source[1], entered_service=9_999)))
+        with pytest.raises(InsufficientSamples, match="service entries for source 1, got 9999"):
+            empirical_checks(starved, TWO_EXP, Policy.probabilistic(0.5))
+
+    def test_rate_check_skips_under_100_expected_preemptions(self, report):
+        # exposure 90 at r_1 = theta * lambda_1 = 1 expects 90 preemptions
+        short = dataclasses.replace(report, per_source=(
+            report.per_source[0], dataclasses.replace(report.per_source[1], busy_time=90.0)))
+        result = {r.name: r for r in empirical_checks(short, TWO_EXP, Policy.probabilistic(0.5)).results}
+        check = result["source1:preemption_rate"]
+        assert (check.status, check.discrepancy, check.tolerance) == ("skip", 90.0, 100.0)
+        assert check.detail == "expected preemption count too small for a rate test"
+        assert check.passed
+
+    def test_fit_tolerance_is_the_chi_square_quantile(self):
+        import mpmath
+
+        p = mpmath.mpf(1.0 - 1e-3)  # the level as a float, exactly
+        with mpmath.workdps(40):
+            want = 2 * mpmath.findroot(
+                lambda x: mpmath.gammainc(24.5, 0, x, regularized=True) - p, 42)
+        got = sim_mod._fit_tolerance()
+        assert abs(got - float(want)) <= 4 * math.ulp(float(want))
+        assert got == pytest.approx(85.3505646085931, rel=1e-15)
 
     def test_insufficient_samples(self):
         tiny = run(TWO_EXP, Policy.probabilistic(0.5), small_sim(horizon=200.0))
@@ -671,7 +748,6 @@ class TestEmpiricalChecks:
         rep = run(cfg, Policy.probabilistic(0.0), sim)
         summary = empirical_checks(rep, cfg, Policy.probabilistic(0.0))
         assert summary.all_passed, summary.failures()
-
 
 REFERENCE_SYSTEMS = {
     "one-exp": SystemConfig((1.5,), 0.5, Exponential(1.0)),

@@ -51,6 +51,20 @@ class TestSuite:
         fits = [c for c in suite_report.checks if c.name.startswith("distribution_fit")]
         assert any(c.status != "skip" for c in fits), fits
 
+    def test_one_pass_rule(self, suite_report):
+        # every check that is not skipped, the system-time fit included,
+        # passes exactly when its discrepancy is within its tolerance; the run
+        # checked against the wrong theta gives failures of every check kind
+        cfg = EXP_SPEC.system
+        report = run(cfg, Policy.probabilistic(cfg.theta), EXP_SPEC.sim)
+        wrong = empirical_checks(report, cfg, Policy.probabilistic(0.9)).results
+        checks = [c for c in suite_report.checks + wrong if c.status != "skip"]
+        assert {c.name.split(":")[-1] for c in checks if c.status == "fail"} == {
+            "system_time_fit", "delivery_probability", "preemption_rate"}
+        assert any(c.name.endswith("system_time_fit") and c.passed for c in checks)
+        for c in checks:
+            assert (c.status == "pass") == (c.discrepancy <= c.tolerance), c
+
     def test_distribution_fit_is_empirical_checks(self):
         # the suite reports the simulator's checks as they are, under a
         # prefix; at this horizon every source has enough samples to check
