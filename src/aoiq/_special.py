@@ -7,19 +7,17 @@
   by the Fritsch-Shafer-Cox iteration from the starting points of Lawrence,
   Corless and Jeffrey (ACM TOMS 38(3), 2012, Algorithm 917).
 - ``log_factorials``: log k!, from the exact integer k!.
-- ``gamma_pq``: the regularized incomplete gamma functions P(a, x) and
-  Q(a, x); ``gamma_p_orders`` gives P(n, x) for n = 1..N at once, and
-  ``gamma_p_inv`` inverts P.
+- ``gamma_p_orders``: the regularized lower incomplete gamma function
+  P(n, x) for n = 1..N at once.
 - ``beta_orders``: the regularized incomplete beta function I_x(n, b) for
   n = 1..N at once.
 - ``t_quantile``: quantiles of Student's t law at integer degrees of
   freedom, rounded from a 200-bit evaluation of its distribution function.
 
-Kernels over many points, erfcx over quadrature nodes and the incomplete
-gamma function over quantile levels, run in numpy across points and series
-terms. Kernels over the order + 1 entries of one jet, omega, P(n, x) and
-I_x(n, b), run in scalar ``math``: on rows that short a numpy call costs
-more than the arithmetic.
+erfcx, a kernel over many quadrature nodes, runs in numpy. Kernels over
+the order + 1 entries of one jet, omega, P(n, x) and I_x(n, b), run in
+scalar ``math``: on rows that short a numpy call costs more than the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -34,15 +32,10 @@ __all__ = [
     "erfcx",
     "wright_omega",
     "log_factorials",
-    "gamma_pq",
-    "gamma_p_inv",
     "gamma_p_orders",
     "beta_orders",
     "t_quantile",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
 
 class ConvergenceError(RuntimeError):
     """An iterative inversion failed to converge."""
@@ -65,7 +58,6 @@ _CODY_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-
 _CODY_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
            6.05183413124413191e-2, 2.33520497626869185e-3)
 _INV_SQRT_PI = 5.6418958354775628695e-1
-_HALF_GAMMA = math.gamma(1.5)  # sqrt(pi) / 2
 
 
 def _rational(num, den, y):
@@ -155,27 +147,6 @@ def log_factorials(n: int) -> np.ndarray:
     return np.array(_log_factorials(n))
 
 
-def _power_term(a, x):
-    """x^a e^-x / Gamma(a + 1), as the product of its rounded factors where none
-    leaves the normal range, else through its logarithm."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        log_x = np.log(x)
-        gamma = np.array([math.gamma(v + 1.0) if v < 150.0 else math.inf for v in a.ravel()])
-        direct = x ** a * np.exp(-x) / gamma.reshape(a.shape)
-        logged = np.exp(a * log_x - x - np.array([math.lgamma(v + 1.0) for v in a.ravel()])
-                        .reshape(a.shape))
-        safe = (a < 150.0) & (x < 600.0) & (np.abs(a * log_x) < 600.0)
-        return np.where(x == 0.0, 0.0, np.where(safe, direct, logged))
-
-
-_INDEX = np.arange(1.0, 4097.0)
-
-
-def _indices(n: int) -> np.ndarray:
-    """1.0, 2.0, ..., n: the term indices of the series below."""
-    return _INDEX[:n] if n <= len(_INDEX) else np.arange(1.0, n + 1.0)
-
-
 def _orders(terms: list, scale: float, tail) -> np.ndarray:
     """F(n) = scale sum_{j>=n} t_j for n = 1..len(terms), given t_0..t_(len-1) of a
     run of positive terms whose full sum is 1/scale: 1 - scale sum_{j<n} t_j
@@ -241,161 +212,6 @@ def beta_orders(count: int, b: float, x: float) -> np.ndarray:
     for j in range(1, count):
         terms.append(terms[-1] * x * (b + j - 1.0) / j)
     return _orders(terms, math.exp(b * math.log1p(-x)), tail)
-
-
-def gamma_pq(a, x):
-    """The regularized incomplete gamma functions P(a, x) and Q(a, x) = 1 - P(a, x),
-    elementwise, for a > 0 and x >= 0.
-
-    Where 2a is an integer up to 64 (``_lattice_pq``), both are sums of one run
-    of positive terms. At other a, below x = a + 1, the series
-    P = x^a e^-x / Gamma(a+1) sum_j x^j / ((a+1)...(a+j)) serves, its terms all
-    positive, and above it the continued fraction for Q; each takes the other
-    as its complement, which is then at least about 1/3."""
-    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    zero = np.zeros(np.broadcast_shapes(a.shape, x.shape))
-    a, x = a + zero, x + zero
-    lattice = (2.0 * a == np.floor(2.0 * a)) & (a <= 64.0)
-    if lattice.all():
-        p, q = _lattice_pq(a.ravel(), x.ravel())
-        return p.reshape(a.shape), q.reshape(a.shape)
-    p, q = np.empty(a.shape), np.empty(a.shape)
-    if lattice.any():
-        p[lattice], q[lattice] = _lattice_pq(a[lattice], x[lattice])
-    lower = ~lattice & (x < a + 1.0)
-    if lower.any():
-        p[lower] = _gamma_p_series(a[lower], x[lower])
-        q[lower] = 1.0 - p[lower]
-    upper = ~lattice & ~lower
-    if upper.any():
-        q[upper] = _gamma_q_fraction(a[upper], x[upper])
-        p[upper] = 1.0 - q[upper]
-    return p, q
-
-
-def _gamma_p_series(a, x):
-    """P(a, x) = x^a e^-x / Gamma(a+1) (1 + x/(a+1) + x^2/((a+1)(a+2)) + ...) for
-    x < a + 1, where the ratios x/(a+j) fall: the terms double until the last,
-    times the geometric bound on the rest, is below 1e-17 of the sum."""
-    terms = 32
-    while True:
-        ratios = x[:, None] / (a[:, None] + _indices(terms))
-        parts = np.cumprod(ratios, axis=1)
-        total = 1.0 + np.sum(parts, axis=1)
-        rho = ratios[:, -1]
-        if np.all(parts[:, -1] * rho <= 1e-17 * (1.0 - rho) * total):
-            return _power_term(a, x) * total
-        if terms > 1 << 20:
-            raise ConvergenceError("incomplete gamma series did not converge")
-        terms *= 2
-
-
-def _lattice_pq(a, x):
-    """P and Q at integer and half-integer a, for 1-d a and x.
-    With a = m + f, f = 0 or 1/2, and t_j = e^-x x^(j+f) / Gamma(j+f+1), the
-    Poisson weights at f = 0:
-
-        Q = erfc(sqrt x) [f = 1/2] + sum_{j<m} t_j,    P = sum_{j>=m} t_j.
-
-    Q is read off the first m terms and P = 1 - Q where Q <= 1/2. Elsewhere x
-    lies below about a and P is the tail: 2m + 60 terms take its ratios
-    x/(j+f) below 1e-17. e^-x is applied in two halves, so that the sums lift
-    it out of the subnormals."""
-    m = np.floor(a)
-    f = a - m
-    half = f.any()
-    rows, index = np.arange(len(a)), m.astype(int)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        steps = _INDEX[: 2 * int(m.max()) + 60] - 1.0 + f[:, None]  # j + f, j = 0, 1, ...
-        ratios = np.minimum(x, 1500.0)[:, None] / steps
-        if half:
-            root = np.sqrt(x)
-            ratios[:, 0] = np.where(f > 0.0, root / _HALF_GAMMA, 1.0)
-        else:
-            ratios[:, 0] = 1.0
-        terms = np.cumprod(ratios, axis=1)
-        head = np.where(index > 0, np.cumsum(terms, axis=1)[rows, index - 1], 0.0)
-        tail = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][rows, index]
-        if half:
-            head += np.where(f > 0.0, erfcx(root), 0.0)
-        decay = np.exp(-0.5 * x)
-        q = head * decay * decay
-        return np.where(q > 0.5, tail * decay * decay, 1.0 - q), q
-
-
-def _gamma_q_fraction(a, x):
-    """Q(a, x) for x >= a + 1 by the continued fraction
-    x^a e^-x / Gamma(a) / (b_1 - a_1/(b_2 - a_2/(b_3 - ...))), b_i = x + 2i - 1 - a,
-    a_i = i (i - a). A forward (modified Lentz) pass finds the depth at which
-    every element has converged; the fraction is then summed from the bottom
-    up to that depth, which does not accumulate rounding as the forward
-    product does."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full(a.shape, 1.0 / tiny)
-    d = 1.0 / b
-    done = np.zeros(a.shape, dtype=bool)
-    for depth in range(1, 1000):
-        an = -depth * (depth - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        done |= np.abs(d * c - 1.0) <= _EPS
-        if done.all():
-            break
-    else:
-        raise ConvergenceError("incomplete gamma continued fraction did not converge")
-    f = x + 2.0 * depth + 3.0 - a
-    for i in range(depth + 1, 0, -1):
-        f = x + 2.0 * i - 1.0 - a - i * (i - a) / f
-    return _power_term(a, x) * a / f
-
-
-def gamma_p_inv(a: float, p):
-    """The x with P(a, x) = p, elementwise in p in [0, 1), for a scalar a > 0.
-
-    Halley steps on P - p below p = 1/2 and on (1 - p) - Q above it, so the
-    residual keeps its relative precision in both tails, from the starting
-    point of Numerical Recipes (3rd ed., 6.2.1): Wilson-Hilferty for a > 1,
-    a power law for a <= 1."""
-    p = np.asarray(p, dtype=float)
-    upper = p >= 0.5
-    tail = np.where(upper, 1.0 - p, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if a > 1.0:
-            t = np.sqrt(-2.0 * np.log(tail))
-            z = t - (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481))  # z_(1-tail)
-            z = np.where(upper, z, -z)  # the normal quantile at p
-            x = np.maximum(1e-3, a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3)
-        else:
-            t = 1.0 - a * (0.253 + a * 0.12)
-            x = np.where(p < t, (p / t) ** (1.0 / a), 1.0 - np.log1p(-(p - t) / (1.0 - t)))
-    log_gamma_a = math.lgamma(a)
-    done = p == 0.0
-    x = np.where(done, 0.0, x)
-    last = np.full(p.shape, np.inf)
-    for _ in range(100):
-        lower_p, upper_q = gamma_pq(a, x)
-        err = np.where(upper, tail - upper_q, lower_p - tail)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            density = np.exp((a - 1.0) * np.log(x) - x - log_gamma_a)
-            u = err / density
-            step = u / (1.0 - 0.5 * np.minimum(1.0, u * ((a - 1.0) / x - 1.0)))
-        new = x - step
-        new = np.where(new <= 0.0, 0.5 * x, new)
-        # converged: a step within an ulp, or, near there, one that no longer
-        # shrinks, as steps into the rounding noise of P and Q do not
-        size = np.abs(step)
-        converged = (size <= _EPS * new) | ((size <= 1e-12 * new) & (size >= 0.5 * last))
-        x = np.where(done, x, new)
-        last = size
-        done |= converged
-        if done.all():
-            return x
-    raise ConvergenceError(f"incomplete gamma inverse did not converge (a={a})")
 
 
 # --- Student's t quantile, from its distribution function in 200-bit fixed point

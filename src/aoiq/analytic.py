@@ -402,13 +402,14 @@ def moments(cfg: SystemConfig, source: int, max_order: int = 2) -> AoiMetrics:
 
 def solve_moments(cfgs, max_order: int = 2) -> Iterator[list[AoiMetrics]]:
     """``moments`` of every source of each system, in order, built as one batch
-    (one law and source count). A system that fails raises its error at its
-    turn, after the systems before it; nothing is kept once it is done."""
+    (one law and source count) when called. A system that fails raises its
+    error at its turn, after the systems before it; nothing is kept once it
+    is done."""
     if max_order < 1:
         raise ValueError("moment order must be >= 1")
-    for cfg, system in zip(cfgs, _solve(cfgs, 0.0, max_order)):
-        yield [_direct_moments(cfg, c, max_order, max_order, system)[2]
-               for c in range(cfg.num_sources)]
+    return ([_direct_moments(cfg, c, max_order, max_order, system)[2]
+             for c in range(cfg.num_sources)]
+            for cfg, system in zip(cfgs, _solve(cfgs, 0.0, max_order)))
 
 
 def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -> float:

@@ -1,10 +1,10 @@
 """Service-time distributions.
 
-Each distribution supplies sampling, quantiles of its tilted law and
-truncated Taylor expansions of its moment generating function
-M(t) = E[exp(t*U)] at non-positive arguments. The expansion coefficients
-E[U^k exp(t0*U)] / k! are the single analytic primitive every AoI formula
-consumes; coefficient k never depends on the order requested.
+Each distribution supplies sampling and truncated Taylor expansions of
+its moment generating function M(t) = E[exp(t*U)] at non-positive
+arguments. The expansion coefficients E[U^k exp(t0*U)] / k! are the
+single analytic primitive every AoI formula consumes; coefficient k never
+depends on the order requested.
 
 Exponential, gamma and deterministic laws use closed-form derivative
 formulas. The log-normal law has no closed-form MGF. In z = (ln u -
@@ -12,7 +12,7 @@ loc)/scale each of its integrals is log-concave with its mode at a
 Lambert-W point (Asmussen, Jensen and Rojas-Nandayapa, Methodol. Comput.
 Appl. Probab. 18, 2016), so one fixed Gauss-Legendre panel rule over a
 window fitted to that mode computes every coefficient, within 1e-14
-relative of 40-digit quadrature, and the quantiles of the tilted law.
+relative of 40-digit quadrature.
 
 ``jet_pairs`` gives the (M, H) coefficients at many shifts, as a batch of
 systems reads them; the log-normal rules take a vector of shifts, a fixed
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from ._special import (
-    ConvergenceError, beta_orders, erfcx, gamma_p_inv, gamma_p_orders, log_factorials, wright_omega,
+    ConvergenceError, beta_orders, erfcx, gamma_p_orders, log_factorials, wright_omega,
 )
 from .jets import DEFAULT_ORDER, Jet
 
@@ -39,7 +39,6 @@ __all__ = [
     "Deterministic",
     "LogNormal",
     "MgfDomainError",
-    "UnsupportedDensity",
     "ConvergenceError",
     "substream",
     "parse_distribution",
@@ -70,10 +69,6 @@ _SURVIVAL_GAP = 1e-9
 
 class MgfDomainError(ValueError):
     """MGF requested outside the distribution's convergence region."""
-
-
-class UnsupportedDensity(ValueError):
-    """The distribution has no density (deterministic point mass)."""
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -151,11 +146,6 @@ class ServiceDistribution:
         for t in shifts:
             yield {t: (self.mgf_jet(t, order).coeffs, self.survival_mgf_jet(t, order).coeffs)}
 
-    def tilted_quantiles(self, rate: float, qs) -> np.ndarray:
-        """Quantiles at levels ``qs`` of the density f_U(t) exp(-rate t) / M_U(-rate):
-        the system time of a delivered packet when preemptions come at ``rate``."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
@@ -191,9 +181,6 @@ class Exponential(ServiceDistribution):
         for _ in range(order):
             coeffs.append(coeffs[-1] / gap)
         return Jet(t0, tuple(coeffs))
-
-    def tilted_quantiles(self, rate, qs):
-        return -np.log1p(-qs) / (self.rate + rate)  # Exp(rate + tilt)
 
 
 @dataclass(frozen=True)
@@ -231,9 +218,6 @@ class Gamma(ServiceDistribution):
         coeffs = beta_orders(order + 1, self.shape, x) / c ** np.arange(1.0, order + 2.0)
         return Jet(t0, tuple(coeffs.tolist()))
 
-    def tilted_quantiles(self, rate, qs):
-        return gamma_p_inv(self.shape, qs) * (1.0 / (self.rate + rate))  # Gamma(shape, rate + tilt)
-
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
@@ -258,9 +242,6 @@ class Deterministic(ServiceDistribution):
         c = -t0
         coeffs = gamma_p_orders(order + 1, c * self.value) / c ** np.arange(1.0, order + 2.0)
         return Jet(t0, tuple(coeffs.tolist()))
-
-    def tilted_quantiles(self, rate, qs):
-        raise UnsupportedDensity("a point mass has no density")
 
 
 @dataclass(frozen=True)
@@ -340,38 +321,6 @@ class LogNormal(ServiceDistribution):
             yield {t: (Jet(t, tuple(m)).coeffs, Jet(t, tuple(h)).coeffs) for t, m, h in zip(
                 t0.tolist(), self._mgf_rows(t0, order).tolist(), self._survival_rows(t0, order).tolist())}
         yield from super().jet_pairs([t for t in shifts if not t < 0.0], order)
-
-    def tilted_quantiles(self, rate, qs):
-        """The tilted density in z is the MGF's integrand at k = 0 and t0 = -rate, so
-        the panels of ``mgf_jet`` give its CDF at their edges; every level takes Newton
-        steps from the panel that holds it, kept in a shrinking bracket by bisection,
-        all levels at once."""
-        log_weight, mode, w = self._laplace(-rate, 0.0)
-        log_peak = log_weight(mode)
-
-        def g(z):
-            return np.exp(log_weight(z) - log_peak)
-
-        def integral(a, b):  # of g over [a, b], elementwise
-            z, weights = _gauss_legendre(a[:, None], b[:, None], 1)
-            return np.sum(g(z) * weights, axis=-1)
-
-        lo, hi = mode - _REACH, mode + _REACH / math.sqrt(1.0 + w)
-        starts = lo + (hi - lo) * np.arange(_PANELS + 1) / _PANELS
-        cum = np.concatenate(([0.0], np.cumsum(integral(starts[:-1], starts[1:]))))
-        target = np.asarray(qs) * cum[-1]
-        k = np.searchsorted(cum, target, side="right") - 1
-        lo, hi = starts[k], starts[k + 1]
-        z = lo + (hi - lo) * (target - cum[k]) / (cum[k + 1] - cum[k])
-        for _ in range(64):  # enough for bisection alone
-            excess = cum[k] + integral(starts[k], z) - target
-            lo, hi = np.where(excess < 0, z, lo), np.where(excess > 0, z, hi)
-            step = z - excess / g(z)
-            z_next = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            if np.all(np.abs(excess) <= 4e-15 * cum[-1]):
-                return np.exp(self.loc + self.scale * z_next)
-            z = z_next
-        raise ConvergenceError(f"tilted log-normal quantiles did not converge (rate={rate})")
 
 
 _DIST_BUILDERS = {

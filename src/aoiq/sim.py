@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import logging
 import math
 import time
@@ -57,9 +56,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._special import gamma_p_inv, t_quantile
-from .analytic import GloballyPreemptiveConfig, SystemConfig
-from .service import UnsupportedDensity, substream
+from ._special import t_quantile
+from .analytic import (
+    GloballyPreemptiveConfig, SystemConfig, Transform, mgf_point_eval, system_time_mgf_jet,
+)
+from .service import substream
 
 __all__ = [
     "Policy",
@@ -726,28 +727,38 @@ class CheckSummary:
 
 
 def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
-    """z-test of the share hits / n against p_expect."""
+    """z-test of the share hits / n against p_expect; where p_expect is 0 or 1
+    the share is certain, and z is 0 if it holds, else inf."""
     p_hat = hits / n
     se = math.sqrt(p_expect * (1.0 - p_expect) / n)
-    z = abs(p_hat - p_expect) / se if se > 0 else 0.0
+    if se > 0:
+        z = abs(p_hat - p_expect) / se
+    else:
+        z = 0.0 if p_hat == p_expect else math.inf
     return verdict(name, z, 3.0, f"empirical {p_hat:.5f} vs {p_expect:.5f} (n={n})")
 
 
-_FIT_BINS = 50  # equal-probability bins of the system-time fit
 _FIT_LEVEL = 1e-3  # the fit's false-alarm rate
+_FIT_TOLERANCE = 16.26623619623813  # the chi-square(3) quantile at 1 - _FIT_LEVEL
 
 
-@functools.cache
-def _fit_tolerance() -> float:
-    """The chi-square(_FIT_BINS - 1) quantile at 1 - _FIT_LEVEL: 2 P^-1(k/2, p)."""
-    return 2.0 * float(gamma_p_inv(0.5 * (_FIT_BINS - 1), 1.0 - _FIT_LEVEL))
-
-
-def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The samples in each bin (e_{i-1}, e_i] of the increasing ``edges``, the
-    first and last bins open-ended, as ``bincount(searchsorted(edges, x))``."""
-    at = np.searchsorted(np.sort(samples), edges, "right")  # the samples up to each edge
-    return np.diff(at, prepend=0, append=len(samples))
+def _system_time_fit(name: str, system: SystemConfig, c: int, samples: np.ndarray) -> CheckResult:
+    """Chi-square(3) test of source c's delivered system times T on their
+    transform at s_k = -k / E[T], k = 1/2, 1, 2: d_k = mean(e^(s_k T)) - M_T(s_k),
+    with covariance M_T(s_j + s_k) - M_T(s_j) M_T(s_k), and statistic n d' S^-1 d.
+    The s_k are s, 2s and 4s, so one exp and two squarings give every point."""
+    s = -0.5 / system_time_mgf_jet(system, c, 1).coeffs[1]
+    mgf = {k: mgf_point_eval(system, c, k * s, Transform.SYSTEM_TIME)
+           for k in (1, 2, 3, 4, 5, 6, 8)}  # at each s_j and s_j + s_k
+    mean = np.array([mgf[1], mgf[2], mgf[4]])
+    cov = np.array([[mgf[j + k] for k in (1, 2, 4)] for j in (1, 2, 4)]) - np.outer(mean, mean)
+    e = s * samples
+    np.exp(e, out=e)  # e^(sT), then squared in place into e^(2sT) and e^(4sT)
+    d = np.array([e.mean(), np.square(e, out=e).mean(), np.square(e, out=e).mean()]) - mean
+    stat = float(samples.size * d @ np.linalg.solve(cov, d))
+    return verdict(name, stat, _FIT_TOLERANCE, (
+        f"chi-square(3) of the transform at s = {s:.4g} x (1, 2, 4), level {_FIT_LEVEL:g}, "
+        f"n={samples.size}"))
 
 
 def empirical_checks(
@@ -760,8 +771,9 @@ def empirical_checks(
     acts as on ``cfg`` (``Policy.system``), source c's packets preempted at
     its r_c.
 
-    Per source: (i) chi-square of delivered system times against the
-    tilted service density on equal-probability bins, (ii) delivery
+    Per source: (i) chi-square of delivered system times against their
+    transform at three points (``_system_time_fit``), skipped for a
+    point-mass law, whose system time is constant, (ii) delivery
     probability of packets entering service against the service MGF at
     -r_c, (iii) idle-server race frequencies against the rate shares,
     (iv) observed preemption rate per unit of in-service exposure against
@@ -774,29 +786,22 @@ def empirical_checks(
             f"need >= {min_samples} idle-server races, got {total_races}"
         )
 
-    qs = np.arange(1, _FIT_BINS) / _FIT_BINS
-    edges_at = functools.cache(lambda rate: cfg.service.tilted_quantiles(rate, qs))  # per r_c
-    rates = policy.system(cfg).preemption_rates
-    for c, (stats_c, preempt_rate) in enumerate(zip(report.per_source, rates)):
+    system = policy.system(cfg)
+    _, m1, m2 = cfg.service.mgf_jet(0.0, 2).coeffs
+    point_mass = not 2.0 * m2 - m1 * m1 > 0.0  # the law's variance
+    for c, (stats_c, preempt_rate) in enumerate(zip(report.per_source, system.preemption_rates)):
         # (i) system-time fit
         name = f"source{c}:system_time_fit"
         samples = stats_c.system_times
-        try:
-            edges = edges_at(preempt_rate)
-        except UnsupportedDensity:
-            results.append(
-                CheckResult(name, "skip", math.nan, math.nan, "point-mass service has no density")
+        if point_mass:
+            results.append(CheckResult(name, "skip", math.nan, math.nan,
+                                       "a point-mass law: every system time is its value"))
+        elif samples.size < min_samples:
+            raise InsufficientSamples(
+                f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
             )
         else:
-            if samples.size < min_samples:
-                raise InsufficientSamples(
-                    f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
-                )
-            counts = _bin_counts(samples, edges)
-            expected = samples.size / _FIT_BINS
-            stat = float(np.sum((counts - expected) ** 2) / expected)
-            results.append(verdict(name, stat, _fit_tolerance(), (
-                f"chi-square over {_FIT_BINS} bins at level {_FIT_LEVEL:g}, n={samples.size}")))
+            results.append(_system_time_fit(name, system, c, samples))
 
         # (ii) delivery probability
         name = f"source{c}:delivery_probability"

@@ -31,6 +31,7 @@ GATES = {
     "analytic_aoi_mgf": test_sim.aoi_mgf_gate,
     "analytic_global": test_sim.global_gate,
     "empirical_checks_baselines": test_sim.policy_checks_gate,
+    "empirical_checks_matched": test_sim.matched_checks_gate,
 }
 
 

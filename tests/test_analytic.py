@@ -216,7 +216,7 @@ class TestMoments:
          "the systems of a batch share one service law and one source count"),
         (lambda: _solve([ANCHOR, SystemConfig((1.0, 1.0), 1.0, Exponential(1.0))], 0.0, 2),
          "the systems of a batch share one service law and one source count"),
-        (lambda: list(solve_moments([ANCHOR], 0)), "moment order must be >= 1"),
+        (lambda: solve_moments([ANCHOR], 0), "moment order must be >= 1"),
     ], ids=["no sources", "order 0", "mixed laws", "mixed source counts", "moment order 0"])
     def test_malformed_requests_rejected(self, call, message):
         with pytest.raises(ValueError) as info:

@@ -26,7 +26,7 @@ from aoiq import (
     moments,
 )
 from aoiq._special import (
-    beta_orders, erfcx, gamma_p_orders, gamma_pq, log_factorials, t_quantile, wright_omega,
+    beta_orders, erfcx, gamma_p_orders, log_factorials, t_quantile, wright_omega,
 )
 from aoiq.analytic import (
     GloballyPreemptiveConfig, Transform, aoi_mgf_jet, mgf_point_eval, system_time_mgf_jet,
@@ -436,103 +436,6 @@ def test_lognormal_coefficients_do_not_depend_on_order(loc, scale, shift):
             assert jet_at(shift, order).coeffs == full[: order + 1]
 
 
-# (loc, scale, tilt rate): no tilt, the paper's law at moderate and heavy
-# tilt, a wide law from nearly untilted to a tilt of 1e6, a far-right law
-# and a nearly deterministic one
-LOGNORMAL_TILTS = [
-    (-1.0, 1.0, 0.0),
-    (-1.0, 1.0, 0.56),
-    (-1.0, 1.0, 30.0),
-    (0.0, 2.0, 0.01),
-    (0.0, 2.0, 3.0),
-    (0.0, 2.0, 1e6),
-    (3.0, 2.5, 50.0),
-    (0.0, 0.05, 2.0),
-]
-TILT_RATES = sorted({rate for _, _, rate in LOGNORMAL_TILTS})
-LEVELS = np.arange(1, 50) / 50
-
-
-def _mp_tilted_cdf(dist, rate):
-    """CDF of f_U(t) exp(-rate t) / M_U(-rate), by mpmath alone."""
-    r = mp.mpf(repr(rate))
-    if isinstance(dist, Exponential):
-        a = mp.mpf(repr(dist.rate)) + r
-        return lambda t: -mp.expm1(-a * t)
-    if isinstance(dist, Gamma):
-        k, a = mp.mpf(repr(dist.shape)), mp.mpf(repr(dist.rate)) + r
-        return lambda t: mp.gammainc(k, 0, a * t, regularized=True)
-    loc, scale = mp.mpf(repr(dist.loc)), mp.mpf(repr(dist.scale))
-
-    def g(z):  # the tilted density in z = (ln t - loc)/scale, unnormalized
-        return mp.exp(-z * z / 2 - r * mp.exp(loc + scale * z))
-
-    mode = -mp.lambertw(r * scale**2 * mp.exp(loc)).real / scale
-    breaks = [mode + k for k in range(-14, 15)]
-    # prefix[i]: the mass below breaks[i]; beyond mode +- 14 it is < e^-98
-    prefix = [mp.mpf(0)]
-    for a, b in zip(breaks, breaks[1:]):
-        prefix.append(prefix[-1] + mp.quad(g, [a, b]))
-
-    def cdf(t):
-        z = (mp.log(t) - loc) / scale
-        i = max(i for i, b in enumerate(breaks) if b < z)
-        return (prefix[i] + mp.quad(g, [breaks[i], z])) / prefix[-1]
-
-    return cdf
-
-
-def _assert_inverts(dist, rate, edges):
-    assert np.all(np.diff(edges) > 0)
-    with mp.workdps(25):
-        cdf = _mp_tilted_cdf(dist, rate)
-        for q, t in zip(LEVELS, edges):
-            assert abs(float(cdf(mp.mpf(float(t))) - mp.mpf(float(q)))) <= 1e-13
-
-
-@pytest.mark.parametrize("loc, scale, rate", LOGNORMAL_TILTS)
-def test_lognormal_tilted_quantiles(loc, scale, rate):
-    dist = LogNormal(loc, scale)
-    _assert_inverts(dist, rate, dist.tilted_quantiles(rate, LEVELS))
-
-
-def _mp_gamma_edges(dist, rate):
-    """The tilted gamma law's quantiles, x_q / (rate of the law + tilt), with
-    x_q the root of the regularized lower incomplete gamma function at q."""
-    k, scale = mp.mpf(repr(dist.shape)), mp.mpf(repr(dist.rate)) + mp.mpf(repr(rate))
-    with mp.workdps(40):
-        return [
-            mp.findroot(lambda x: mp.gammainc(k, 0, x, regularized=True) - mp.mpf(float(q)),
-                        (mp.mpf(0), 4 * k + 40), solver="illinois") / scale
-            for q in LEVELS
-        ]
-
-
-@pytest.mark.parametrize("rate", TILT_RATES)
-@pytest.mark.parametrize(
-    "dist, closed_form, ulps",
-    [
-        (Exponential(2.0), lambda d, r: -np.log1p(-LEVELS) / (d.rate + r), 0),
-        (Gamma(2.0, 4.0), _mp_gamma_edges, 3),
-        (Gamma(0.5, 1.3), _mp_gamma_edges, 6),
-    ],
-    ids=["exponential", "gamma", "gamma_shape_half"],
-)
-def test_in_family_tilted_quantiles(dist, closed_form, ulps, rate):
-    # the tilt keeps these laws in family, Exp(rate + tilt) and Gamma(shape,
-    # rate + tilt). The exponential edges are the chi-square check's closed
-    # form bit for bit; the gamma edges are checked against that law's
-    # 40-digit quantiles (scipy's gammaincinv, which they once equalled bit
-    # for bit, is 106 ulps off at shape 1/2, q = 0.86). The bounds are the
-    # worst edges seen, 2.4 ulps at shape 2 and 5.6 at shape 1/2, rounded up:
-    # at shape 1/2, x f(x) falls to min(q, 1 - q) / 2.3, so each ulp of
-    # error in P or Q moves the edge by up to 2.3 ulps
-    edges = dist.tilted_quantiles(rate, LEVELS)
-    for got, want in zip(edges, closed_form(dist, rate)):
-        assert abs(mp.mpf(float(got)) - want) <= ulps * np.spacing(float(want))
-    _assert_inverts(dist, rate, edges)
-
-
 # --- the special functions of aoiq._special, on the domains aoiq calls them on
 
 
@@ -550,13 +453,28 @@ def test_erfcx_against_mpmath():
     assert ours <= 1e-15
 
 
+# more (loc, scale, shift) for omega: the paper's law at moderate and heavy
+# shift, a wide law from nearly unshifted to a shift of -1e6, a far-right law
+# and a nearly deterministic one
+OMEGA_SHIFTS = [
+    (-1.0, 1.0, -0.56),
+    (-1.0, 1.0, -30.0),
+    (0.0, 2.0, -0.01),
+    (0.0, 2.0, -3.0),
+    (0.0, 2.0, -1e6),
+    (3.0, 2.5, -50.0),
+    (0.0, 0.05, -2.0),
+]
+
+
 def _omega_arguments():
     """The z = log(-t0 scale^2) + loc + k scale^2 at which ``LogNormal._laplace``
-    takes omega: every law and shift pinned above, k = 0..9 (the survival jet
-    of order 8 reads k + 1), and a dense grid over their span."""
+    takes omega: every law and shift pinned above and in ``OMEGA_SHIFTS``,
+    k = 0..9 (the survival jet of order 8 reads k + 1), and a dense grid over
+    their span."""
     z = [
         math.log(-t0 * scale**2) + loc + k * scale**2
-        for loc, scale, t0 in LOGNORMAL_SHIFTS + [(l, s, -r) for l, s, r in LOGNORMAL_TILTS]
+        for loc, scale, t0 in LOGNORMAL_SHIFTS + OMEGA_SHIFTS
         if t0 < 0
         for k in range(10)
     ]
@@ -591,35 +509,6 @@ def test_lower_gamma_at_integer_order_against_mpmath():
         for v in x:
             exact = [mp.gammainc(n, 0, mp.mpf(v), regularized=True) for n in range(1, 11)]
             assert _max_rel_err(gamma_p_orders(10, v), exact) <= SPECIAL_RTOL
-            # the same values elementwise, as the chi-square check and the gamma
-            # quantiles call them
-            assert _max_rel_err(gamma_pq(np.arange(1.0, 11.0), v)[0], exact) <= SPECIAL_RTOL
-
-
-def test_chi_square_tail_against_mpmath():
-    # the chi-square check's p-value at 49 degrees of freedom: Q(24.5, stat / 2)
-    x = np.concatenate([np.geomspace(1e-3, 600.0, 151), np.linspace(20.0, 30.0, 21)])
-    with mp.workdps(30):
-        exact = [mp.gammainc(mp.mpf(24.5), mp.mpf(v), mp.inf, regularized=True) for v in x]
-        assert _max_rel_err(gamma_pq(24.5, x)[1], exact) <= 1e-12
-
-
-@pytest.mark.parametrize("a", [0.3, 1.7, 3.7])
-def test_incomplete_gamma_at_other_orders_against_mpmath(a):
-    # a gamma law of any shape takes the series and the continued fraction;
-    # its tilted quantiles invert them
-    x = np.concatenate([np.geomspace(1e-6, 60.0, 61), [a + 1.0]])
-    p, q = gamma_pq(a, x)
-    with mp.workdps(30):
-        lower = [mp.gammainc(a, 0, mp.mpf(v), regularized=True) for v in x]
-        upper = [mp.gammainc(a, mp.mpf(v), mp.inf, regularized=True) for v in x]
-        assert _max_rel_err(p, lower) <= SPECIAL_RTOL
-        assert _max_rel_err(q, upper) <= SPECIAL_RTOL
-        edges = Gamma(a, 1.0).tilted_quantiles(0.0, LEVELS)
-        assert np.all(np.diff(edges) > 0)
-        for level, edge in zip(LEVELS, edges):
-            got = mp.gammainc(a, 0, mp.mpf(float(edge)), regularized=True)
-            assert abs(got - mp.mpf(float(level))) <= 1e-15
 
 
 @pytest.mark.parametrize("b", [0.5, 2.0, 7.3])

@@ -9,7 +9,6 @@ from aoiq.service import (
     Gamma,
     LogNormal,
     MgfDomainError,
-    UnsupportedDensity,
     _CHUNK_NODES,
     parse_distribution,
     substream,
@@ -66,12 +65,6 @@ class TestSampling:
     def test_substreams_differ(self):
         assert substream(1, 0).random() != substream(1, 1).random()
         assert substream(1, 0).random() != substream(2, 0).random()
-
-
-class TestDensities:
-    def test_deterministic_density_unsupported(self):
-        with pytest.raises(UnsupportedDensity):
-            Deterministic(1.0).tilted_quantiles(0.5, np.array([0.5]))
 
 
 class TestMgfPoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 
@@ -634,17 +635,32 @@ class TestEmpiricalMgf:
             empirical_mgf(np.ones(50), -1.0)
 
 
+MATCHED = Policy.probabilistic(0.5)
+
+
+def matched_run(seed):
+    """TWO_EXP at theta = 0.5, 30,000 deliveries a source."""
+    return run(TWO_EXP, MATCHED, SimConfig(seed=seed, delivered_per_source=30_000, warmup_fraction=0.0))
+
+
+def matched_checks_gate(seed, report=None):
+    """``empirical_checks`` of ``matched_run(seed)`` (or of ``report``, that
+    run) against its own system: 8 checks at one seed."""
+    results = empirical_checks(report or matched_run(seed), TWO_EXP, MATCHED).results
+    misses = [f"{r.name}: {r.discrepancy:.3g} > {r.tolerance:.3g}" for r in results if r.status == "fail"]
+    return not misses, "; ".join(misses) or f"{len(results)} checks passed"
+
+
 @pytest.fixture(scope="module")
 def report():
-    sim = SimConfig(seed=17, delivered_per_source=30_000, warmup_fraction=0.0)
-    return run(TWO_EXP, Policy.probabilistic(0.5), sim)
+    return matched_run(17)
 
 
 class TestEmpiricalChecks:
     def test_all_pass_on_matched_run(self, report):
-        summary = empirical_checks(report, TWO_EXP, Policy.probabilistic(0.5))
-        assert summary.all_passed, summary.failures()
-        names = {r.name for r in summary.results}
+        ok, detail = matched_checks_gate(17, report)
+        assert ok, detail
+        names = {r.name for r in empirical_checks(report, TWO_EXP, MATCHED).results}
         assert "source0:system_time_fit" in names
         assert "source1:preemption_rate" in names
 
@@ -703,10 +719,25 @@ class TestEmpiricalChecks:
         p = mpmath.mpf(1.0 - 1e-3)  # the level as a float, exactly
         with mpmath.workdps(40):
             want = 2 * mpmath.findroot(
-                lambda x: mpmath.gammainc(24.5, 0, x, regularized=True) - p, 42)
-        got = sim_mod._fit_tolerance()
-        assert abs(got - float(want)) <= 4 * math.ulp(float(want))
-        assert got == pytest.approx(85.3505646085931, rel=1e-15)
+                lambda x: mpmath.gammainc(1.5, 0, x, regularized=True) - p, 8)
+        assert sim_mod._FIT_TOLERANCE == float(want) == 16.26623619623813
+
+    def test_fit_against_exact_exponential_draws(self, report):
+        # for exponential service the delivered system time is Exp(mu + r_c):
+        # no simulator, only the fit's statistic on draws of that law, and of
+        # one 10% faster
+        rng = np.random.default_rng(5)
+
+        def fits(speed):
+            per_source = tuple(
+                dataclasses.replace(s, system_times=rng.exponential(1 / (speed * (1.5 + r)), 30_000))
+                for s, r in zip(report.per_source, TWO_EXP.preemption_rates))
+            results = empirical_checks(dataclasses.replace(report, per_source=per_source),
+                                       TWO_EXP, MATCHED).results
+            return [r for r in results if r.name.endswith("system_time_fit")]
+
+        assert [r.status for r in fits(1.0)] == ["pass", "pass"]
+        assert all(r.discrepancy > 2 * r.tolerance for r in fits(1.1))
 
     def test_insufficient_samples(self):
         tiny = run(TWO_EXP, Policy.probabilistic(0.5), small_sim(horizon=200.0))
@@ -722,25 +753,6 @@ class TestEmpiricalChecks:
         assert all(r.status == "skip" for r in fits)
         assert summary.all_passed
 
-    def test_bins_are_right_closed(self):
-        # samples on the edges, some repeated: bin i is (e_{i-1}, e_i], as
-        # bincount(searchsorted(edges, x)) counts them
-        edges = np.array([1.0, 2.0, 3.0])
-        samples = np.array([3.0, 0.5, 1.0, 2.0, 1.0, 1.5, 3.0, 3.5, 2.0, 1.0, 3.0])
-        assert np.bincount(np.searchsorted(edges, samples), minlength=4).tolist() == [4, 3, 3, 1]
-        assert sim_mod._bin_counts(samples, edges).tolist() == [4, 3, 3, 1]
-
-    def test_bin_edges_once_per_preemption_rate(self, monkeypatch):
-        cfg = SystemConfig((1.0, 1.0, 2.0), 0.5, Exponential(1.5))
-        sim = SimConfig(seed=24, delivered_per_source=12_000, warmup_fraction=0.0)
-        rep = run(cfg, Policy.probabilistic(0.5), sim)
-        rates, quantiles = [], Exponential.tilted_quantiles
-        monkeypatch.setattr(Exponential, "tilted_quantiles",
-                            lambda law, rate, qs: rates.append(rate) or quantiles(law, rate, qs))
-        summary = empirical_checks(rep, cfg, Policy.probabilistic(0.5))
-        assert sorted(rates) == [0.5, 1.0]
-        assert sum("system_time_fit" in r.name for r in summary.results) == 3
-
     def test_theta_zero_tilt_reduces_to_plain_law(self):
         # no preemption: system times are plain service draws
         cfg = SystemConfig((1.0, 1.0), 0.0, LogNormal(-0.5, 0.7))
@@ -748,6 +760,162 @@ class TestEmpiricalChecks:
         rep = run(cfg, Policy.probabilistic(0.0), sim)
         summary = empirical_checks(rep, cfg, Policy.probabilistic(0.0))
         assert summary.all_passed, summary.failures()
+
+    @pytest.mark.parametrize("hits, n, p, z", [
+        (5, 10, 1.0, math.inf), (10, 10, 1.0, 0.0), (1, 10, 0.0, math.inf), (0, 10, 0.0, 0.0)])
+    def test_certain_share_fails_on_any_miss(self, hits, n, p, z):
+        # a share expected to be 0 or 1 has no spread: any other share fails
+        check = sim_mod._share_check("x", hits, n, p)
+        assert check.discrepancy == z and check.passed is (z == 0.0)
+
+    def test_preempted_run_fails_a_non_preemptive_theory(self, report):
+        # r_c = 0 expects every decided packet delivered
+        failed = {r.name for r in empirical_checks(report, TWO_EXP, Policy.non_preemptive()).failures()}
+        assert {"source0:delivery_probability", "source1:delivery_probability"} <= failed
+
+
+class _Draws:
+    """A generator with some of its methods replaced."""
+
+    def __init__(self, rng, **methods):
+        self.__dict__.update(methods, rng=rng)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _plant_draws(monkeypatch, purpose, **methods):
+    """Every substream of ``purpose`` with ``methods``, each called as
+    method(generator, key, *args)."""
+    substream = sim_mod.substream
+
+    def planted(seed, *key):
+        rng = substream(seed, *key)
+        if key[-1] != purpose:
+            return rng
+        return _Draws(rng, **{name: functools.partial(m, rng, key) for name, m in methods.items()})
+
+    monkeypatch.setattr(sim_mod, "substream", planted)
+
+
+def _plant_attempts(monkeypatch, edit):
+    """``_attempts`` on the system ``edit(system)`` returns."""
+    attempts = sim_mod._attempts
+    monkeypatch.setattr(sim_mod, "_attempts", lambda system, *a: attempts(edit(system), *a))
+
+
+def rate_times_1_1(monkeypatch):
+    _plant_draws(monkeypatch, 2, standard_exponential=lambda g, key, k: g.standard_exponential(k) / 1.1)
+
+
+def gamma_2_gaps(monkeypatch):  # the same mean gap, 1 / r_c
+    _plant_draws(monkeypatch, 2, standard_exponential=lambda g, key, k: g.gamma(2.0, 0.5, k))
+
+
+def idle_rate_times_1_05(monkeypatch):
+    _plant_draws(monkeypatch, 0, exponential=lambda g, key, scale, k: g.exponential(scale / 1.05, k))
+
+
+def equal_winner_shares(monkeypatch):
+    # u in [c/n, (c+1)/n) maps onto source c's cell of the shares; only the
+    # winners' substream draws uniforms under purpose 1
+    rates = np.asarray(TWO_EXP.arrival_rates)
+    low, n = np.cumsum(rates) - rates, len(rates)
+
+    def random(g, key, k):
+        u = g.random(k) * n
+        c = u.astype(np.intp)
+        return (low[c] + (u - c) * rates[c]) / rates.sum()
+
+    _plant_draws(monkeypatch, 1, random=random)
+
+
+def unthinned_discards(monkeypatch):
+    # source c's discards at mean lambda_c x (total busy time), its own included
+    busy = {}
+    attempts = sim_mod._attempts
+
+    def recording(system, seed, rep, limit):
+        busy[rep] = 0.0
+        for block in attempts(system, seed, rep, limit):
+            busy[rep] += float(np.sum(block[2] - block[1]))
+            yield block
+
+    monkeypatch.setattr(sim_mod, "_attempts", recording)
+    _plant_draws(monkeypatch, 0, poisson=lambda g, key, mu: g.poisson(
+        TWO_EXP.arrival_rates[key[1]] * busy[key[0]]))
+
+
+class _KeepsPoolLabels(GloballyPreemptiveConfig):
+    """Preempted at Lambda, but not by every arrival: a failed attempt keeps its pool's label."""
+
+    @property
+    def preemption_matrix(self):
+        return ((),) * self.num_sources
+
+
+def global_label_kept(monkeypatch):
+    _plant_attempts(monkeypatch, lambda system: _KeepsPoolLabels(system.arrival_rates, system.service))
+
+
+def same_mean_gamma_service(monkeypatch):  # Exp(1.5) -> Gamma(2, 3)
+    _plant_attempts(monkeypatch, lambda system: dataclasses.replace(system, service=Gamma(2.0, 3.0)))
+
+
+def stamped_at_previous_start(monkeypatch):
+    # a delivery after a preemption takes the preempted attempt's start as its own
+    attempts = sim_mod._attempts
+
+    def planted(*args):
+        last = (0.0, -1)
+        for src, start, end, outcome in attempts(*args):
+            before = np.concatenate(([last[0]], start[:-1]))
+            after_preemption = np.concatenate(([last[1]], outcome[:-1])) == sim_mod._PREEMPTED
+            last = (start[-1], outcome[-1])
+            hit = (outcome == sim_mod._DELIVERED) & after_preemption
+            yield src, np.where(hit, before, start), end, outcome
+
+    monkeypatch.setattr(sim_mod, "_attempts", planted)
+
+
+BOTH = ("source0:", "source1:")
+# defect -> its policy, and the checks it fails by at least twice their
+# tolerance on TWO_EXP at seed 17 (30,000 deliveries a source); an empty set:
+# no empirical check sees it
+SAMPLER_DEFECTS = {
+    "rate_times_1.1": (rate_times_1_1, MATCHED, {
+        "source0:delivery_probability", "source0:preemption_rate", "source1:system_time_fit",
+        "source1:delivery_probability", "source1:preemption_rate"}),
+    "idle_rate_times_1.05": (idle_rate_times_1_05, MATCHED, set()),
+    "unthinned_discards": (unthinned_discards, MATCHED, set()),
+    "equal_winner_shares": (equal_winner_shares, MATCHED, {c + "race_frequency" for c in BOTH}),
+    "global_label_kept": (global_label_kept, Policy.globally_preemptive(), set()),
+    "same_mean_gamma_service": (same_mean_gamma_service, MATCHED, {
+        c + check for c in BOTH for check in ("system_time_fit", "delivery_probability")}),
+    "stamped_at_previous_start": (stamped_at_previous_start, MATCHED, {
+        c + check for c in BOTH for check in ("system_time_fit", "preemption_rate")}),
+    "gamma_2_gaps": (gamma_2_gaps, MATCHED, {
+        c + check for c in BOTH
+        for check in ("system_time_fit", "delivery_probability", "preemption_rate")}),
+}
+
+
+class TestPlantedSamplerDefects:
+    # each defect planted in the sampler from outside, through _attempts or
+    # substream; the table of what each check sees is in CHANGES.md
+    @pytest.mark.parametrize("plant, policy, caught", SAMPLER_DEFECTS.values(), ids=SAMPLER_DEFECTS)
+    def test_checks_that_see_it(self, monkeypatch, report, plant, policy, caught):
+        sim = report.sim
+        clean = report if policy == MATCHED else run(TWO_EXP, policy, sim)
+        with monkeypatch.context() as m:
+            plant(m)
+            planted = run(TWO_EXP, policy, sim)
+        assert not planted.stats_identical(clean)  # the defect acted
+        results = {r.name: r for r in empirical_checks(planted, TWO_EXP, policy).results}
+        for name in caught:
+            assert results[name].discrepancy >= 2 * results[name].tolerance, results[name]
+        if not caught:
+            assert all(r.passed for r in results.values()), results
 
 REFERENCE_SYSTEMS = {
     "one-exp": SystemConfig((1.5,), 0.5, Exponential(1.0)),
