@@ -14,14 +14,12 @@ Flags override config-file keys (flag > file > default). Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from .config import SPEC_KEYS, ParseError, ValidationError, build_spec, load_raw
-from .sim import InvalidConfig, Policy, run
+from .sim import InvalidConfig, Policy, process_pool, run
 from .sweep import iter_sweep_rows, write_rows
 from .validate import NUMERICAL_ERRORS, validation_suite
 
@@ -106,7 +104,7 @@ def _cmd_table(args) -> int:
         print("--dump-samples needs a single-point spec (axis = none)", file=sys.stderr)
         return 1
     # one pool serves every run of the command; it starts no process until used
-    with ProcessPoolExecutor(args.workers) if args.workers > 1 else contextlib.nullcontext() as pool:
+    with process_pool(args.workers) as pool:
         if dump:
             open(args.dump_samples, "w").close()  # an unwritable path fails before the run
             policy = Policy.of(spec.policies[0], spec.system.theta)

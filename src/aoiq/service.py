@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from ._special import (
     ConvergenceError, beta_orders, erfcx, gamma_p_orders, log_factorials, wright_omega,
 )
@@ -52,7 +51,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # split into 32 equal panels of 16 Gauss-Legendre nodes.
 _REACH = 12.0
 _PANELS = 32
-_LEGENDRE = leggauss(16)
+_NODES = 16
 # Nodes per call of those rules in ``jet_pairs`` (8 shifts at order 2): such
 # (shifts, order + 1, 512) arrays spread numpy's per-call cost; larger ones cost more.
 _CHUNK_NODES = 12288
@@ -82,7 +81,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 @lru_cache(maxsize=None)
 def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _LEGENDRE
+    from numpy.polynomial.legendre import leggauss  # loaded by the first log-normal rule
+
+    x, w = leggauss(_NODES)
     nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
     return nodes.ravel(), np.tile(w, panels) / (2 * panels)
 
@@ -315,7 +316,7 @@ class LogNormal(ServiceDistribution):
     def jet_pairs(self, shifts, order):
         """Negative shifts through the panel rules, ``_CHUNK_NODES`` nodes a call, checked as Jets."""
         negative = np.array([t for t in shifts if t < 0.0])
-        step = max(1, _CHUNK_NODES // ((order + 1) * _PANELS * len(_LEGENDRE[0])))
+        step = max(1, _CHUNK_NODES // ((order + 1) * _PANELS * _NODES))
         for i in range(0, len(negative), step):
             t0 = negative[i:i + step]
             yield {t: (Jet(t, tuple(m)).coeffs, Jet(t, tuple(h)).coeffs) for t, m, h in zip(

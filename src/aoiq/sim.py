@@ -51,7 +51,7 @@ import enum
 import logging
 import math
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +71,7 @@ __all__ = [
     "InvalidConfig",
     "InsufficientSamples",
     "run",
+    "process_pool",
     "empirical_checks",
     "CheckResult",
     "CheckSummary",
@@ -656,6 +657,16 @@ def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> 
     )
 
 
+def process_pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
+    """A pool of ``workers`` processes for a ``with`` block, or None for one
+    worker; the process-pool machinery is imported only to make a pool."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
+
+
 def run(
     cfg: SystemConfig,
     policy: Policy,
@@ -683,8 +694,8 @@ def run(
                                     f"M_U(-{rate!r}) underflows to 0")
     args = [(system, sim, rep, collect_deliveries) for rep in range(sim.replications)]
     with contextlib.ExitStack() as stack:
-        if executor is None and workers > 1 and sim.replications > 1:
-            executor = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        if executor is None and sim.replications > 1:
+            executor = stack.enter_context(process_pool(workers))
         mapper = map if executor is None or sim.replications == 1 else executor.map
         reps = list(mapper(_simulate_once, *zip(*args)))
     return _merge(system, policy, sim, reps)
@@ -740,18 +751,29 @@ def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
 
 _FIT_LEVEL = 1e-3  # the fit's false-alarm rate
 _FIT_TOLERANCE = 16.26623619623813  # the chi-square(3) quantile at 1 - _FIT_LEVEL
+# Each entry of S = M_T(s_j + s_k) - M_T(s_j) M_T(s_k) is off by a few ulps of
+# its first term. The fit runs only while S's smallest eigenvalue exceeds
+# _FIT_CONDITION such ulps, so that rounding moves the statistic by about 1e-3
+# of itself at most; a nearly deterministic law's S is all rounding.
+_FIT_CONDITION = 1e4
 
 
 def _system_time_fit(name: str, system: SystemConfig, c: int, samples: np.ndarray) -> CheckResult:
     """Chi-square(3) test of source c's delivered system times T on their
     transform at s_k = -k / E[T], k = 1/2, 1, 2: d_k = mean(e^(s_k T)) - M_T(s_k),
     with covariance M_T(s_j + s_k) - M_T(s_j) M_T(s_k), and statistic n d' S^-1 d.
-    The s_k are s, 2s and 4s, so one exp and two squarings give every point."""
+    The s_k are s, 2s and 4s, so one exp and two squarings give every point.
+    Skipped when S is too close to singular to be told from rounding."""
     s = -0.5 / system_time_mgf_jet(system, c, 1).coeffs[1]
     mgf = {k: mgf_point_eval(system, c, k * s, Transform.SYSTEM_TIME)
            for k in (1, 2, 3, 4, 5, 6, 8)}  # at each s_j and s_j + s_k
     mean = np.array([mgf[1], mgf[2], mgf[4]])
-    cov = np.array([[mgf[j + k] for k in (1, 2, 4)] for j in (1, 2, 4)]) - np.outer(mean, mean)
+    second = np.array([[mgf[j + k] for k in (1, 2, 4)] for j in (1, 2, 4)])
+    cov = second - np.outer(mean, mean)
+    smallest, floor = np.linalg.eigvalsh(cov)[0], _FIT_CONDITION * np.finfo(float).eps * second.max()
+    if not smallest > floor:
+        return CheckResult(name, "skip", math.nan, math.nan, (
+            f"covariance lost to rounding: smallest eigenvalue {smallest:.3g} <= {floor:.3g}"))
     e = s * samples
     np.exp(e, out=e)  # e^(sT), then squared in place into e^(2sT) and e^(4sT)
     d = np.array([e.mean(), np.square(e, out=e).mean(), np.square(e, out=e).mean()]) - mean
@@ -773,7 +795,8 @@ def empirical_checks(
 
     Per source: (i) chi-square of delivered system times against their
     transform at three points (``_system_time_fit``), skipped for a
-    point-mass law, whose system time is constant, (ii) delivery
+    point-mass law, whose system time is constant, and for a law so
+    narrow that the transform's covariance is lost to rounding, (ii) delivery
     probability of packets entering service against the service MGF at
     -r_c, (iii) idle-server race frequencies against the rate shares,
     (iv) observed preemption rate per unit of in-service exposure against

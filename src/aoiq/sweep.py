@@ -13,17 +13,16 @@ closed forms of the whole grid are one batch, solved before the first row.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .analytic import AoiMetrics, SystemConfig, solve_moments
 from .config import ExperimentSpec
-from .sim import Policy, PolicyKind, SimReport, run
+from .sim import Policy, PolicyKind, SimReport, process_pool, run
 
 __all__ = ["CSV_COLUMNS", "grid_values", "iter_sweep_rows", "run_sweep", "write_rows", "format_number"]
 
@@ -196,7 +195,7 @@ def iter_sweep_rows(
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """All sweep rows as a list (see iter_sweep_rows for streaming); with
     ``workers`` > 1 every simulation runs on one shared pool."""
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with process_pool(workers) as pool:
         return list(iter_sweep_rows(spec, workers=workers, executor=pool))
 
 

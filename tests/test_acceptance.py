@@ -218,7 +218,7 @@ def criterion_6(seed):
     )
     return (
         ok,
-        f"1e5 delivered packets: tilted-density chi-square {fit.discrepancy:.1f} "
+        f"1e5 delivered packets: chi-square(3) transform statistic {fit.discrepancy:.1f} "
         f"(<={fit.tolerance:.1f}); delivery-probability z={deliv.discrepancy:.2f} (<=3); "
         f"race-frequency z={race.discrepancy:.2f} (<=3); {elapsed:.0f}s (<120s)",
     )

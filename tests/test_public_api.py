@@ -84,3 +84,42 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_only_what_runs():
+    # a closed-form call loads neither the simulator, the graph solver, the
+    # validation suite, the process pool nor the Legendre rule; a one-worker
+    # run starts no process pool; every package name and submodule still
+    # resolves on first use
+    code = """
+import sys
+import aoiq
+from aoiq import Gamma, SystemConfig, moments
+cfg = SystemConfig((1.0, 1.5), 0.5, Gamma(2.0, 4.0))
+moments(cfg, 0, 2)
+print(sorted(m for m in ("aoiq.sim", "aoiq.semimarkov", "aoiq.validate", "multiprocessing",
+                         "concurrent.futures.process", "numpy.polynomial") if m in sys.modules))
+from aoiq import Policy, SimConfig, run
+run(cfg, Policy.probabilistic(0.5), SimConfig(seed=1, horizon=100.0, replications=2), workers=1)
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+print(aoiq.validate.__name__, sorted(set(aoiq.__all__) - set(dir(aoiq))))
+namespace = {}
+exec("from aoiq import *", namespace)
+print(sorted(n for n in aoiq.__all__ if namespace.get(n) is not getattr(aoiq, n)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[]", "aoiq.validate []", "[]"]
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # the package keeps no copy, so a name rebound in its module (as the
+    # benchmark's tracer does) is what ``aoiq.<name>`` returns
+    import aoiq.analytic
+
+    monkeypatch.setattr(aoiq.analytic, "moments", test_package_names_follow_their_module)
+    assert aoiq.moments is test_package_names_follow_their_module
+    assert not hasattr(aoiq, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'aoiq' has no attribute 'no_such_name'"):
+        aoiq.no_such_name  # noqa: B018

@@ -739,6 +739,34 @@ class TestEmpiricalChecks:
         assert [r.status for r in fits(1.0)] == ["pass", "pass"]
         assert all(r.discrepancy > 2 * r.tolerance for r in fits(1.1))
 
+    @pytest.mark.parametrize("law, status", [
+        (LogNormal(0.0, 1e-3), "skip"),
+        (LogNormal(0.0, 1e-8), "skip"),
+        (LogNormal(-1.0, 1.0), "pass"),
+        (Gamma(2.0, 8.0), "pass"),
+        (Exponential(1.5), "pass"),
+    ], ids=str)
+    def test_fit_skips_a_covariance_lost_to_rounding(self, report, law, status):
+        # exact delivered system times, no simulator: a service draw U is
+        # delivered with probability e^(-r_c U), when no preemption comes first.
+        # A nearly deterministic law's covariance is rounding and the fit skips
+        # (at 1e-8 its statistic read -0.75 and passed); wider laws still run
+        cfg = dataclasses.replace(TWO_EXP, service=law)
+        rng = np.random.default_rng(11)
+
+        def delivered(r):
+            u = law.sample_n(rng, 300_000)
+            return u[rng.random(u.size) < np.exp(-r * u)][:30_000]
+
+        per_source = tuple(dataclasses.replace(s, system_times=delivered(r))
+                           for s, r in zip(report.per_source, cfg.preemption_rates))
+        fits = [r for r in empirical_checks(dataclasses.replace(report, per_source=per_source),
+                                            cfg, MATCHED).results if r.name.endswith("system_time_fit")]
+        assert [r.status for r in fits] == [status, status]
+        if status == "skip":
+            assert all(r.detail.startswith("covariance lost to rounding: smallest eigenvalue")
+                       for r in fits)
+
     def test_insufficient_samples(self):
         tiny = run(TWO_EXP, Policy.probabilistic(0.5), small_sim(horizon=200.0))
         with pytest.raises(InsufficientSamples):

@@ -62,16 +62,18 @@ seed = 5
 
 
 def count_pools(monkeypatch, *modules) -> list:
-    """Every ProcessPoolExecutor that ``modules`` create from now on."""
-    pools = []
+    """Every ProcessPoolExecutor that ``modules`` create from now on through
+    their one pool factory, ``sim.process_pool``."""
+    pools, make = [], sim_mod.process_pool
 
-    class Counting(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    def counting(workers):
+        pool = make(workers)
+        if isinstance(pool, ProcessPoolExecutor):
+            pools.append(pool)
+        return pool
 
     for mod in modules:
-        monkeypatch.setattr(mod, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(mod, "process_pool", counting)
     return pools
 
 
