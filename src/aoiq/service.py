@@ -202,10 +202,10 @@ class Gamma(ServiceDistribution):
 
     def mgf_jet(self, t0, order=DEFAULT_ORDER):
         self._check_domain(t0)
-        # M(t) = (r/(r-t))^k; successive normalized coefficients follow the
-        # rising-factorial recursion c_j = c_{j-1} * (k+j-1) / (j*(r-t0)).
+        # M(t) = (r/(r-t))^k = exp(-k log1p(-t/r)), whose rounding k does not multiply;
+        # the normalized coefficients follow c_j = c_{j-1} * (k+j-1) / (j*(r-t0)).
         gap = self.rate - t0
-        coeffs = [(self.rate / gap) ** self.shape]
+        coeffs = [math.exp(-self.shape * math.log1p(-t0 / self.rate))]
         for j in range(1, order + 1):
             coeffs.append(coeffs[-1] * (self.shape + j - 1.0) / (j * gap))
         return Jet(t0, tuple(coeffs))

@@ -57,9 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._special import t_quantile
-from .analytic import (
-    GloballyPreemptiveConfig, SystemConfig, Transform, mgf_point_eval, system_time_mgf_jet,
-)
+from .analytic import GloballyPreemptiveConfig, SystemConfig, Transform, mgf_point_eval
 from .service import substream
 
 __all__ = [
@@ -78,7 +76,6 @@ __all__ = [
     "verdict",
 ]
 
-RESERVOIR_CAPACITY = 100_000
 _BLOCK = 8192  # episodes waiting per block; a pool draws its share at a time, to _BLOCK attempts
 _INF = float("inf")
 _PREEMPTED, _DELIVERED, _IN_FLIGHT = 0, 1, 2  # how a service attempt ends
@@ -192,9 +189,8 @@ class _Replication:
     end_time: float
     counts: np.ndarray  # (7, sources): the _COUNTS
     times: np.ndarray  # (6, sources): the _TIMES
-    sums: np.ndarray  # (sources, 4): Y/A count, Y, A and A^2 sums
+    sums: np.ndarray  # (sources, 7): Y/A count; Y, A, A^2, e^(sT), e^(2sT) and e^(4sT) sums
     batch: np.ndarray  # (sources, 5, batches): see _Tally
-    system_times: list  # per source, the chunks of its first counted system times
     deliveries: np.ndarray | None  # (n, 6): source, generation, delivery, T, Y, A
 
 
@@ -340,9 +336,10 @@ _TIMES = ("busy_time", "aoi_area", "aoi_area_sq", "measure_from", "last_delivery
 class _Tally:
     """One replication's statistics, fed a block of attempts at a time."""
 
-    def __init__(self, n_src: int, sim: SimConfig, collect: bool):
+    def __init__(self, n_src: int, sim: SimConfig, points: np.ndarray, collect: bool):
         # batches give a single run its CIs; replications give them otherwise
         self.n, self.sim, self.b = n_src, sim, sim.batches if sim.replications == 1 else 0
+        self.points = points  # each source's system-time fit point s (_fit_points)
         if sim.horizon is not None:
             self.warmup = sim.warmup_fraction * sim.horizon
             self.width = (sim.horizon - self.warmup) / sim.batches
@@ -354,17 +351,15 @@ class _Tally:
             setattr(self, name, np.zeros(n_src, np.int64))
         self.measure_from, self.last_delivery = np.full((2, n_src), _INF)
         self.last_system_time = np.zeros(n_src)
-        # per source: busy time, AoI area and its square; Y/A count, Y, A and A^2 sums;
-        # per batch, Y and A sums and count, area, duration. A block adds to them in one
-        # bincount, in input order after each bin's total: keys and values lead with
-        # arange(len(flat)) and flat; they persist, as fresh pages fault
-        self.flat = np.zeros(n_src * (7 + 5 * self.b))
+        # per source: busy time, AoI area and its square; Y/A count, Y, A, A^2, e^(sT),
+        # e^(2sT) and e^(4sT) sums; per batch, Y and A sums and count, area, duration. A
+        # block adds to them in one bincount, in input order after each bin's total: keys
+        # and values lead with arange(len(flat)) and flat; they persist, as fresh pages fault
+        self.flat = np.zeros(n_src * (10 + 5 * self.b))
         self.busy_time, self.aoi_area, self.aoi_area_sq = self.flat[: 3 * n_src].reshape(3, -1)
-        self.sums = self.flat[3 * n_src : 7 * n_src].reshape(n_src, 4)
-        self.batch = self.flat[7 * n_src :].reshape(n_src, 5, self.b)
+        self.sums = self.flat[3 * n_src : 10 * n_src].reshape(n_src, 7)
+        self.batch = self.flat[10 * n_src :].reshape(n_src, 5, self.b)
         self.keys, self.values = np.arange(len(self.flat)), np.empty(len(self.flat))
-        self.system_times = [[np.empty(0)] for _ in range(n_src)]  # a source with none: empty
-        self.room = np.full(n_src, RESERVOIR_CAPACITY)
         self.rows = [np.empty((0, 6))] if collect else None  # the dump, a block at a time
         self.after_delivery, self.blocks = True, 0  # the first attempt finds the server idle
 
@@ -393,7 +388,7 @@ class _Tally:
         self.preempted += kinds[:, :, _PREEMPTED].sum(axis=1)
         self.in_flight += kinds[:, :, _IN_FLIGHT].sum(axis=1)
         m, na = len(self.flat), len(src)
-        size = m + na + (11 if self.b else 6) * np.count_nonzero(delivered)
+        size = m + na + (14 if self.b else 9) * np.count_nonzero(delivered)
         if len(self.keys) < size:
             self.keys, self.values = np.arange(size + _BLOCK), np.empty(size + _BLOCK)
         keys, values = self.keys[:size], self.values[:size]
@@ -436,25 +431,22 @@ class _Tally:
         keys, x = keys.reshape(-1, len(t)), values.reshape(-1, len(t))
         x[:] = 0.0
         x[0, seg], x[1, seg], dt = _sawtooth(prev[seg], prev_t[seg], lo[seg], t[seg])
-        for row, value in zip(x[2:9], [1.0, y, a, a * a, y, a, 1.0]):
+        e = np.exp(self.points[src] * sys_t)  # e^(sT), squared into e^(2sT) and e^(4sT)
+        e2 = e * e
+        for row, value in zip(x[2:12], [1.0, y, a, a * a, e, e2, e2 * e2, y, a, 1.0]):
             np.copyto(row, value, where=both)
         np.add([[n], [2 * n]], src, out=keys[:2])
-        np.add(3 * n + np.arange(4)[:, None], 4 * src, out=keys[2:6])
+        np.add(3 * n + np.arange(7)[:, None], 7 * src, out=keys[2:9])
         if b:
-            x[9], x[10, seg] = x[0], dt
+            x[12], x[13, seg] = x[0], dt
             if self.sim.horizon is not None:
                 k = ((t - self.warmup) / self.width).astype(np.intp)
             else:
                 counted_target = max(self.sim.delivered_per_source - self.warm, 1)
                 k = ((idx - self.warm - 1) * b) // counted_target
             # k < 0 before the warm-up, where the batch rows hold +0.0
-            k = 7 * n + 5 * b * src + np.clip(k, 0, b - 1)
-            np.add(b * np.arange(5)[:, None], k, out=keys[6:])
-        for c in np.flatnonzero(counts * self.room):
-            rows = slice(first[c], first[c] + counts[c])
-            kept = sys_t[rows][counted[rows]][: self.room[c]]
-            self.system_times[c].append(kept)
-            self.room[c] -= len(kept)
+            k = 10 * n + 5 * b * src + np.clip(k, 0, b - 1)
+            np.add(b * np.arange(5)[:, None], k, out=keys[9:])
         if self.rows is not None:
             dump = np.empty((len(t), 6))
             y[~later] = a[~later] = np.nan
@@ -475,7 +467,7 @@ class _Tally:
         if b:
             # the end falls in the last batch: under the time rule,
             # (end - warmup) / width is the batch count to within an ulp
-            last = 7 * n + seg * 5 * b + b - 1
+            last = 10 * n + seg * 5 * b + b - 1
             keys, values = keys + [last + 3 * b, last + 4 * b], values + [area, dt]
         self.flat[:] = np.bincount(np.concatenate(keys), np.concatenate(values), m)
         self.arrivals, self.discarded = self.entered_service + discarded, discarded
@@ -485,7 +477,6 @@ class _Tally:
             np.stack([getattr(self, name) for name in _TIMES]),
             self.sums,
             self.batch,
-            self.system_times,
             None if self.rows is None else np.concatenate(self.rows),
         )
 
@@ -494,11 +485,12 @@ def _simulate_once(
     system: SystemConfig,
     sim: SimConfig,
     rep: int,
+    points: np.ndarray,
     collect_deliveries: bool,
 ) -> _Replication:
     clock = time.perf_counter()
     limit = sim.horizon if sim.horizon is not None else _INF
-    tally = _Tally(system.num_sources, sim, collect_deliveries)
+    tally = _Tally(system.num_sources, sim, points, collect_deliveries)
     # sample_s and tally_s: the seconds spent in the sampler and in the tally
     end_time, sample_s, tally_s, lap = limit, 0.0, 0.0, time.perf_counter()
     for block in _attempts(system, sim.seed, rep, limit):
@@ -546,7 +538,7 @@ class SourceStats:
     interdeparture_ci_halfwidth: float
     paoi_moments: tuple[float, float]  # raw moments m1, m2
     paoi_ci_halfwidth: float
-    system_times: np.ndarray
+    system_time_transform: tuple  # s, n (the Y/A count), means of e^(sT), e^(2sT), e^(4sT)
     rep_windows: np.ndarray  # per rep: end, measure_from, area, last delivery, last T
 
 
@@ -599,7 +591,8 @@ def _halfwidth(values: np.ndarray) -> float:
     return t_quantile(m - 1, 0.975) * sd / math.sqrt(m)
 
 
-def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> SimReport:
+def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, points: np.ndarray,
+           reps: list) -> SimReport:
     """The _Replication records stacked on axis 0, merged in replication order."""
     end = np.array([r.end_time for r in reps])[:, None]
     counts, times, sums = (
@@ -609,8 +602,8 @@ def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> 
     rep_aoi = _ratio(area, span)  # (replications, sources)
     measured = _in_order(np.maximum(span, 0.0))
     aoi, aoi_sq = _ratio(_in_order(area), measured), _ratio(_in_order(area_sq), measured)
-    tot = _in_order(sums)  # pooled over all replications: raw moments of the counted samples
-    y_mean, a_m1, a_m2 = _ratio(tot[:, 1:], tot[:, :1]).T
+    tot = _in_order(sums)  # pooled over all replications: means of the counted samples
+    means = _ratio(tot[:, 1:], tot[:, :1])  # Y, A, A^2, e^(sT), e^(2sT), e^(4sT)
     # CI groups per source, each (AoI, Y, peak AoI) x group: the batches of a
     # single run, else the replications; across sources the sum-AoI group
     # means add in order per batch, and with numpy's pairwise sum per replication
@@ -625,10 +618,10 @@ def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> 
         sum_groups = np.sum(rep_aoi, axis=1)  # C-ordered: each row as np.sum of the row
     windows = np.stack(np.broadcast_arrays(end, measure_from, area, last, last_t), axis=2)
     counters = _in_order(counts).T.tolist()  # Python ints and floats from here on
-    values = np.column_stack((_in_order(busy), aoi, aoi_sq, y_mean, a_m1, a_m2)).tolist()
+    values = np.column_stack((_in_order(busy), aoi, aoi_sq, means)).tolist()
     per_source = []
     for c in range(system.num_sources):
-        busy_c, aoi_c, aoi_sq_c, y_c, m1, m2 = values[c]
+        busy_c, aoi_c, aoi_sq_c, y_c, m1, m2, *transform = values[c]
         hw_aoi, hw_y, hw_a = (_halfwidth(g) for g in groups[c])
         per_source.append(
             SourceStats(
@@ -641,7 +634,7 @@ def _merge(system: SystemConfig, policy: Policy, sim: SimConfig, reps: list) -> 
                 interdeparture_ci_halfwidth=hw_y,
                 paoi_moments=(m1, m2),
                 paoi_ci_halfwidth=hw_a,
-                system_times=np.concatenate([x for r in reps for x in r.system_times[c]]),
+                system_time_transform=(float(points[c]), int(tot[c, 0]), *transform),
                 rep_windows=windows[:, c],
             )
         )
@@ -692,13 +685,14 @@ def run(
                 raise InvalidConfig(f"source {c} never reaches delivered_per_source = "
                                     f"{sim.delivered_per_source}: its delivery probability "
                                     f"M_U(-{rate!r}) underflows to 0")
-    args = [(system, sim, rep, collect_deliveries) for rep in range(sim.replications)]
+    points = _fit_points(system)
+    args = [(system, sim, rep, points, collect_deliveries) for rep in range(sim.replications)]
     with contextlib.ExitStack() as stack:
         if executor is None and sim.replications > 1:
             executor = stack.enter_context(process_pool(workers))
         mapper = map if executor is None or sim.replications == 1 else executor.map
         reps = list(mapper(_simulate_once, *zip(*args)))
-    return _merge(system, policy, sim, reps)
+    return _merge(system, policy, sim, points, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +752,22 @@ _FIT_TOLERANCE = 16.26623619623813  # the chi-square(3) quantile at 1 - _FIT_LEV
 _FIT_CONDITION = 1e4
 
 
-def _system_time_fit(name: str, system: SystemConfig, c: int, samples: np.ndarray) -> CheckResult:
-    """Chi-square(3) test of source c's delivered system times T on their
-    transform at s_k = -k / E[T], k = 1/2, 1, 2: d_k = mean(e^(s_k T)) - M_T(s_k),
-    with covariance M_T(s_j + s_k) - M_T(s_j) M_T(s_k), and statistic n d' S^-1 d.
-    The s_k are s, 2s and 4s, so one exp and two squarings give every point.
+def _fit_points(system: SystemConfig) -> np.ndarray:
+    """Each source's system-time fit point s = -1 / (2 E[T]), E[T] = M_U'(-r_c) / M_U(-r_c);
+    0 where that is not a finite number (M_U(-r_c) underflows): no NaN enters a sum."""
+    jets = np.array([system.service.mgf_jet(-rate, 1).coeffs for rate in system.preemption_rates])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -0.5 / (jets[:, 1] / jets[:, 0])
+    return np.where(np.isfinite(s), s, 0.0)
+
+
+def _system_time_fit(name: str, system: SystemConfig, c: int, transform: tuple) -> CheckResult:
+    """Chi-square(3) test of source c's delivered system times T on their transform
+    at s_k = s, 2s, 4s, the run's s (``_fit_points``), from ``transform`` = (s, n,
+    the means of e^(s_k T)): d_k = mean(e^(s_k T)) - M_T(s_k), with covariance
+    M_T(s_j + s_k) - M_T(s_j) M_T(s_k) of ``system``, and statistic n d' S^-1 d.
     Skipped when S is too close to singular to be told from rounding."""
-    s = -0.5 / system_time_mgf_jet(system, c, 1).coeffs[1]
+    s, n, *sample_means = transform
     mgf = {k: mgf_point_eval(system, c, k * s, Transform.SYSTEM_TIME)
            for k in (1, 2, 3, 4, 5, 6, 8)}  # at each s_j and s_j + s_k
     mean = np.array([mgf[1], mgf[2], mgf[4]])
@@ -774,13 +777,10 @@ def _system_time_fit(name: str, system: SystemConfig, c: int, samples: np.ndarra
     if not smallest > floor:
         return CheckResult(name, "skip", math.nan, math.nan, (
             f"covariance lost to rounding: smallest eigenvalue {smallest:.3g} <= {floor:.3g}"))
-    e = s * samples
-    np.exp(e, out=e)  # e^(sT), then squared in place into e^(2sT) and e^(4sT)
-    d = np.array([e.mean(), np.square(e, out=e).mean(), np.square(e, out=e).mean()]) - mean
-    stat = float(samples.size * d @ np.linalg.solve(cov, d))
+    d = np.array(sample_means) - mean
+    stat = float(n * d @ np.linalg.solve(cov, d))
     return verdict(name, stat, _FIT_TOLERANCE, (
-        f"chi-square(3) of the transform at s = {s:.4g} x (1, 2, 4), level {_FIT_LEVEL:g}, "
-        f"n={samples.size}"))
+        f"chi-square(3) of the transform at s = {s:.4g} x (1, 2, 4), level {_FIT_LEVEL:g}, n={n}"))
 
 
 def empirical_checks(
@@ -815,16 +815,15 @@ def empirical_checks(
     for c, (stats_c, preempt_rate) in enumerate(zip(report.per_source, system.preemption_rates)):
         # (i) system-time fit
         name = f"source{c}:system_time_fit"
-        samples = stats_c.system_times
+        n = stats_c.system_time_transform[1]
         if point_mass:
             results.append(CheckResult(name, "skip", math.nan, math.nan,
                                        "a point-mass law: every system time is its value"))
-        elif samples.size < min_samples:
+        elif n < min_samples:
             raise InsufficientSamples(
-                f"need >= {min_samples} system-time samples for source {c}, got {samples.size}"
-            )
+                f"need >= {min_samples} system-time samples for source {c}, got {n}")
         else:
-            results.append(_system_time_fit(name, system, c, samples))
+            results.append(_system_time_fit(name, system, c, stats_c.system_time_transform))
 
         # (ii) delivery probability
         name = f"source{c}:delivery_probability"

@@ -32,6 +32,7 @@ GATES = {
     "analytic_global": test_sim.global_gate,
     "empirical_checks_baselines": test_sim.policy_checks_gate,
     "empirical_checks_matched": test_sim.matched_checks_gate,
+    "system_time_fit_long": test_sim.long_fit_gate,
 }
 
 

@@ -1,6 +1,8 @@
-"""Deterministic randomized configuration grid shared across test modules."""
+"""Helpers shared across test modules: a deterministic randomized
+configuration grid, and the Bonferroni t quantile of the statistical gates."""
 
 import numpy as np
+from scipy import stats as sps
 
 from aoiq import (
     Deterministic,
@@ -34,3 +36,11 @@ def config_grid(seed: int = 0) -> list[SystemConfig]:
                 rates = tuple(rng.uniform(0.5, 3.0, n_src))
                 configs.append(SystemConfig(rates, theta, _distribution(kind, rng)))
     return configs
+
+
+def bonferroni(family_rate: float, claims: int, df: int) -> float:
+    """The two-sided t quantile, with ``df`` degrees of freedom, of each of
+    ``claims`` simultaneous intervals whose family misses a correct value with
+    probability at most ``family_rate``; ``bonferroni(0.05, 1, df)`` is the
+    plain 95% one."""
+    return float(sps.t.ppf(1 - family_rate / (2 * claims), df))

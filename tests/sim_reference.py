@@ -57,7 +57,6 @@ class Source:
     """Counters and accumulators of one source in one replication."""
 
     def __init__(self, batches):
-        self.system_times = []  # the first counted ones, up to the capacity
         self.arrivals = self.delivered = self.preempted = self.discarded = 0
         self.entered_service = self.race_entries = 0
         self.busy_time = self.aoi_area = self.aoi_area_sq = 0.0
@@ -65,6 +64,7 @@ class Source:
         self.last_system_time = 0.0
         self.y_sums = [0, 0.0]
         self.a_sums = [0, 0.0, 0.0]
+        self.t_sums = [0, 0.0, 0.0, 0.0]  # count, e^(sT), e^(2sT), e^(4sT) of system times T
         self.batch_area = [0.0] * batches
         self.batch_dur = [0.0] * batches
         self.batch_sums = [[0.0] * batches, [0.0] * batches, [0] * batches]
@@ -73,8 +73,8 @@ class Source:
 class Tally:
     """The statistics of one replication, added up as each event happens."""
 
-    def __init__(self, cfg, sim, track_batches, collect_deliveries):
-        self.sim, self.track_batches = sim, track_batches
+    def __init__(self, cfg, sim, points, track_batches, collect_deliveries):
+        self.sim, self.points, self.track_batches = sim, points, track_batches
         self.sources = [Source(sim.batches) for _ in range(cfg.num_sources)]
         self.deliveries = [] if collect_deliveries else None
         self.reached = 0  # sources at their delivery target
@@ -118,8 +118,6 @@ class Tally:
         idx = src.delivered
         counted = t > self.warmup_time if horizon is not None else idx > self.warm_count
         k = self.batch_of(t, idx)
-        if counted and len(src.system_times) < sim_mod.RESERVOIR_CAPACITY:
-            src.system_times.append(t_sys)
         if src.last_delivery == INF:
             row = (c, gen_time, t, t_sys, math.nan, math.nan)
         else:
@@ -131,6 +129,11 @@ class Tally:
                 src.a_sums[0] += 1
                 src.a_sums[1] += a
                 src.a_sums[2] += a * a
+                e = float(np.exp(self.points[c] * t_sys))  # numpy's exp, as the simulator's
+                src.t_sums[0] += 1
+                src.t_sums[1] += e
+                src.t_sums[2] += e * e
+                src.t_sums[3] += (e * e) * (e * e)
                 if track_batches:
                     src.batch_sums[0][k] += y
                     src.batch_sums[1][k] += a
@@ -167,7 +170,7 @@ class Tally:
 THETA = {PolicyKind.NON_PREEMPTIVE: 0.0, PolicyKind.SELF_PREEMPTIVE: 1.0}  # the policy limits
 
 
-def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
+def episode_loop(cfg, policy, sim, rep, points, track_batches, collect_deliveries):
     """One replication of the sampler's model, one attempt per iteration.
     Source c's attempts are preempted at theta lambda_c (theta 0 or 1 for
     the non- and self-preemptive policies), or at Lambda under global
@@ -185,7 +188,7 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
     service = [Draws(substream(seed, rep, c, 1), cfg.service.sample_n) for c in range(n)]
     unit_gap = [Draws(substream(seed, rep, c, 2), lambda g, k: g.standard_exponential(k))
                 for c in range(n)]
-    tally = Tally(cfg, sim, track_batches, collect_deliveries)
+    tally = Tally(cfg, sim, points, track_batches, collect_deliveries)
     t, idle, c = 0.0, True, -1
     while True:
         if idle:
@@ -222,10 +225,10 @@ def episode_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
     return replication
 
 
-def arrival_loop(cfg, policy, sim, rep, track_batches, collect_deliveries):
+def arrival_loop(cfg, policy, sim, rep, points, track_batches, collect_deliveries):
     """One replication of the model read literally, one event per iteration."""
     seed, horizon = sim.seed, sim.horizon
-    tally = Tally(cfg, sim, track_batches, collect_deliveries)
+    tally = Tally(cfg, sim, points, track_batches, collect_deliveries)
     sources = tally.sources
     gap = [Draws(substream(seed, rep, c, 0), lambda g, n, r=rate: g.exponential(1.0 / r, n))
            for c, rate in enumerate(cfg.arrival_rates)]
@@ -296,7 +299,15 @@ def halfwidth(values):
     return t_quantile(m - 1, 0.975) * sd / math.sqrt(m)
 
 
-def merge(cfg, policy, sim, reps):
+def fit_point(law, rate):
+    """-1 / (2 E[T]) for the delivered system times T of a packet preempted at
+    ``rate``, E[T] = M_U'(-rate) / M_U(-rate); 0 where that is not a finite number."""
+    m0, m1 = law.mgf_jet(-rate, 1).coeffs
+    s = -0.5 / (m1 / m0) if m0 > 0 and m1 > 0 else math.nan
+    return s if math.isfinite(s) else 0.0
+
+
+def merge(cfg, policy, sim, points, reps):
     """The replications merged one statistic at a time: counts and sums
     in replication order, the CI of each mean over the batches of a single
     run or over the replications, and the sum-AoI CI over the per-batch sums
@@ -354,8 +365,8 @@ def merge(cfg, policy, sim, reps):
                 interdeparture_ci_halfwidth=halfwidth(y_vals),
                 paoi_moments=paoi_moments,
                 paoi_ci_halfwidth=halfwidth(a_vals),
-                system_times=np.array(
-                    [t for _, src in runs for t in src.system_times], dtype=float
+                system_time_transform=(
+                    points[c], total(src.t_sums[0] for _, src in runs), *pooled("t_sums")
                 ),
                 rep_windows=np.array(
                     [
@@ -394,8 +405,9 @@ def merge(cfg, policy, sim, reps):
 def reference_run(cfg, policy, sim, collect_deliveries=False, loop=episode_loop):
     """``aoiq.sim.run`` computed by a reference loop and the plain merge."""
     track_batches = sim.replications == 1
+    points = [fit_point(cfg.service, rate) for rate in policy.system(cfg).preemption_rates]
     reps = [
-        loop(cfg, policy, sim, rep, track_batches, collect_deliveries)
+        loop(cfg, policy, sim, rep, points, track_batches, collect_deliveries)
         for rep in range(sim.replications)
     ]
-    return merge(cfg, policy, sim, reps)
+    return merge(cfg, policy, sim, points, reps)

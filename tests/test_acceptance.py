@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from aoiq import (
     Exponential,
@@ -28,7 +27,7 @@ from aoiq.analytic import (
     GloballyPreemptiveConfig, aoi_mgf_jet, moments_both_routes, paoi_mgf_jet, system_time_mgf_jet,
 )
 from aoiq.cli import main as cli_main
-from grid_helpers import config_grid
+from grid_helpers import bonferroni, config_grid
 
 WORKERS = 2
 PAPER_DIST = LogNormal(-1.0, 1.0)
@@ -38,13 +37,6 @@ PAPER_RATES = (2.0, 6.0)  # total arrival rate 8, first source at 2
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} acceptance {criterion}: {detail}")
     assert ok, f"acceptance {criterion}: {detail}"
-
-
-def _bonferroni(family_rate: float, claims: int, df: int) -> float:
-    """The factor that widens a 95% t half-width with ``df`` degrees of
-    freedom into one of ``claims`` simultaneous intervals whose family
-    misses a correct value with probability at most ``family_rate``."""
-    return float(sps.t.ppf(1 - family_rate / (2 * claims), df) / sps.t.ppf(0.975, df))
 
 
 def test_criterion_1_normalization():
@@ -121,7 +113,7 @@ def criterion_4(seed):
     hw_ok = s.aoi_ci_halfwidth < 0.02 and s.interdeparture_ci_halfwidth < 0.02
     # two simultaneous claims from 20 batch means each, at a family-wise
     # false-alarm rate of 1%: each 95% half-width widens 1.52-fold
-    scale = _bonferroni(0.01, 2, sim.batches - 1)
+    scale = bonferroni(0.01, 2, sim.batches - 1) / bonferroni(0.05, 1, sim.batches - 1)
     within = (
         abs(s.time_avg_aoi - 2.0) <= scale * s.aoi_ci_halfwidth
         and abs(s.interdeparture_mean - 2.0) <= scale * s.interdeparture_ci_halfwidth
@@ -237,7 +229,7 @@ def criterion_7(seed):
     thetas = [round(0.1 * i, 1) for i in range(11)]
     # 11 simultaneous claims from 20 replications each, at a family-wise
     # false-alarm rate of 1%: each 95% half-width widens 1.88-fold
-    scale = _bonferroni(0.01, len(thetas), 19)
+    scale = bonferroni(0.01, len(thetas), 19) / bonferroni(0.05, 1, 19)
     for theta in thetas:
         cfg = SystemConfig(PAPER_RATES, theta, PAPER_DIST)
         ana = sum(moments(cfg, c, 2).mean_aoi for c in range(2))

@@ -392,6 +392,16 @@ def test_lognormal_mgf_point(dist, t):
     assert dist.mgf_point(t) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("shape", [1e3, 1e4])
+def test_gamma_mgf_at_large_shape(shape):
+    # formed as (rate / gap) ** shape, the rounding of rate / gap grew with the
+    # shape: 9.0e-14 and 1.2e-12 off here; as exp(-shape log1p(-t0 / rate)) it
+    # is within a few 1e-17
+    law = Gamma(shape, shape)
+    exact = _mp_mgf_coeffs(law, mp.mpf("-0.3"), 0)[0]
+    assert law.mgf_point(-0.3) == pytest.approx(float(exact), rel=2e-16, abs=0.0)
+
+
 # (loc, scale, shift): the paper's law untilted, nearly untilted, at both
 # sources' shifts (theta 0.28, rates 2 and 6) and under heavy tilt; a wide
 # law nearly untilted and under a tilt of 1e6; a far-right law; a nearly

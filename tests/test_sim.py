@@ -23,7 +23,8 @@ from aoiq import (
 )
 from aoiq import sim as sim_mod
 from aoiq.analytic import GloballyPreemptiveConfig, Transform, mgf_point_eval
-from aoiq.sim import InvalidConfig, SourceStats, _simulate_once
+from aoiq.sim import InvalidConfig, SourceStats, _fit_points, _simulate_once
+from grid_helpers import bonferroni
 from sim_reference import arrival_loop, reference_run
 
 ANCHOR = SystemConfig((1.0,), 1.0, Exponential(1.0))
@@ -70,10 +71,25 @@ class TestConfigValidation:
             call()
         assert str(info.value) == message
 
-    def test_undeliverable_source_under_the_time_rule_runs(self):
+    def test_undeliverable_source_under_the_time_rule_runs(self, report):
         cfg = SystemConfig((750.0, 1.0), 1.0, Deterministic(1.0))
-        report = run(cfg, Policy.probabilistic(1.0), small_sim(horizon=2.0))
-        assert report.per_source[0].delivered == 0
+        starved = run(cfg, Policy.probabilistic(1.0), small_sim(horizon=2.0))
+        assert starved.per_source[0].delivered == 0
+        # M_U(-750) underflows, so E[T] = M_U'(-750) / M_U(-750) is 0 / 0: the fit
+        # point is 0, not NaN, the tally's sums stay finite, and no T is counted
+        points = _fit_points(starved.system)
+        assert points.tolist() == [0.0, -0.5]
+        assert np.isfinite(_simulate_once(starved.system, starved.sim, 0, points, False).sums).all()
+        point, n, *means = starved.per_source[0].system_time_transform
+        assert (point, n) == (0.0, 0) and all(map(math.isnan, means))
+        # that source's field in a matched run: its fit skips, the other's verdict stands
+        first, second = report.per_source
+        swapped = dataclasses.replace(first, system_time_transform=(point, n, *means))
+        fits = [[r for r in empirical_checks(dataclasses.replace(report, per_source=(s, second)),
+                                             TWO_EXP, MATCHED, min_samples=0).results
+                 if r.name.endswith("system_time_fit")] for s in (first, swapped)]
+        assert fits[1][0].status == "skip" and fits[0][0].status == "pass"
+        assert fits[1][1] == fits[0][1] and fits[0][1].status == "pass"
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_horizon_must_be_finite(self, horizon):
@@ -181,9 +197,10 @@ class TestCounters:
         assert all(s.discarded == 0 for s in report.per_source)
 
     def test_aoi_at_least_system_time(self):
-        report = run(TWO_EXP, Policy.probabilistic(0.4), small_sim(horizon=20000.0))
-        for s in report.per_source:
-            assert s.time_avg_aoi >= s.system_times.mean()
+        report = run(TWO_EXP, Policy.probabilistic(0.4), small_sim(horizon=20000.0),
+                     collect_deliveries=True)
+        for c, s in enumerate(report.per_source):
+            assert s.time_avg_aoi >= report.deliveries[report.deliveries[:, 0] == c, 3].mean()
 
     def test_four_source_run(self):
         # more sources than the other systems here, each with deliveries
@@ -267,10 +284,10 @@ class TestStatsIdenticalEdges:
         assert report.stats_identical(report)
 
 
-def dump_records(report, c):
-    """Source c's (prev T, Y, peak) records from the delivery dump of a run
-    made with ``collect_deliveries=True``: one per counted delivery with a
-    previous one in its replication. A NaN Y marks a replication's first
+def counted_rows(report, c):
+    """Source c's rows of the delivery dump of a run made with
+    ``collect_deliveries=True``, and the mask of its counted deliveries with a
+    previous one in their replication. A NaN Y marks a replication's first
     delivery, where the per-replication delivery index of the count rule
     restarts."""
     sim = report.sim
@@ -282,8 +299,13 @@ def dump_records(report, c):
         pos = np.arange(len(rows))
         idx = pos - np.maximum.accumulate(np.where(fresh, pos, 0)) + 1
         counted = idx > int(round(sim.warmup_fraction * sim.delivered_per_source))
-    keep = counted[1:] & ~fresh[1:]
-    return np.column_stack((rows[:-1, 3], rows[1:, 4], rows[1:, 5]))[keep]
+    return rows, counted & ~fresh
+
+
+def dump_records(report, c):
+    """Source c's (prev T, Y, peak) records, one per delivery ``counted_rows`` marks."""
+    rows, keep = counted_rows(report, c)
+    return np.column_stack((rows[:-1, 3], rows[1:, 4], rows[1:, 5]))[keep[1:]]
 
 
 class PositiveExponentRejected(ValueError):
@@ -392,8 +414,8 @@ class TestSampleIdentities:
 
 class TestAccumulatorsMatchReservoirs:
     # the dump holds every delivery, so the running sums behind the reported
-    # interdeparture mean and PAoI moments must reproduce the sample
-    # averages up to summation rounding
+    # interdeparture mean, PAoI moments and system-time transform must
+    # reproduce the sample averages up to summation rounding
     @pytest.mark.parametrize("replications", [1, 3])
     @pytest.mark.parametrize(
         "stop",
@@ -409,45 +431,26 @@ class TestAccumulatorsMatchReservoirs:
             assert rec[:, 1].mean() == pytest.approx(s.interdeparture_mean, rel=1e-12)
             assert rec[:, 2].mean() == pytest.approx(s.paoi_moments[0], rel=1e-12)
             assert (rec[:, 2] ** 2).mean() == pytest.approx(s.paoi_moments[1], rel=1e-12)
+            # at s = -1 / (2 E[T]), T ~ Exp(1.5 + r_c) for exponential service
+            point, n, *means = s.system_time_transform
+            assert point == pytest.approx(-0.5 * (1.5 + TWO_EXP.preemption_rates[c]), rel=1e-15)
+            rows, keep = counted_rows(report, c)
+            assert n == len(rec) == np.count_nonzero(keep)
+            want = [np.exp(k * point * rows[keep, 3]).mean() for k in (1, 2, 4)]
+            assert means == pytest.approx(want, rel=1e-12)
 
 
 class TestSystemTimeSample:
-    # each source keeps the first RESERVOIR_CAPACITY counted system times of
-    # each replication, in delivery order, and the replications in order;
-    # blocks of 50 fill a sample over several blocks, and add to a full one
-    @pytest.mark.parametrize("replications", [1, 3])
-    @pytest.mark.parametrize(
-        "stop",
-        [{"horizon": 3000.0}, {"delivered_per_source": 2000}],
-        ids=["horizon", "delivered"],
-    )
-    def test_each_sample_is_the_first_counted_times(self, monkeypatch, stop, replications):
-        cap = 200
-        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", cap)
-        monkeypatch.setattr(sim_mod, "_BLOCK", 50)
-        sim = SimConfig(seed=7, warmup_fraction=0.1, replications=replications, **stop)
-        report = run(TWO_EXP, Policy.probabilistic(0.5), sim, collect_deliveries=True)
-        dump = report.deliveries  # source, generation, delivery, T, Y, A
-        for c, s in enumerate(report.per_source):
-            rows = dump[dump[:, 0] == c]
-            starts = np.flatnonzero(np.isnan(rows[:, 4]))  # each replication's first delivery
-            want = []
-            for r in np.split(rows, starts[1:]):
-                if "horizon" in stop:
-                    counted = r[:, 2] > sim.warmup_fraction * sim.horizon
-                else:
-                    counted = np.arange(1, len(r) + 1) > round(0.1 * sim.delivered_per_source)
-                assert np.count_nonzero(counted) > 4 * cap
-                want.append(r[counted, 3][:cap])
-            assert len(want) == replications
-            assert np.array_equal(s.system_times, np.concatenate(want))
-
+    # the counted system times reach the report as (s, n, and the means of
+    # e^(sT), e^(2sT), e^(4sT)); a source without one has n = 0 and no means
     def test_no_counted_delivery_leaves_an_empty_sample(self):
         cfg = SystemConfig((1.0, 0.01), 0.5, Exponential(1.5))
         report = run(cfg, Policy.probabilistic(0.5), small_sim(seed=1, horizon=20.0, replications=2))
         assert report.per_source[1].delivered == 0
-        assert report.per_source[1].system_times.shape == (0,)
-        assert len(report.per_source[0].system_times) > 0
+        point, n, *means = report.per_source[1].system_time_transform
+        assert point == pytest.approx(-0.5 * (1.5 + 0.005), rel=1e-15)
+        assert n == 0 and all(map(math.isnan, means))
+        assert report.per_source[0].system_time_transform[1] > 0
 
 
 class TestBatchCounts:
@@ -460,10 +463,10 @@ class TestBatchCounts:
     )
     def test_batches_total_the_sums(self, stop):
         sim = SimConfig(seed=5, warmup_fraction=0.0, **stop)
-        rep = _simulate_once(TWO_EXP, sim, 0, False)
+        rep = _simulate_once(TWO_EXP, sim, 0, _fit_points(TWO_EXP), False)
         for c in range(TWO_EXP.num_sources):
             y_sum, a_sum, cnt = rep.batch[c, :3].sum(axis=1)
-            ya_n, y_total, a_total, _ = rep.sums[c]
+            ya_n, y_total, a_total, _ = rep.sums[c, :4]
             assert cnt == ya_n
             assert y_sum == pytest.approx(y_total, rel=1e-12)
             assert a_sum == pytest.approx(a_total, rel=1e-12)
@@ -524,10 +527,13 @@ def second_moment_gate(cfg, seed):
 
 
 def system_time_mgf_gate(seed):
+    """Source 0's mean of e^(sT) at the run's s against the closed form, its
+    standard error from the mean of e^(2sT)."""
     sim = SimConfig(seed=seed, horizon=3e4, warmup_fraction=0.05)
     report = run(TWO_EXP, Policy.probabilistic(TWO_EXP.theta), sim)
-    want = mgf_point_eval(TWO_EXP, 0, -0.7, Transform.SYSTEM_TIME)
-    est, se = empirical_mgf(report.per_source[0].system_times, -0.7)
+    s, n, est, second, _ = report.per_source[0].system_time_transform
+    want = mgf_point_eval(TWO_EXP, 0, s, Transform.SYSTEM_TIME)
+    se = math.sqrt((second - est * est) / n)
     return abs(est - want) < 3 * se, f"z = {(est - want) / se:.2f}"
 
 
@@ -551,7 +557,7 @@ def global_gate(seed):
     family-wise false-alarm rate of 1% (Bonferroni t intervals)."""
     sim = SimConfig(seed=seed, horizon=2e4, warmup_fraction=0.1, replications=10)
     df = sim.replications - 1
-    scale = sps.t.ppf(1 - 0.01 / (2 * 8), df) / sps.t.ppf(0.975, df)
+    scale = bonferroni(0.01, 8, df) / bonferroni(0.05, 1, df)
     misses, worst = [], 0.0
     for name, cfg in (("paper", PAPER), ("two_exp", TWO_EXP)):
         report = run(cfg, Policy.globally_preemptive(), sim)
@@ -638,6 +644,12 @@ class TestEmpiricalMgf:
 MATCHED = Policy.probabilistic(0.5)
 
 
+def transform_of(draws, point):
+    """The ``system_time_transform`` of system times ``draws`` at fit point s = ``point``."""
+    e = np.exp(point * draws)
+    return point, draws.size, e.mean(), (e * e).mean(), np.square(e * e).mean()
+
+
 def matched_run(seed):
     """TWO_EXP at theta = 0.5, 30,000 deliveries a source."""
     return run(TWO_EXP, MATCHED, SimConfig(seed=seed, delivered_per_source=30_000, warmup_fraction=0.0))
@@ -649,6 +661,19 @@ def matched_checks_gate(seed, report=None):
     results = empirical_checks(report or matched_run(seed), TWO_EXP, MATCHED).results
     misses = [f"{r.name}: {r.discrepancy:.3g} > {r.tolerance:.3g}" for r in results if r.status == "fail"]
     return not misses, "; ".join(misses) or f"{len(results)} checks passed"
+
+
+def long_fit_gate(seed):
+    """``system_time_fit`` of one replication of the paper system at horizon
+    1.5e5, each source's fit against its own system: source 1 sums about
+    145,000 counted system times, past the 100,000 a run once kept."""
+    policy = Policy.probabilistic(PAPER.theta)
+    report = run(PAPER, policy, SimConfig(seed=seed, horizon=1.5e5))
+    fits = [r for r in empirical_checks(report, PAPER, policy).results
+            if r.name.endswith("system_time_fit")]
+    n = report.per_source[1].system_time_transform[1]
+    return n > 100_000 and all(r.status == "pass" for r in fits), (
+        f"source 1 n={n}; " + ", ".join(f"{r.name} {r.discrepancy:.2f}" for r in fits))
 
 
 @pytest.fixture(scope="module")
@@ -713,6 +738,10 @@ class TestEmpiricalChecks:
         assert check.detail == "expected preemption count too small for a rate test"
         assert check.passed
 
+    def test_fit_past_the_old_cap(self):
+        ok, detail = long_fit_gate(5)
+        assert ok, detail
+
     def test_fit_tolerance_is_the_chi_square_quantile(self):
         import mpmath
 
@@ -730,8 +759,10 @@ class TestEmpiricalChecks:
 
         def fits(speed):
             per_source = tuple(
-                dataclasses.replace(s, system_times=rng.exponential(1 / (speed * (1.5 + r)), 30_000))
-                for s, r in zip(report.per_source, TWO_EXP.preemption_rates))
+                dataclasses.replace(s, system_time_transform=transform_of(
+                    rng.exponential(1 / (speed * (1.5 + r)), 30_000), point))
+                for s, r, point in zip(report.per_source, TWO_EXP.preemption_rates,
+                                       _fit_points(TWO_EXP)))
             results = empirical_checks(dataclasses.replace(report, per_source=per_source),
                                        TWO_EXP, MATCHED).results
             return [r for r in results if r.name.endswith("system_time_fit")]
@@ -758,8 +789,9 @@ class TestEmpiricalChecks:
             u = law.sample_n(rng, 300_000)
             return u[rng.random(u.size) < np.exp(-r * u)][:30_000]
 
-        per_source = tuple(dataclasses.replace(s, system_times=delivered(r))
-                           for s, r in zip(report.per_source, cfg.preemption_rates))
+        per_source = tuple(dataclasses.replace(s, system_time_transform=transform_of(delivered(r), point))
+                           for s, r, point in zip(report.per_source, cfg.preemption_rates,
+                                                  _fit_points(cfg)))
         fits = [r for r in empirical_checks(dataclasses.replace(report, per_source=per_source),
                                             cfg, MATCHED).results if r.name.endswith("system_time_fit")]
         assert [r.status for r in fits] == [status, status]
@@ -979,13 +1011,11 @@ REFERENCE_RUNS = {
 class TestAgainstReference:
     # the attempt-level core and the numpy merge against a plain
     # one-event-at-a-time loop and a plain Python merge: every statistic,
-    # system-time sample and dumped delivery bit for bit. A capacity of 200
-    # fills the samples
+    # system-time transform and dumped delivery bit for bit
     @pytest.mark.parametrize("stop", REFERENCE_RUNS.values(), ids=REFERENCE_RUNS.keys())
     @pytest.mark.parametrize("policy", EVERY_POLICY, ids=_policy_id)
     @pytest.mark.parametrize("cfg", REFERENCE_SYSTEMS.values(), ids=REFERENCE_SYSTEMS.keys())
-    def test_bit_identical(self, monkeypatch, cfg, policy, stop):
-        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
+    def test_bit_identical(self, cfg, policy, stop):
         got = run(cfg, policy, stop, collect_deliveries=True)
         want = reference_run(cfg, policy, stop, collect_deliveries=True)
         assert got.stats_identical(want)
@@ -995,30 +1025,22 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=_policy_id
     )
-    def test_bit_identical_past_one_byte_of_sources(self, monkeypatch, policy):
+    def test_bit_identical_past_one_byte_of_sources(self, policy):
         # from 257 sources on, the sorts key the sources as uint16, not uint8
-        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
         cfg, stop = SystemConfig((0.01,) * 300, 0.4, Exponential(1.0)), REFERENCE_RUNS["horizon"]
         got = run(cfg, policy, stop, collect_deliveries=True)
         assert got.stats_identical(reference_run(cfg, policy, stop, collect_deliveries=True))
         assert max(got.deliveries[:, 0]) > 255
-
-    def test_past_capacity_reached(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
-        report = run(REFERENCE_SYSTEMS["two-gamma"], EVERY_POLICY[0], REFERENCE_RUNS["count"])
-        assert all(len(s.system_times) == 200 for s in report.per_source)
-        assert all(s.delivered > 220 for s in report.per_source)
 
 
 class TestWinners:
     @pytest.mark.parametrize(
         "policy", [Policy.probabilistic(0.4), Policy.globally_preemptive()], ids=_policy_id
     )
-    def test_uneven_rates_bit_identical(self, monkeypatch, policy):
+    def test_uneven_rates_bit_identical(self, policy):
         # shares 2.2, 2.23 and 2.26 of 5 fall in one of the winner table's 32
         # cells, so a draw in it may lie up to three shares past the cell's
         # least winner; the winners must still be the reference loop's
-        monkeypatch.setattr(sim_mod, "RESERVOIR_CAPACITY", 200)
         cfg = SystemConfig((0.2, 2.0, 0.03, 0.03, 2.74), 0.4, Exponential(1.0))
         stop = SimConfig(seed=16, horizon=3000.0)
         got = run(cfg, policy, stop, collect_deliveries=True)
@@ -1047,6 +1069,15 @@ def route_z_scores(policy, reps=40, horizon=2e3):
     return np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
 
 
+def test_gates_share_one_bonferroni_quantile():
+    # each gate's factor or bound is the float it formed on its own before
+    t = sps.t.ppf
+    for claims, df in ((2, 19), (11, 19), (8, 9)):  # criteria 4 and 7, global_gate
+        got = bonferroni(0.01, claims, df) / bonferroni(0.05, 1, df)
+        assert got == float(t(1 - 0.01 / (2 * claims), df) / t(0.975, df))
+    assert bonferroni(1e-3, 10, 39) == t(1 - 1e-3 / (2 * 10), 39)  # the arrival loop's bound
+
+
 class TestAgainstArrivalLoop:
     # The sampler draws the path from its regenerative decomposition, the
     # one the closed form and the graph solver use; the arrival loop reads
@@ -1060,7 +1091,7 @@ class TestAgainstArrivalLoop:
     )
     def test_same_distribution_as_the_model(self, policy):
         z = route_z_scores(policy)
-        bound = sps.t.ppf(1 - 1e-3 / (2 * z.size), 39)
+        bound = bonferroni(1e-3, z.size, 39)
         assert np.abs(z).max() <= bound, z
 
 
