@@ -27,12 +27,18 @@ values) from the law's M/H pairs at every distinct shift s - r_c, asked
 at once. Its coefficient rows are vectors over (system, source) pairs, so
 each product or quotient is one call of the row kernels that ``Jet`` uses
 too; K_c comes from in-order cumulative sums within each system. Each
-source keeps the bits, and the errors, of scalar jet arithmetic on it
-alone. ``solve_moments`` solves a sweep's systems as one batch; the other
-functions read batches of one, the last 8 kept. Each batch logs a DEBUG
-record on ``aoiq.analytic``: its size, shifts and service calls, seconds
-in the service layer and in the term algebra, and the smallest |constant
-term| divided by.
+source keeps the bits of scalar jet arithmetic on it alone.
+``solve_moments`` solves a sweep's systems as one batch; the other
+functions read batches of one, the last 8 kept; a source's error is
+raised when it is read. Each batch logs a DEBUG record on
+``aoiq.analytic``: its size, shifts, service calls, seconds in the law
+and in the term algebra, and the smallest |divisor|.
+
+A term that fails raises ``OutsideConvergenceRegion`` where s >= Lambda
+or 1 - h_c or lambda_c - s K_c has a constant term <= 0, else
+``DivisionBySingularJet`` where a divisor's constant term is below the
+floor or a term is not finite: for the whole system in 1 - h_c, g_c or
+their sums, else for the source's jets that read M_Y, (M_Y - 1)/s or M_T.
 
 ``moments`` differentiates the AoI and peak-age jets at the order asked
 for. ``moments_both_routes`` also combines T and Y moments binomially, a
@@ -168,28 +174,6 @@ class AoiMetrics:
         return self.paoi_moments[0]
 
 
-def _first_faults(checks, n: int) -> list:
-    """Each column's first failing check, as the (type, message) it raises: a
-    result's rows fail where not finite, a (mask, type, message(j)) on mask."""
-    faults = [None] * n
-    for check in checks:
-        if not isinstance(check, tuple):  # a result
-            check = (~np.isfinite(check).all(axis=0), ValueError, lambda j, rows=check: (
-                f"non-finite jet coefficients: {tuple(rows[:, j].tolist())}"))
-        bad, kind, message = check
-        for j in np.flatnonzero(bad).tolist():
-            faults[j] = faults[j] or (kind, message(j))
-    return faults
-
-
-def _quotient_checks(q, den) -> list:
-    """The checks of q = num / den in a scalar ``Jet``'s order."""
-    return [(np.abs(den[0]) < DIVISION_FLOOR, DivisionBySingularJet, lambda j: (
-                f"jet denominator constant term {float(den[0, j])!r} below floor {DIVISION_FLOOR}")),
-            (~np.isfinite(q).all(axis=0), DivisionBySingularJet, lambda j: (
-                f"jet quotient overflows: denominator {tuple(den[:, j].tolist())!r}"))]
-
-
 # The quantities of a built system, by index: M_Y and (M_Y - 1)/s at every
 # expansion point; M_T, the peak-age and the AoI MGF at 0 only.
 _Y, _EXCESS, _T, _PEAK, _AOI = range(5)
@@ -199,9 +183,8 @@ def _build(cfgs, s0: float, order: int) -> list:
     """Each system's ``(coeffs, faults)`` at s0: ``coeffs[c][q]``, every source's jets
     of M_Y and (M_Y - 1)/s and, at 0, of M_T, M_T * M_Y (T and Y of a cycle are
     independent) and the AoI MGF, one column per (system, source) in the one-source
-    chain's operand order; ``faults[q][c]``, None or the (type, message) that chain
-    raised on its way to q. A step every source shares fails the system: s0 >= total
-    rate, 1 - h_c not positive, a singular g_c. Raises what the law raises."""
+    chain's operand order; ``faults[q][c]``, None or the (type, message) reading q
+    raises by the module's failure rule. Raises what the law raises."""
     start = perf_counter()
     law, n, m = cfgs[0].service, cfgs[0].num_sources, len(cfgs)
     # a system at or beyond its total rate asks for no jets: its columns are nan
@@ -226,7 +209,8 @@ def _build(cfgs, s0: float, order: int) -> list:
         sums = np.zeros((order + 1, 2, m, n))
         sums[0, 0, :, 0] = 1.0
         sums[..., 0, :, 1:], sums[..., 1, :, 1:] = g_rows[..., :-1], g_rows[..., :0:-1]
-        prefix, suffix = sums.cumsum(axis=3).transpose(1, 0, 2, 3)
+        sums = sums.cumsum(axis=3)
+        prefix, suffix = sums.transpose(1, 0, 2, 3)
         k = (prefix + suffix[..., ::-1]).reshape(order + 1, -1)  # K_c
         s_k = np.array(mul_rows(s, k))
         detour = 0.0 - s_k
@@ -245,33 +229,33 @@ def _build(cfgs, s0: float, order: int) -> list:
             outputs += [t, peak, aoi]
         results = np.array(outputs + [loop_free, denominator, g])
         divisors = results[len(outputs):-1, 0]
-    faults, shared = [[None] * (m * n)] * 5, [None] * m  # read only
-    # inf and nan pass on through sums and products, and through a quotient
-    # unless its divisor's constant term is not finite: the outputs, g (unread
-    # when n = 1) and the divisors hold every non-finite intermediate
+    shared, faults = [None] * m, [[None] * (m * n)] * 5  # by system, and by quantity and column
+    # inf and nan pass through sums and products, and through a quotient unless its divisor's
+    # constant term is not finite: the outputs, g and the divisors hold every non-finite term
     if not (np.isfinite(results).all() and divisors.min() >= DIVISION_FLOOR):
-        # the one-source chain's checks, in its order
-        shared = [None if s0 < cfg.total_rate else (OutsideConvergenceRegion, (
-            f"s={s0} at or beyond the total arrival rate {cfg.total_rate}")) for cfg in cfgs]
-        for checks in ([s_survival, loop_free],
-                       [(loop_free[0] <= 0.0, OutsideConvergenceRegion,
-                         lambda j: f"self-loop gain of source {j % n} reaches 1 at s={s0}")],
-                       [scaled, *_quotient_checks(g, loop_free)],
-                       [prefix.reshape(order + 1, -1), suffix.reshape(order + 1, -1)]):
-            for j, fault in enumerate(_first_faults(checks, m * n)):
-                shared[j // n] = shared[j // n] or fault
-        y_faults = _first_faults([
-            k, s_k, detour, (detour[0] <= 0.0, OutsideConvergenceRegion,
-                             lambda j: f"detour denominator nonpositive at s={s0}"),
-            denominator, scaled_service, *_quotient_checks(y, denominator),
-            k_loop_free, numerator, *_quotient_checks(excess, denominator)], m * n)
-        faults = [y_faults, y_faults]
-        if s0 == 0.0:  # M_c(0) = 1 - h_c(0) passed the floor: 1 / M_c(0) is finite
-            t_faults = _first_faults([t], m * n)
-            age_faults = _first_faults([peak, t_excess, (
-                y[1] == 0.0, ZeroDivisionError, lambda j: "float division by zero"), aoi], m * n)
-            age_faults = [a or b or c for a, b, c in zip(t_faults, y_faults, age_faults)]
-            faults += [t_faults, age_faults, age_faults]
+        def first(checks, key=lambda j: j, size=m * n):  # by key(column), the first check failed
+            found = [None] * size
+            for bad, kind, text in checks:
+                for j in np.flatnonzero(bad).tolist():
+                    message = text.format(c=j % n, s=s0, rate=cfgs[j // n].total_rate)
+                    found[key(j)] = found[key(j)] or (kind, message)
+            return found
+        def singular(what, *rows, divisor=1.0):  # a term not finite, or a divisor below the floor
+            bad = ~np.isfinite(np.concatenate(rows)).all(axis=0) | ~(np.abs(divisor) >= DIVISION_FLOOR)
+            return bad, DivisionBySingularJet, what + " of source {c} singular or not finite at s={s}"
+        shared = first([(np.repeat([s0 >= cfg.total_rate for cfg in cfgs], n), OutsideConvergenceRegion,
+                         "s={s} at or beyond the total arrival rate {rate}"),
+                        (loop_free[0] <= 0.0, OutsideConvergenceRegion,
+                         "self-loop gain of source {c} reaches 1 at s={s}"),
+                        singular("1 - h_c or g_c", loop_free, g, sums.reshape(-1, m * n),
+                                 divisor=loop_free[0])], lambda j: j // n, m)
+        y_checks = [(detour[0] <= 0.0, OutsideConvergenceRegion, "detour denominator nonpositive at s={s}"),
+                    singular("M_Y", denominator, y, excess, divisor=denominator[0])]
+        faults = [first(y_checks)] * 2
+        if s0 == 0.0:
+            t_check = singular("M_T", t)
+            faults += [first([t_check])] + [first(y_checks + [t_check, singular(f"the {what} MGF", row)])
+                                            for what, row in (("peak-age", peak), ("AoI", aoi))]
     if _log.isEnabledFor(logging.DEBUG):
         info = dict(systems=m, sources=n, shifts=len(pairs) - 1, calls=calls, order=order, s0=s0,
                     service_s=service_s, terms_s=perf_counter() - start - service_s,
@@ -310,7 +294,7 @@ def _system_jets(cfg: SystemConfig, s0: float, order: int) -> tuple[list, list]:
 def _coefficients(cfg: SystemConfig, source: int, s0: float, order: int, *quantities,
                   system=None) -> list:
     """The coefficient lists (read only) at s0 of ``source``'s quantities, of ``system``
-    if built, else cached; or the first error the one-source chain met on its way."""
+    if built, else cached; or the fault recorded for the first that has one."""
     cfg._check_source(source)
     coeffs, faults = system or _system_jets(cfg, s0, order)
     for q in quantities:
@@ -386,10 +370,7 @@ def moments_both_routes(
     binom = AoiMetrics(source, aoi_binom, paoi_binom, t_moms[1], mean_y)
 
     gap = 0.0
-    for a, b in zip(
-        binom.aoi_moments + binom.paoi_moments,
-        direct.aoi_moments + direct.paoi_moments,
-    ):
+    for a, b in zip(binom.aoi_moments + binom.paoi_moments, direct.aoi_moments + direct.paoi_moments):
         gap = max(gap, abs(a - b) / max(abs(a), abs(b), 1e-300))
     return binom, direct, gap
 
@@ -413,12 +394,9 @@ def solve_moments(cfgs, max_order: int = 2) -> Iterator[list[AoiMetrics]]:
 
 
 def mgf_point_eval(cfg: SystemConfig, source: int, s: float, which: Transform) -> float:
-    """Scalar MGF value at s for one of the four transforms.
-
-    Valid for s < 0 and for small positive s inside the convergence region;
-    trips OutsideConvergenceRegion (naming the condition) otherwise. At
-    s = 0 all four transforms return exactly 1.
-    """
+    """Scalar MGF value at s for one of the four transforms, exactly 1 at s = 0.
+    Outside the convergence region it raises ``OutsideConvergenceRegion``,
+    naming the condition; where a term is singular, ``DivisionBySingularJet``."""
     cfg._check_source(source)
     which = Transform(which)
     if s == 0.0:

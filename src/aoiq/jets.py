@@ -22,6 +22,7 @@ __all__ = [
     "Jet",
     "JetMismatchError",
     "DivisionBySingularJet",
+    "NonFiniteJet",
     "DEFAULT_ORDER",
 ]
 
@@ -64,6 +65,10 @@ class JetMismatchError(ValueError):
     """Binary operation on jets with different centers or orders."""
 
 
+class NonFiniteJet(ValueError):
+    """A jet coefficient that is inf or nan: the function or its algebra overflowed."""
+
+
 class DivisionBySingularJet(ZeroDivisionError):
     """Division by a jet whose constant term is zero or subnormal, or whose
     quotient overflows."""
@@ -86,7 +91,7 @@ class Jet:
         if not math.isfinite(self.center):
             raise ValueError("jet center must be finite")
         if not all(map(math.isfinite, self.coeffs)):
-            raise ValueError(f"non-finite jet coefficients: {self.coeffs}")
+            raise NonFiniteJet(f"non-finite jet coefficients: {self.coeffs}")
 
     # -- constructors ------------------------------------------------------
 
@@ -166,7 +171,7 @@ class Jet:
             )
         try:
             return Jet(self.center, tuple(div_rows(self.coeffs, b)))
-        except ValueError:  # a non-finite coefficient: the quotient overflowed
+        except NonFiniteJet:  # the quotient overflowed
             raise DivisionBySingularJet(f"jet quotient overflows: denominator {b!r}") from None
 
     def __rtruediv__(self, other) -> "Jet":

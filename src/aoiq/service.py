@@ -29,7 +29,7 @@ import numpy as np
 from ._special import (
     ConvergenceError, beta_orders, erfcx, gamma_p_orders, log_factorials, wright_omega,
 )
-from .jets import DEFAULT_ORDER, Jet
+from .jets import DEFAULT_ORDER, DIVISION_FLOOR, Jet
 
 __all__ = [
     "ServiceDistribution",
@@ -68,6 +68,14 @@ _SURVIVAL_GAP = 1e-9
 
 class MgfDomainError(ValueError):
     """MGF requested outside the distribution's convergence region."""
+
+
+def _check_tail_power(c: float, order: int) -> None:
+    """Refuse E[P(k+1, cU)] / c^(k+1), k <= order, where c^(order+1) is zero or subnormal
+    (c below about 1e-103 at order 2, 1e-34 at order 8): its quotients are not numbers."""
+    if c < 1.0 and c ** (order + 1) < DIVISION_FLOOR:
+        raise MgfDomainError(
+            f"survival transform at t0={-c} divides by (-t0)^{order + 1}, which underflows")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -139,7 +147,10 @@ class ServiceDistribution:
         return self._survival_jet_neg(t0, order)
 
     def _survival_jet_neg(self, t0: float, order: int) -> Jet:
-        raise NotImplementedError
+        """coeffs[k] = E[P(k+1, cU)] / c^(k+1), c = -t0, the means from the law's ``_tail_means``."""
+        c = -t0
+        _check_tail_power(c, order)
+        return Jet(t0, tuple((self._tail_means(c, order) / c ** np.arange(1.0, order + 2.0)).tolist()))
 
     def jet_pairs(self, shifts, order: int):
         """The coefficients (M, H) of ``mgf_jet`` and ``survival_mgf_jet`` at each
@@ -210,14 +221,11 @@ class Gamma(ServiceDistribution):
             coeffs.append(coeffs[-1] * (self.shape + j - 1.0) / (j * gap))
         return Jet(t0, tuple(coeffs))
 
-    def _survival_jet_neg(self, t0, order):
+    def _tail_means(self, c, order):
         # E[P(k+1, c*U)] for gamma U is a beta tail probability: with
         # G1 ~ Gamma(k+1), G2 ~ Gamma(shape) independent, the event
         # G1 <= (c/rate) G2 has probability I_x(k+1, shape), x = c/(c+rate).
-        c = -t0
-        x = c / (c + self.rate)
-        coeffs = beta_orders(order + 1, self.shape, x) / c ** np.arange(1.0, order + 2.0)
-        return Jet(t0, tuple(coeffs.tolist()))
+        return beta_orders(order + 1, self.shape, c / (c + self.rate))
 
 
 @dataclass(frozen=True)
@@ -233,16 +241,17 @@ class Deterministic(ServiceDistribution):
 
     def mgf_jet(self, t0, order=DEFAULT_ORDER):
         # M(t) = exp(t*d): coefficients exp(t0*d) * d^k / k!.
-        base = math.exp(t0 * self.value)
+        try:
+            base = math.exp(t0 * self.value)
+        except OverflowError:
+            raise MgfDomainError(f"deterministic MGF overflows at t={t0} (value {self.value})") from None
         coeffs = [base]
         for k in range(1, order + 1):
             coeffs.append(coeffs[-1] * self.value / k)
         return Jet(t0, tuple(coeffs))
 
-    def _survival_jet_neg(self, t0, order):
-        c = -t0
-        coeffs = gamma_p_orders(order + 1, c * self.value) / c ** np.arange(1.0, order + 2.0)
-        return Jet(t0, tuple(coeffs.tolist()))
+    def _tail_means(self, c, order):
+        return gamma_p_orders(order + 1, c * self.value)
 
 
 @dataclass(frozen=True)
@@ -296,6 +305,7 @@ class LogNormal(ServiceDistribution):
         it the integrand is the MGF's at k+1 times Q(z) e^(z^2/2) = erfcx(z/sqrt 2)/2, which
         only falls, so the window ends where the MGF's does."""
         c = -t0
+        _check_tail_power(float(c.min()), order)
         k = np.arange(order + 1.0)
         log_weight, mode, w = self._laplace(t0[:, None, None], k[:, None] + 1.0)
         log_peak = log_weight(mode)

@@ -733,7 +733,9 @@ class CheckSummary:
 
 def _share_check(name: str, hits: int, n: int, p_expect: float) -> CheckResult:
     """z-test of the share hits / n against p_expect; where p_expect is 0 or 1
-    the share is certain, and z is 0 if it holds, else inf."""
+    the share is certain, and z is 0 if it holds, else inf. Skipped at n = 0."""
+    if n == 0:
+        return CheckResult(name, "skip", math.nan, math.nan, "no trials counted (n=0)")
     p_hat = hits / n
     se = math.sqrt(p_expect * (1.0 - p_expect) / n)
     if se > 0:
@@ -766,8 +768,10 @@ def _system_time_fit(name: str, system: SystemConfig, c: int, transform: tuple) 
     at s_k = s, 2s, 4s, the run's s (``_fit_points``), from ``transform`` = (s, n,
     the means of e^(s_k T)): d_k = mean(e^(s_k T)) - M_T(s_k), with covariance
     M_T(s_j + s_k) - M_T(s_j) M_T(s_k) of ``system``, and statistic n d' S^-1 d.
-    Skipped when S is too close to singular to be told from rounding."""
+    Skipped when n = 0, or S is too close to singular to be told from rounding."""
     s, n, *sample_means = transform
+    if n == 0:
+        return CheckResult(name, "skip", math.nan, math.nan, "no counted system time (n=0)")
     mgf = {k: mgf_point_eval(system, c, k * s, Transform.SYSTEM_TIME)
            for k in (1, 2, 3, 4, 5, 6, 8)}  # at each s_j and s_j + s_k
     mean = np.array([mgf[1], mgf[2], mgf[4]])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from . import analytic, semimarkov
 from .analytic import OutsideConvergenceRegion, SystemConfig, moments_both_routes
 from .config import ExperimentSpec
-from .jets import DivisionBySingularJet, Jet
+from .jets import DivisionBySingularJet, Jet, NonFiniteJet
 from .semimarkov import SingularSystem
 from .service import ConvergenceError, MgfDomainError
 from .sim import CheckResult, InsufficientSamples, Policy, empirical_checks, run, verdict
@@ -35,6 +35,7 @@ NUMERICAL_ERRORS = (
     ConvergenceError,
     MgfDomainError,
     DivisionBySingularJet,
+    NonFiniteJet,
     SingularSystem,
     OutsideConvergenceRegion,
 )

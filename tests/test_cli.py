@@ -276,6 +276,22 @@ class TestExitCodes:
         monkeypatch.setattr(Exponential, "jet_pairs", blow_up)
         assert main(["analytic", "-c", spec]) == 3
 
+    @pytest.mark.parametrize("theta, service, error", [
+        # M_U's jet at 0 overflows in its second coefficient
+        ("0", "deterministic(value=1e300)",
+         "NonFiniteJet: non-finite jet coefficients: (1.0, 1e+300, inf)"),
+        # the survival jets divide by (theta lambda_c)^(k + 1), which underflows at k = 2
+        *[("1e-120", service, "MgfDomainError: survival transform at t0=-2e-120 divides by "
+           "(-t0)^3, which underflows") for service in (
+              "deterministic(value=1)", "gamma(shape=2, rate=4)", "lognormal(loc=-1, scale=1)")],
+    ], ids=["deterministic_1e300", "theta_1e-120_deterministic", "theta_1e-120_gamma",
+            "theta_1e-120_lognormal"])
+    def test_law_out_of_reach_is_a_numerical_failure(self, tmp_path, capsys, theta, service, error):
+        spec, _ = write_spec(tmp_path, HEAVY_SPEC)
+        assert main(["analytic", "-c", spec, "--theta", theta, "--service", service,
+                     "--policies", "probabilistic"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
     def test_global_checks_out_of_reach_fail_without_losing_the_report(self, tmp_path, capsys):
         # at theta 0 the spec's system solves; under global preemption on its
         # rates, M_U(-751) = e^-751 underflows: those checks fail with the

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from aoiq.jets import DivisionBySingularJet, Jet, JetMismatchError
+from aoiq.jets import DivisionBySingularJet, Jet, JetMismatchError, NonFiniteJet
 
 
 def jet(*coeffs, center=0.0):
@@ -162,6 +162,11 @@ class TestConstruction:
             jet(1.0, math.nan)
         with pytest.raises(ValueError):
             jet(math.inf, 1.0)
+        # a type of its own, still a ValueError, that the CLI reports with exit code 3
+        with pytest.raises(NonFiniteJet) as info:
+            jet(1.0, -math.inf)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "non-finite jet coefficients: (1.0, -inf)"
 
     @pytest.mark.parametrize("center, coeffs, message", [
         (0.0, (), "a jet needs at least one coefficient"),

@@ -310,3 +310,20 @@ def test_survival_jet_refused_just_above_zero(law, t0):
     with pytest.raises(MgfDomainError) as info:
         law.survival_mgf_jet(t0, 2)
     assert str(info.value) == f"survival transform refused for 0 < t0 < 1e-09, got {t0}"
+
+
+@pytest.mark.parametrize("law", [Gamma(2.0, 4.0), Deterministic(1.0), LogNormal(-1.0, 1.0)])
+def test_survival_jet_refused_where_its_divisor_underflows(law):
+    # E[P(k+1, cU)] / c^(k+1) at c = 2e-120: c^2 is a normal float, c^3 underflows
+    assert all(map(math.isfinite, law.survival_mgf_jet(-2e-120, 1).coeffs))
+    with pytest.raises(MgfDomainError) as info:
+        law.survival_mgf_jet(-2e-120, 2)
+    assert str(info.value) == "survival transform at t0=-2e-120 divides by (-t0)^3, which underflows"
+    # the exponential law's survival jet, 1/(rate - t0)^(k+1), divides by no power of c
+    assert Exponential(2.0).survival_mgf_jet(-2e-120, 8).coeffs[-1] == 0.5 ** 9
+
+
+def test_deterministic_mgf_overflow_is_a_domain_error():
+    with pytest.raises(MgfDomainError) as info:
+        Deterministic(1e300).mgf_jet(0.05, 1)
+    assert str(info.value) == "deterministic MGF overflows at t=0.05 (value 1e+300)"

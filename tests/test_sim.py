@@ -89,7 +89,15 @@ class TestConfigValidation:
                                              TWO_EXP, MATCHED, min_samples=0).results
                  if r.name.endswith("system_time_fit")] for s in (first, swapped)]
         assert fits[1][0].status == "skip" and fits[0][0].status == "pass"
+        assert fits[1][0].detail == "no counted system time (n=0)"
         assert fits[1][1] == fits[0][1] and fits[0][1].status == "pass"
+        # a source that never enters service has no share to test: its check skips
+        policy = Policy.probabilistic(1.0)
+        starved = run(cfg, policy, SimConfig(seed=1, horizon=50.0))
+        assert starved.per_source[1].entered_service == 0
+        (check,) = [r for r in empirical_checks(starved, cfg, policy, min_samples=0).results
+                    if r.name == "source1:delivery_probability"]
+        assert (check.status, check.detail) == ("skip", "no trials counted (n=0)")
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_horizon_must_be_finite(self, horizon):
@@ -306,21 +314,6 @@ def dump_records(report, c):
     """Source c's (prev T, Y, peak) records, one per delivery ``counted_rows`` marks."""
     rows, keep = counted_rows(report, c)
     return np.column_stack((rows[:-1, 3], rows[1:, 4], rows[1:, 5]))[keep[1:]]
-
-
-class PositiveExponentRejected(ValueError):
-    """Empirical MGF requested at s > 0, where summands are unbounded."""
-
-
-def empirical_mgf(samples, s: float) -> tuple[float, float]:
-    """Sample mean and standard error of exp(s * x) for s <= 0."""
-    if s > 0:
-        raise PositiveExponentRejected(f"empirical MGF requires s <= 0, got {s}")
-    x = np.asarray(samples, dtype=float)
-    if x.size < 100:
-        raise InsufficientSamples(f"need >= 100 samples, got {x.size}")
-    vals = np.exp(s * x)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(x.size))
 
 
 def empirical_aoi_mgf(records: np.ndarray, s: float, groups: int = 20) -> tuple[float, float]:
@@ -614,31 +607,6 @@ class TestAgainstAnalytic:
     def test_globally_preemptive_means_within_band(self):
         ok, detail = global_gate(17)
         assert ok, detail
-
-
-class TestEmpiricalMgf:
-    def test_normalization(self):
-        est, se = empirical_mgf(np.ones(200), 0.0)
-        assert est == 1.0 and se == 0.0
-
-    def test_degenerate_samples(self):
-        est, se = empirical_mgf(np.full(150, 2.0), -1.0)
-        assert est == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert se == 0.0
-
-    def test_exponential_oracle(self):
-        rng = np.random.default_rng(12)
-        x = rng.exponential(1.0, 1_000_000)
-        est, se = empirical_mgf(x, -1.0)
-        assert abs(est - 0.5) < 3 * se
-
-    def test_positive_exponent_rejected(self):
-        with pytest.raises(PositiveExponentRejected):
-            empirical_mgf(np.ones(200), 0.1)
-
-    def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamples):
-            empirical_mgf(np.ones(50), -1.0)
 
 
 MATCHED = Policy.probabilistic(0.5)

@@ -1,5 +1,6 @@
 import inspect
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -7,13 +8,15 @@ import pytest
 
 import aoiq.analytic as analytic_mod
 import aoiq.validate as validate_mod
-from aoiq import Deterministic, SystemConfig
-from aoiq.analytic import GloballyPreemptiveConfig
+from aoiq import Deterministic, Gamma, LogNormal, SystemConfig
+from aoiq.analytic import GloballyPreemptiveConfig, Transform
 from aoiq.config import parse_spec
 from aoiq.jets import Jet
 from aoiq.service import ServiceDistribution
 from aoiq.sim import Policy, empirical_checks, run
-from aoiq.validate import validation_suite
+from aoiq.semimarkov import build_interdeparture_graph, transfer_functions
+from aoiq.validate import NUMERICAL_ERRORS, validation_suite
+from test_analytic_reference import SOURCE_LOCAL_FAILURES
 
 # horizon 40000 gives source 0 (rate 1) about 12,500 delivered system times
 # and the run about 40,000 idle-server races: the distribution-fit checks
@@ -117,6 +120,47 @@ def test_graph_check_reports_its_smallest_pivot(caplog):
     for check, pivot in zip(checks, pivots):
         assert pivot == pytest.approx(2.061e-9, rel=1e-3)
         assert check.detail.endswith(f"smallest pivot {pivot:.3g}")
+
+
+# Systems out of the numerics' reach: the closed forms' own failures, a law
+# whose jets overflow, and theta = 1e-120, where the survival jets' divisor
+# (theta lambda_c)^3 underflows although the theta -> 0 limit is finite
+TYPED_FAILURES = {
+    **{name: cfg for name, (cfg, _) in SOURCE_LOCAL_FAILURES.items()},
+    "deterministic_1e300": SystemConfig((2.0, 6.0), 0.0, Deterministic(1e300)),
+    **{f"theta_1e-120_{name}": SystemConfig((2.0, 6.0), 1e-120, law) for name, law in (
+        ("deterministic", Deterministic(1.0)), ("gamma", Gamma(2.0, 4.0)),
+        ("lognormal", LogNormal(-1.0, 1.0)))},
+}
+
+
+@pytest.mark.parametrize("name", TYPED_FAILURES)
+def test_every_numerical_failure_is_typed(name):
+    # each call returns finite numbers or raises one of NUMERICAL_ERRORS, which
+    # the CLI reports with exit code 3; a numpy RuntimeWarning is an error here
+    cfg = TYPED_FAILURES[name]
+
+    def numbers(value):
+        if isinstance(value, Jet):
+            return value.coeffs
+        if isinstance(value, dict):  # the graph's transfer functions
+            return [x for jet in value.values() for x in jet.coeffs] + [value.min_pivot]
+        if isinstance(value, float):
+            return [value]
+        return value.aoi_moments + value.paoi_moments + (value.mean_system_time,
+                                                          value.mean_interdeparture)
+
+    for c in range(cfg.num_sources):
+        calls = [(analytic_mod.moments, cfg, c), (analytic_mod.aoi_mgf_jet, cfg, c, 8),
+                 (lambda *args: transfer_functions(build_interdeparture_graph(*args)), cfg, c)]
+        calls += [(analytic_mod.mgf_point_eval, cfg, c, s, which)
+                  for s in (-0.7, 0.05) for which in Transform]
+        for fn, *args in calls:
+            try:
+                value = fn(*args)
+            except NUMERICAL_ERRORS:
+                continue
+            assert all(map(math.isfinite, numbers(value))), (fn, args)
 
 
 # Planted defects. Each slips a sign or a factor into the closed forms, or
